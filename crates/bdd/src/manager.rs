@@ -112,11 +112,14 @@ pub(crate) enum CacheOp {
     Compose,
     CofPos,
     CofNeg,
+    Implies,
+    Disjoint3,
+    PickPerClass,
 }
 
 impl CacheOp {
     /// Number of operation kinds (sizes the per-op analytics arrays).
-    pub(crate) const COUNT: usize = 13;
+    pub(crate) const COUNT: usize = 16;
 
     /// Every operation kind, in declaration order (= discriminant order).
     pub(crate) const ALL: [CacheOp; CacheOp::COUNT] = [
@@ -133,6 +136,9 @@ impl CacheOp {
         CacheOp::Compose,
         CacheOp::CofPos,
         CacheOp::CofNeg,
+        CacheOp::Implies,
+        CacheOp::Disjoint3,
+        CacheOp::PickPerClass,
     ];
 
     /// Stable lower-case name used in analytics JSON.
@@ -151,6 +157,9 @@ impl CacheOp {
             CacheOp::Compose => "compose",
             CacheOp::CofPos => "cof_pos",
             CacheOp::CofNeg => "cof_neg",
+            CacheOp::Implies => "implies",
+            CacheOp::Disjoint3 => "disjoint3",
+            CacheOp::PickPerClass => "pick_per_class",
         }
     }
 }
@@ -283,7 +292,7 @@ fn map_bytes<K, V, S>(map: &std::collections::HashMap<K, V, S>) -> usize {
 }
 
 /// One direct-mapped computed-cache slot. `op == SLOT_EMPTY_OP` marks an
-/// empty slot; real ops are the [`CacheOp`] discriminants (< 13).
+/// empty slot; real ops are the [`CacheOp`] discriminants (< [`CacheOp::COUNT`]).
 #[derive(Clone, Copy)]
 pub(crate) struct CacheSlot {
     op: u8,

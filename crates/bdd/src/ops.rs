@@ -107,13 +107,69 @@ impl Bdd {
     }
 
     /// Decision procedure: does `f ≤ g` hold (i.e. `f` implies `g`)?
+    ///
+    /// Builds no nodes and stops at the first point of `f · ¬g` (CUDD's
+    /// `bddLeq`).
     pub fn implies(&mut self, f: Func, g: Func) -> bool {
-        self.diff(f, g).is_zero()
+        self.note_apply_step();
+        if f.is_zero() || g.is_one() || f == g {
+            return true;
+        }
+        if f.is_one() || g.is_zero() {
+            return false;
+        }
+        let key = CacheKey { op: CacheOp::Implies, a: f.0, b: g.0, c: 0 };
+        if let Some(hit) = self.cache_get(&key) {
+            return hit.is_one();
+        }
+        let top = self.level(f).min(self.level(g));
+        let (f0, f1) = self.cofactors_at(f, top);
+        let (g0, g1) = self.cofactors_at(g, top);
+        let result = self.implies(f0, g0) && self.implies(f1, g1);
+        self.cache_put(key, Func(u32::from(result)));
+        result
     }
 
     /// Decision procedure: are `f` and `g` disjoint (`f · g = 0`)?
     pub fn disjoint(&mut self, f: Func, g: Func) -> bool {
-        self.and(f, g).is_zero()
+        self.disjoint3(f, g, Func::ONE)
+    }
+
+    /// Decision procedure: is `f · g · h = 0`?
+    ///
+    /// Builds no nodes and stops at the first common point, so testing a
+    /// product against zero never materialises it (Theorem 1 is exactly
+    /// `Q · ∃X_A R · ∃X_B R = 0`).
+    pub fn disjoint3(&mut self, f: Func, g: Func, h: Func) -> bool {
+        self.note_apply_step();
+        if f.is_zero() || g.is_zero() || h.is_zero() {
+            return true;
+        }
+        // Normalise the key: sort, then drop the constant 1 (it sorts
+        // first) and repeated operands (`f · f = f`).
+        let mut sorted = [f.0, g.0, h.0];
+        sorted.sort_unstable();
+        let mut ops = [Func::ONE; 3];
+        let mut n = 0;
+        for x in sorted {
+            if x != Func::ONE.0 && (n == 0 || ops[n - 1].0 != x) {
+                ops[n] = Func(x);
+                n += 1;
+            }
+        }
+        if n < 2 {
+            // A single non-zero function (or 1) has a satisfying point.
+            return false;
+        }
+        let key = CacheKey { op: CacheOp::Disjoint3, a: ops[0].0, b: ops[1].0, c: ops[2].0 };
+        if let Some(hit) = self.cache_get(&key) {
+            return hit.is_one();
+        }
+        let top = ops.iter().map(|&x| self.level(x)).min().expect("three operands");
+        let [a, b, c] = ops.map(|x| self.cofactors_at(x, top));
+        let result = self.disjoint3(a.0, b.0, c.0) && self.disjoint3(a.1, b.1, c.1);
+        self.cache_put(key, Func(u32::from(result)));
+        result
     }
 
     /// Applies a binary connective to two functions.

@@ -112,6 +112,48 @@ impl Bdd {
         result
     }
 
+    /// One representative per class: for every assignment of the variables
+    /// outside `cube`, keeps only the smallest assignment of the `cube`
+    /// variables (in level order, `0 < 1`) on which `f` is 1.
+    ///
+    /// The result implies `f`, has the same projection `∃ cube . f`, and
+    /// holds at most one `cube`-minterm per assignment of the other
+    /// variables. `cube` must be a positive cube as produced by
+    /// [`Bdd::cube`].
+    pub fn pick_per_class(&mut self, f: Func, cube: Func) -> Func {
+        if f.is_zero() || cube.is_one() {
+            return f;
+        }
+        let key = CacheKey { op: CacheOp::PickPerClass, a: f.0, b: cube.0, c: 0 };
+        if let Some(hit) = self.cache_get(&key) {
+            return hit;
+        }
+        // Unlike `quant`, cube variables above `f` are not skipped: `f`
+        // does not depend on them, but they still have to be fixed to 0.
+        let top = self.level(f).min(self.level(cube));
+        let var = self.var_at_level(top);
+        let (f0, f1) = self.cofactors_at(f, top);
+        let result = if self.level(cube) == top {
+            // Take the 1-branch only in classes where the 0-branch is empty.
+            let sub = self.node(cube).high;
+            let low = self.pick_per_class(f0, sub);
+            let high = if f0 == f1 {
+                Func::ZERO
+            } else {
+                let p1 = self.pick_per_class(f1, sub);
+                let e0 = self.exists(f0, sub);
+                self.diff(p1, e0)
+            };
+            self.mk(var, low, high)
+        } else {
+            let low = self.pick_per_class(f0, cube);
+            let high = self.pick_per_class(f1, cube);
+            self.mk(var, low, high)
+        };
+        self.cache_put(key, result);
+        result
+    }
+
     fn quant(&mut self, f: Func, cube: Func, existential: bool) -> Func {
         if f.is_const() || cube.is_one() {
             return f;

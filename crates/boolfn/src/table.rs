@@ -235,6 +235,33 @@ impl TruthTable {
         out
     }
 
+    /// For every assignment of the variables outside `var_mask`, keeps only
+    /// the smallest minterm of the function in lexicographic order of the
+    /// `var_mask` variables (`x_0` most significant, 0 before 1).
+    ///
+    /// The enumeration oracle for `Bdd::pick_per_class` under the identity
+    /// variable order.
+    pub fn pick_per_class(&self, var_mask: u32) -> Self {
+        // Lexicographic rank of a minterm's masked bits: `x_0` first.
+        let rank = |m: u32| {
+            (0..self.num_vars)
+                .filter(|&v| var_mask & (1 << v) != 0)
+                .fold(0u32, |acc, v| (acc << 1) | (m >> v) & 1)
+        };
+        let mut best: Vec<Option<u32>> = vec![None; 1 << self.num_vars];
+        for m in self.minterms() {
+            let class = &mut best[(m & !var_mask) as usize];
+            if class.is_none_or(|b| rank(m) < rank(b)) {
+                *class = Some(m);
+            }
+        }
+        let mut out = Self::zeros(self.num_vars);
+        for m in best.into_iter().flatten() {
+            out.set(m, true);
+        }
+        out
+    }
+
     /// Functional composition: substitutes `g` for `x_v`, i.e.
     /// `f[x_v := g] = g·f|_{x_v=1} + ¬g·f|_{x_v=0}`.
     ///
@@ -387,6 +414,18 @@ mod tests {
         assert_eq!(f.compose(1, &x1), f, "substituting x_v for itself is identity");
         assert_eq!(f.compose(1, &TruthTable::ones(3)), f.cofactor(1, true));
         assert_eq!(f.compose(1, &TruthTable::zeros(3)), f.cofactor(1, false));
+    }
+
+    #[test]
+    fn pick_per_class_keeps_the_lexicographically_first_point() {
+        // f = ¬x0·x1 + x0·¬x1·x2 over (x0, x1, x2), cube {x0, x1}: in class
+        // x2 = 0 only (0,1) is a point; in class x2 = 1 the points are
+        // (0,1) and (1,0), and x0 = 0 comes first.
+        let f = TruthTable::from_fn(3, |m| matches!(m, 0b010 | 0b110 | 0b101));
+        let picked = f.pick_per_class(0b011);
+        assert_eq!(picked.minterms().collect::<Vec<_>>(), vec![0b010, 0b110]);
+        assert!(TruthTable::ones(2).pick_per_class(0).is_one(), "empty cube keeps f");
+        assert!(TruthTable::zeros(2).pick_per_class(0b11).is_zero());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Decomposability checks — Section 3 of the paper.
 //!
 //! All checks take the variable sets as [`VarSet`]s and build the
-//! quantifier cubes internally; the caller can also use the `_cubes`
-//! variants inside grouping loops to reuse pre-built cubes.
+//! quantifier cubes internally. The grouping search reuses quantified
+//! sides across candidates through the crate-internal `theorem1`,
+//! `quantify_b` and `theorem2`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -30,11 +31,12 @@ fn note_check() {
 }
 
 /// Deliberate-fault switch used by the differential fuzz harness to prove
-/// it can catch real bugs: when enabled, [`or_decomposable_cubes`]
-/// quantifies the `X_B` side of Theorem 1 universally instead of
-/// existentially. `∀X_B R ⊆ ∃X_B R`, so the intersection with `∃X_A R`
-/// shrinks and the check wrongly *accepts* groupings the true condition
-/// rejects, producing components that violate the `[Q, ¬R]` interval.
+/// it can catch real bugs: when enabled, every Theorem 1 check (OR and
+/// AND, from scratch or incremental) quantifies the `X_B` side universally
+/// instead of existentially. `∀X_B R ⊆ ∃X_B R`, so the intersection with
+/// `∃X_A R` shrinks and the check wrongly *accepts* groupings the true
+/// condition rejects, producing components that violate the `[Q, ¬R]`
+/// interval.
 ///
 /// Process-global; never enabled in production paths.
 static MUTATE_OR_CHECK: AtomicBool = AtomicBool::new(false);
@@ -57,20 +59,9 @@ pub fn or_check_mutation_enabled() -> bool {
 pub fn or_decomposable(mgr: &mut Bdd, isf: &Isf, xa: &VarSet, xb: &VarSet) -> bool {
     let ca = mgr.cube(xa);
     let cb = mgr.cube(xb);
-    or_decomposable_cubes(mgr, isf, ca, cb)
-}
-
-/// [`or_decomposable`] with pre-built quantifier cubes.
-pub fn or_decomposable_cubes(mgr: &mut Bdd, isf: &Isf, xa_cube: Func, xb_cube: Func) -> bool {
-    note_check();
-    let ra = mgr.exists(isf.r, xa_cube);
-    let rb = if or_check_mutation_enabled() {
-        mgr.forall(isf.r, xb_cube)
-    } else {
-        mgr.exists(isf.r, xb_cube)
-    };
-    let t = mgr.and(ra, rb);
-    mgr.disjoint(isf.q, t)
+    let ra = mgr.exists(isf.r, ca);
+    let rb = quantify_b(mgr, isf.r, cb);
+    theorem1(mgr, isf.q, ra, rb)
 }
 
 /// Dual of Theorem 1: is the ISF AND-bi-decomposable with `(X_A, X_B)`?
@@ -80,9 +71,22 @@ pub fn and_decomposable(mgr: &mut Bdd, isf: &Isf, xa: &VarSet, xb: &VarSet) -> b
     or_decomposable(mgr, &isf.complement(), xa, xb)
 }
 
-/// [`and_decomposable`] with pre-built quantifier cubes.
-pub fn and_decomposable_cubes(mgr: &mut Bdd, isf: &Isf, xa_cube: Func, xb_cube: Func) -> bool {
-    or_decomposable_cubes(mgr, &isf.complement(), xa_cube, xb_cube)
+/// Theorem 1 on pre-quantified sides: `Q · ∃X_A R · ∃X_B R = 0`, decided
+/// without building the product.
+pub(crate) fn theorem1(mgr: &mut Bdd, q: Func, ra: Func, rb: Func) -> bool {
+    note_check();
+    mgr.disjoint3(q, ra, rb)
+}
+
+/// Quantifies the `X_B` side of Theorem 1 over `cube`: `∃`, or `∀` under
+/// the deliberate mutation. Quantifying an already quantified side again
+/// grows its set by the cube's variables.
+pub(crate) fn quantify_b(mgr: &mut Bdd, r: Func, cube: Func) -> Func {
+    if or_check_mutation_enabled() {
+        mgr.forall(r, cube)
+    } else {
+        mgr.exists(r, cube)
+    }
 }
 
 /// Theorem 2: is the ISF EXOR-bi-decomposable with the singleton sets
@@ -92,8 +96,14 @@ pub fn and_decomposable_cubes(mgr: &mut Bdd, isf: &Isf, xa_cube: Func, xb_cube: 
 /// `Q_D = ∃xa Q · ∃xa R` (derivative must be 1), `R_D = ∀xa Q + ∀xa R`
 /// (derivative must be 0). Decomposable iff `Q_D · ∃xb R_D = 0`.
 pub fn exor_decomposable_pair(mgr: &mut Bdd, isf: &Isf, xa: VarId, xb: VarId) -> bool {
+    let d = derivative(mgr, isf, xa);
+    theorem2(mgr, d, xb)
+}
+
+/// Theorem 2 with the derivative `(Q_D, R_D)` of `xa` already built. The
+/// condition is exact, so it is symmetric in `xa` and `xb`.
+pub(crate) fn theorem2(mgr: &mut Bdd, (qd, rd): (Func, Func), xb: VarId) -> bool {
     note_check();
-    let (qd, rd) = derivative(mgr, isf, xa);
     let cb = mgr.cube(&VarSet::singleton(xb));
     let erd = mgr.exists(rd, cb);
     mgr.disjoint(qd, erd)
@@ -118,13 +128,12 @@ pub fn derivative(mgr: &mut Bdd, isf: &Isf, v: VarId) -> (Func, Func) {
 /// Is a *weak* OR-bi-decomposition with dedicated set `X_A` useful — does
 /// it strictly increase the don't-cares of component A?
 ///
-/// Condition (Table 1): `Q · ∃X_A R ≠ Q`.
+/// Condition (Table 1): `Q · ∃X_A R ≠ Q`, i.e. `Q ≰ ∃X_A R`.
 pub fn weak_or_useful(mgr: &mut Bdd, isf: &Isf, xa: &VarSet) -> bool {
     note_check();
     let ca = mgr.cube(xa);
     let er = mgr.exists(isf.r, ca);
-    let qa = mgr.and(isf.q, er);
-    qa != isf.q
+    !mgr.implies(isf.q, er)
 }
 
 /// Dual: is a weak AND-bi-decomposition with dedicated set `X_A` useful?

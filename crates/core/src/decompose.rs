@@ -387,9 +387,11 @@ impl Decomposer {
         // contains nothing but XOR/XNOR — then the normal machinery below
         // (ultimately Shannon expansion) takes over.
         if support.len() <= 2 {
-            if let Some((comp, desc)) = self.find_gate(&isf, &support) {
+            if let Some((comp, leaf)) = self.find_gate(&isf, &support) {
                 self.stats.terminal_cases += 1;
-                self.record(Step::Terminal { desc });
+                if self.trace.is_some() {
+                    self.record(Step::Terminal { desc: leaf.describe() });
+                }
                 self.cache_insert(comp);
                 return comp;
             }
@@ -551,11 +553,12 @@ impl Decomposer {
 
     /// Terminal case (`FindGate` of Fig. 7): picks the cheapest constant,
     /// literal or single two-input gate compatible with an ISF of at most
-    /// two support variables.
+    /// two support variables. Returns the chosen leaf with the component,
+    /// so the caller formats its description only when tracing.
     ///
     /// Returns `None` only when [`Options::use_exor`] is off and the
     /// interval contains nothing but the two EXOR-family functions.
-    fn find_gate(&mut self, isf: &Isf, support: &VarSet) -> Option<(Component, String)> {
+    fn find_gate(&mut self, isf: &Isf, support: &VarSet) -> Option<(Component, Leaf)> {
         debug_assert!(support.len() <= 2);
         let vars: Vec<VarId> = support.iter().collect();
         // Candidates in increasing cost order; with EXOR enabled the 16
@@ -580,7 +583,7 @@ impl Decomposer {
             let func = leaf.func(&mut self.mgr);
             if isf.contains(&mut self.mgr, func) {
                 let signal = leaf.signal(&mut self.netlist, &self.inputs);
-                return Some((Component { func, signal }, leaf.describe()));
+                return Some((Component { func, signal }, leaf));
             }
         }
         None

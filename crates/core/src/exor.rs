@@ -8,6 +8,11 @@
 //! decided constraint minterms from the working on/off-sets. A conflict
 //! (`q ∧ r ≠ 0` on either side) proves non-decomposability; exhaustion of
 //! the on-set yields the component intervals.
+//!
+//! Derivation ([`check_exor_bidecomp`]) seeds one connected component per
+//! round, as the paper does. The grouping search only needs the verdict
+//! ([`exor_decomposable`]), so it seeds every `X_C` class per round and
+//! finishes in a handful of rounds instead of one round per component.
 
 use bdd::{Bdd, Func, VarSet};
 
@@ -20,6 +25,21 @@ pub struct ExorComponents {
     pub a: Isf,
     /// Component B, a function of `X_B ∪ X_C`.
     pub b: Isf,
+}
+
+/// How each round of the Fig. 4 propagation picks its starting decisions.
+#[derive(Clone, Copy)]
+enum Seed {
+    /// The paper's rule: force `A = 1` on the `X_B`-projection of one
+    /// on-set cube, one connected component per round. Derivation uses it,
+    /// so the component ISFs are the paper's.
+    Cube,
+    /// Force `A = 1` on one `X_A`-point of every `X_C` class at once.
+    /// Propagation quantifies only `X_A` or `X_B`, so classes never
+    /// interact, and one seed per class cannot create a false conflict.
+    /// Flipping a whole component keeps it conflict-free, so the verdict
+    /// is the same as with [`Seed::Cube`]; only the components differ.
+    PerClass,
 }
 
 /// The paper's `CheckExorBiDecomp` (Fig. 4): checks EXOR-decomposability
@@ -37,6 +57,25 @@ pub fn check_exor_bidecomp(
     xa: &VarSet,
     xb: &VarSet,
 ) -> Option<ExorComponents> {
+    propagate(mgr, isf, xa, xb, Seed::Cube)
+}
+
+/// Does an EXOR decomposition with these sets exist?
+///
+/// Same verdict as [`check_exor_bidecomp`], reached in fewer rounds: each
+/// round seeds every `X_C` class at once.
+pub fn exor_decomposable(mgr: &mut Bdd, isf: &Isf, xa: &VarSet, xb: &VarSet) -> bool {
+    propagate(mgr, isf, xa, xb, Seed::PerClass).is_some()
+}
+
+/// The Fig. 4 propagation loop, parameterised by its seeding rule.
+fn propagate(
+    mgr: &mut Bdd,
+    isf: &Isf,
+    xa: &VarSet,
+    xb: &VarSet,
+    seed: Seed,
+) -> Option<ExorComponents> {
     debug_assert!(xa.is_disjoint(xb), "X_A and X_B must be disjoint");
     let ca = mgr.cube(xa);
     let cb = mgr.cube(xb);
@@ -51,11 +90,18 @@ pub fn check_exor_bidecomp(
     let mut rb_all = Func::ZERO;
 
     while !q.is_zero() {
-        // Seed a new connected component: force A = 1 on the X_B-projection
-        // of one on-set cube (any polarity works within a component; 1 is
-        // the paper's choice).
-        let cube = mgr.pick_cube(q).expect("q is non-zero");
-        let mut q_a = mgr.exists(cube, cb);
+        // Seed new connected components with A = 1 (any polarity works
+        // within a component; 1 is the paper's choice).
+        let mut q_a = match seed {
+            Seed::Cube => {
+                let cube = mgr.pick_cube(q).expect("q is non-zero");
+                mgr.exists(cube, cb)
+            }
+            Seed::PerClass => {
+                let qa_space = mgr.exists(q, cb);
+                mgr.pick_per_class(qa_space, ca)
+            }
+        };
         let mut r_a = Func::ZERO;
         while !q_a.is_zero() || !r_a.is_zero() {
             // Propagate A-side decisions to the B side. Where A = 1,
@@ -108,11 +154,6 @@ pub fn check_exor_bidecomp(
         a: Isf::new_unchecked(qa_all, ra_all),
         b: Isf::new_unchecked(qb_all, rb_all),
     })
-}
-
-/// Convenience wrapper: does an EXOR decomposition with these sets exist?
-pub fn exor_decomposable(mgr: &mut Bdd, isf: &Isf, xa: &VarSet, xb: &VarSet) -> bool {
-    check_exor_bidecomp(mgr, isf, xa, xb).is_some()
 }
 
 #[cfg(test)]
@@ -225,6 +266,57 @@ mod tests {
             }
         }
         assert!(decomposable_seen > 10, "sweep must exercise the success path");
+    }
+
+    #[test]
+    fn per_class_seeding_agrees_with_derivation_and_oracle() {
+        // Multi-variable X_A/X_B, with and without common variables, on
+        // functions built to be EXOR-decomposable (so the success path with
+        // several components per class is exercised) and on random ones.
+        use boolfn::{oracle, TruthTable};
+        let n = 6;
+        let splits = [
+            (0b000111u32, 0b111000u32),
+            (0b000011, 0b001100),
+            (0b100101, 0b010010),
+            (0b001001, 0b110000),
+            (0b000001, 0b000110),
+        ];
+        let (mut decomposable, mut not_decomposable) = (0, 0);
+        for seed in 0..60u64 {
+            let (xam, xbm) = splits[seed as usize % splits.len()];
+            let xcm = !(xam | xbm) & 0b111111;
+            let f = if seed % 2 == 0 {
+                // A(X_A, X_C) ⊕ B(X_B, X_C) from random tables.
+                let a = TruthTable::random(n, 0.5, seed).exists(xbm);
+                let b = TruthTable::random(n, 0.5, seed ^ 0xb).exists(xam);
+                a.xor(&b)
+            } else {
+                TruthTable::random(n, 0.5, seed)
+            };
+            let care = TruthTable::random(n, 0.3 + 0.1 * (seed % 6) as f64, seed ^ 0xca4e);
+            let (qt, rt) = (f.and(&care), f.complement().and(&care));
+            let mut mgr = Bdd::new(n);
+            let q = qt.to_bdd(&mut mgr);
+            let r = rt.to_bdd(&mut mgr);
+            let isf = Isf::new(&mut mgr, q, r);
+            let mask_set =
+                |m: u32| -> VarSet { (0..n as u32).filter(|v| m & (1 << v) != 0).collect() };
+            let (xa, xb) = (mask_set(xam), mask_set(xbm));
+            let checked = exor_decomposable(&mut mgr, &isf, &xa, &xb);
+            let derived = check_exor_bidecomp(&mut mgr, &isf, &xa, &xb);
+            let expected = oracle::exor_bidecomposable(&qt, &rt, xam, xbm);
+            let what = format!("seed {seed} sets {xam:b}/{xbm:b} (X_C {xcm:b})");
+            assert_eq!(checked, expected, "per-class check, {what}");
+            assert_eq!(derived.is_some(), expected, "derivation, {what}");
+            if let Some(comps) = derived {
+                assert_valid(&mut mgr, &isf, &xa, &xb, &comps);
+                decomposable += 1;
+            } else {
+                not_decomposable += 1;
+            }
+        }
+        assert!(decomposable >= 10 && not_decomposable >= 10, "{decomposable}/{not_decomposable}");
     }
 
     #[test]

@@ -5,8 +5,18 @@
 //! grows them, always trying the smaller set first so the final sets stay
 //! balanced ("the closer their sizes are, the better" — balanced sets give
 //! balanced netlists and short delay).
+//!
+//! The search is incremental: it gives the same verdict as checking every
+//! candidate from scratch, for less work.
+//! - OR/AND carry `∃X_A R` and `∃X_B R` (`Q` for AND) from candidate to
+//!   candidate, so a candidate `z` costs one `∃z` of one side plus a
+//!   non-allocating Theorem 1 test.
+//! - EXOR computes each variable's Theorem 2 derivative once per call, and
+//!   skips the Fig. 4 propagation when a Theorem 2 pair test already rules
+//!   the candidate out: EXOR decomposability with `(X_A ∪ {z}, X_B)`
+//!   implies it for every pair `({z}, {y})`, `y ∈ X_B`.
 
-use bdd::{Bdd, VarSet};
+use bdd::{Bdd, Func, VarId, VarSet};
 
 use crate::check;
 use crate::exor;
@@ -31,14 +41,18 @@ impl Grouping {
     pub fn imbalance(&self) -> usize {
         self.xa.len().abs_diff(self.xb.len())
     }
+
+    fn pair(x: VarId, y: VarId) -> Self {
+        Grouping { xa: VarSet::singleton(x), xb: VarSet::singleton(y) }
+    }
 }
 
-/// Dispatches the gate-specific strong decomposability check.
-fn decomposable(mgr: &mut Bdd, isf: &Isf, gate: GateChoice, xa: &VarSet, xb: &VarSet) -> bool {
+/// The interval that Theorem 1 tests in its OR form: the ISF itself for
+/// OR, its complement for AND.
+fn theorem1_isf(isf: &Isf, gate: GateChoice) -> Isf {
     match gate {
-        GateChoice::Or => check::or_decomposable(mgr, isf, xa, xb),
-        GateChoice::And => check::and_decomposable(mgr, isf, xa, xb),
-        GateChoice::Exor => exor::exor_decomposable(mgr, isf, xa, xb),
+        GateChoice::And => isf.complement(),
+        _ => *isf,
     }
 }
 
@@ -53,21 +67,15 @@ pub fn find_initial_grouping(
     support: &VarSet,
     gate: GateChoice,
 ) -> Option<Grouping> {
-    let vars: Vec<u32> = support.iter().collect();
-    // All three checks are symmetric in (X_A, X_B), so unordered pairs
-    // suffice (the paper's double loop tests both orders; same outcome).
-    for (i, &x) in vars.iter().enumerate() {
-        for &y in &vars[i + 1..] {
-            let ok = match gate {
-                GateChoice::Exor => check::exor_decomposable_pair(mgr, isf, x, y),
-                _ => decomposable(mgr, isf, gate, &VarSet::singleton(x), &VarSet::singleton(y)),
-            };
-            if ok {
-                return Some(Grouping { xa: VarSet::singleton(x), xb: VarSet::singleton(y) });
-            }
+    let vars: Vec<VarId> = support.iter().collect();
+    match gate {
+        GateChoice::Exor => {
+            let mut pairs = PairTests::new(vars.len());
+            let (i, j) = pairs.first_pair(mgr, isf, &vars)?;
+            Some(Grouping::pair(vars[i], vars[j]))
         }
+        _ => theorem1_initial(mgr, &theorem1_isf(isf, gate), &vars).map(|(g, _, _)| g),
     }
-    None
 }
 
 /// Fig. 6: grows the initial grouping greedily, trying to add each
@@ -81,20 +89,126 @@ pub fn group_variables(
     support: &VarSet,
     gate: GateChoice,
 ) -> Option<Grouping> {
-    let mut grouping = find_initial_grouping(mgr, isf, support, gate)?;
-    let rest = support.difference(&grouping.xa.union(&grouping.xb));
-    for z in rest.iter() {
-        let zs = VarSet::singleton(z);
-        // Try the smaller set first to keep the grouping balanced.
-        let (first_a, second_a) =
-            if grouping.xa.len() <= grouping.xb.len() { (true, false) } else { (false, true) };
-        for to_a in [first_a, second_a] {
-            let (xa, xb) = if to_a {
-                (grouping.xa.union(&zs), grouping.xb)
+    let vars: Vec<VarId> = support.iter().collect();
+    match gate {
+        GateChoice::Exor => group_exor(mgr, isf, &vars),
+        _ => group_theorem1(mgr, &theorem1_isf(isf, gate), &vars),
+    }
+}
+
+/// Does the smaller set (`X_A` on a tie) come first for the next
+/// candidate? Keeps the grouping balanced.
+fn a_first(grouping: &Grouping) -> bool {
+    grouping.xa.len() <= grouping.xb.len()
+}
+
+/// Fig. 5 for Theorem 1: the first pair `(x, y)` with
+/// `Q · ∃x R · ∃y R = 0`, with both quantified sides.
+fn theorem1_initial(mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Option<(Grouping, Func, Func)> {
+    // Each variable's sides, built when the pair loop first reaches it.
+    // The checks are symmetric in (X_A, X_B), so unordered pairs suffice
+    // (the paper's double loop tests both orders; same outcome).
+    let mut sides: Vec<(Func, Func)> = Vec::with_capacity(vars.len());
+    for i in 0..vars.len() {
+        for j in i + 1..vars.len() {
+            while sides.len() <= j {
+                let cube = mgr.cube(&VarSet::singleton(vars[sides.len()]));
+                let ra = mgr.exists(isf.r, cube);
+                let rb = check::quantify_b(mgr, isf.r, cube);
+                sides.push((ra, rb));
+            }
+            let (ra, rb) = (sides[i].0, sides[j].1);
+            if check::theorem1(mgr, isf.q, ra, rb) {
+                return Some((Grouping::pair(vars[i], vars[j]), ra, rb));
+            }
+        }
+    }
+    None
+}
+
+/// Fig. 6 for Theorem 1, carrying `∃X_A R` and `∃X_B R` across candidates.
+fn group_theorem1(mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Option<Grouping> {
+    let (mut grouping, mut ra, mut rb) = theorem1_initial(mgr, isf, vars)?;
+    let initial = grouping.xa.union(&grouping.xb);
+    for &z in vars.iter().filter(|&&z| !initial.contains(z)) {
+        let cube = mgr.cube(&VarSet::singleton(z));
+        let to_a_first = a_first(&grouping);
+        for to_a in [to_a_first, !to_a_first] {
+            if to_a {
+                let ra_z = mgr.exists(ra, cube);
+                if check::theorem1(mgr, isf.q, ra_z, rb) {
+                    ra = ra_z;
+                    grouping.xa.insert(z);
+                    break;
+                }
             } else {
-                (grouping.xa, grouping.xb.union(&zs))
+                let rb_z = check::quantify_b(mgr, rb, cube);
+                if check::theorem1(mgr, isf.q, ra, rb_z) {
+                    rb = rb_z;
+                    grouping.xb.insert(z);
+                    break;
+                }
+            }
+        }
+    }
+    Some(grouping)
+}
+
+/// Theorem 2 pair tests over one support, with each variable's derivative
+/// built at most once.
+struct PairTests {
+    derivatives: Vec<Option<(Func, Func)>>,
+}
+
+impl PairTests {
+    fn new(n: usize) -> Self {
+        PairTests { derivatives: vec![None; n] }
+    }
+
+    /// Is the ISF EXOR-decomposable with `({vars[i]}, {y})`?
+    fn test(&mut self, mgr: &mut Bdd, isf: &Isf, vars: &[VarId], i: usize, y: VarId) -> bool {
+        let d = match self.derivatives[i] {
+            Some(d) => d,
+            None => {
+                let d = check::derivative(mgr, isf, vars[i]);
+                self.derivatives[i] = Some(d);
+                d
+            }
+        };
+        check::theorem2(mgr, d, y)
+    }
+
+    /// Fig. 5 for EXOR: the positions of the first decomposable pair.
+    fn first_pair(&mut self, mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Option<(usize, usize)> {
+        for i in 0..vars.len() {
+            for j in i + 1..vars.len() {
+                if self.test(mgr, isf, vars, i, vars[j]) {
+                    return Some((i, j));
+                }
+            }
+        }
+        None
+    }
+}
+
+/// Fig. 6 for EXOR: each candidate runs the Fig. 4 check only after the
+/// necessary Theorem 2 pair tests against the other set pass.
+fn group_exor(mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Option<Grouping> {
+    let mut pairs = PairTests::new(vars.len());
+    let (i, j) = pairs.first_pair(mgr, isf, vars)?;
+    let mut grouping = Grouping::pair(vars[i], vars[j]);
+    for k in (0..vars.len()).filter(|&k| k != i && k != j) {
+        let zs = VarSet::singleton(vars[k]);
+        let to_a_first = a_first(&grouping);
+        for to_a in [to_a_first, !to_a_first] {
+            let (xa, xb, other) = if to_a {
+                (grouping.xa.union(&zs), grouping.xb, grouping.xb)
+            } else {
+                (grouping.xa, grouping.xb.union(&zs), grouping.xa)
             };
-            if decomposable(mgr, isf, gate, &xa, &xb) {
+            if other.iter().all(|y| pairs.test(mgr, isf, vars, k, y))
+                && exor::exor_decomposable(mgr, isf, &xa, &xb)
+            {
                 grouping = Grouping { xa, xb };
                 break;
             }
@@ -288,6 +402,92 @@ mod tests {
         let ga = gain(&mut mgr, &VarSet::singleton(0));
         let gc = gain(&mut mgr, &VarSet::singleton(2));
         assert!(ga > gc, "gain(a)={ga} must exceed gain(c)={gc}");
+    }
+
+    /// The from-scratch Figs. 5–6 loop the incremental search replaced:
+    /// every candidate re-quantifies both sides, and EXOR runs the paper's
+    /// Fig. 4 derivation on every candidate.
+    fn group_from_scratch(
+        mgr: &mut Bdd,
+        isf: &Isf,
+        support: &VarSet,
+        gate: GateChoice,
+    ) -> Option<Grouping> {
+        let decomposable = |mgr: &mut Bdd, xa: &VarSet, xb: &VarSet| match gate {
+            GateChoice::Or => check::or_decomposable(mgr, isf, xa, xb),
+            GateChoice::And => check::and_decomposable(mgr, isf, xa, xb),
+            GateChoice::Exor => exor::check_exor_bidecomp(mgr, isf, xa, xb).is_some(),
+        };
+        let vars: Vec<u32> = support.iter().collect();
+        let mut initial = None;
+        'pairs: for (i, &x) in vars.iter().enumerate() {
+            for &y in &vars[i + 1..] {
+                let ok = match gate {
+                    GateChoice::Exor => check::exor_decomposable_pair(mgr, isf, x, y),
+                    _ => decomposable(mgr, &VarSet::singleton(x), &VarSet::singleton(y)),
+                };
+                if ok {
+                    initial = Some(Grouping::pair(x, y));
+                    break 'pairs;
+                }
+            }
+        }
+        let mut grouping = initial?;
+        let rest = support.difference(&grouping.xa.union(&grouping.xb));
+        for z in rest.iter() {
+            let zs = VarSet::singleton(z);
+            let to_a_first = a_first(&grouping);
+            for to_a in [to_a_first, !to_a_first] {
+                let (xa, xb) = if to_a {
+                    (grouping.xa.union(&zs), grouping.xb)
+                } else {
+                    (grouping.xa, grouping.xb.union(&zs))
+                };
+                if decomposable(mgr, &xa, &xb) {
+                    grouping = Grouping { xa, xb };
+                    break;
+                }
+            }
+        }
+        Some(grouping)
+    }
+
+    #[test]
+    fn incremental_search_returns_the_from_scratch_grouping() {
+        use boolfn::TruthTable;
+        let n = 7;
+        let (mut found, mut grown) = (0, 0);
+        for seed in 0..90u64 {
+            // Halves combined with the gate under test make strong
+            // decompositions (and their growth) common; seed % 4 == 3 is
+            // an unstructured function.
+            let left = TruthTable::random(n, 0.5, seed).exists(0b1110000);
+            let right = TruthTable::random(n, 0.5, seed ^ 0x5eed).exists(0b0001111);
+            let f = match seed % 4 {
+                0 => left.or(&right),
+                1 => left.and(&right),
+                2 => left.xor(&right),
+                _ => TruthTable::random(n, 0.5, seed ^ 0xf),
+            };
+            let care = TruthTable::random(n, 0.5 + 0.1 * (seed % 5) as f64, seed ^ 0xca4e);
+            let mut mgr = Bdd::new(n);
+            let q = f.and(&care).to_bdd(&mut mgr);
+            let r = f.complement().and(&care).to_bdd(&mut mgr);
+            let isf = Isf::new(&mut mgr, q, r);
+            let support = isf.support(&mgr);
+            for gate in [GateChoice::Or, GateChoice::And, GateChoice::Exor] {
+                let want = group_from_scratch(&mut mgr, &isf, &support, gate);
+                let got = group_variables(&mut mgr, &isf, &support, gate);
+                assert_eq!(got, want, "seed {seed} gate {gate:?}");
+                let initial = find_initial_grouping(&mut mgr, &isf, &support, gate);
+                assert_eq!(initial.is_some(), want.is_some(), "seed {seed} gate {gate:?}");
+                if let Some(g) = got {
+                    found += 1;
+                    grown += usize::from(g.total() > 2);
+                }
+            }
+        }
+        assert!(found >= 60 && grown >= 40, "sweep too easy: {found} found, {grown} grown");
     }
 
     #[test]

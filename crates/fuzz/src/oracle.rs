@@ -4,7 +4,8 @@
 //! The reference semantics of a case come straight from [`Pla::eval`]
 //! (espresso resolution: on beats don't-care beats off), enumerated into
 //! dense [`TruthTable`]s. Everything downstream — `isfs_from_pla`, the
-//! `apply` family, ITE, quantification, cofactor, compose, `isop`, and
+//! `apply` family, ITE, quantification, per-class picking, the
+//! non-allocating decision procedures, cofactor, compose, `isop`, and
 //! reordering — must agree with the table algebra exactly.
 
 use bdd::{reorder, Bdd, BinOp, Func, VarId, VarSet};
@@ -159,7 +160,10 @@ pub fn check_operators(pla: &Pla, seed: u64) -> Result<u64, Failure> {
         expect_tt(&mgr, f, &ta.forall(mask), "quantify", &format!("forall {mask:b}"))?;
         let f = mgr.exists_set(fa, &set);
         expect_tt(&mgr, f, &ta.exists(mask), "quantify", &format!("exists_set {mask:b}"))?;
-        checks += 3;
+        let f = mgr.pick_per_class(fa, cube);
+        let want = ta.pick_per_class(mask);
+        expect_tt(&mgr, f, &want, "quantify", &format!("pick_per_class {mask:b}"))?;
+        checks += 4;
     }
 
     // 4. Cofactor and functional composition.
@@ -221,6 +225,25 @@ pub fn check_operators(pla: &Pla, seed: u64) -> Result<u64, Failure> {
             return Err(Failure::new("reorder", "sat_count changed across sifting".to_string()));
         }
         checks += 5;
+    }
+
+    // 7. The non-allocating decision procedures, on operand pairs and
+    //    triples drawn from the pool (repeats included on purpose). Last,
+    //    so the random choices of the sections above stay as they were.
+    for _ in 0..4 {
+        let [(ta, fa), (tb, fb), (tc, fc)] =
+            [0; 3].map(|_| pool[rng.gen_range(pool.len())].clone());
+        let verdicts = [
+            ("implies", mgr.implies(fa, fb), ta.implies(&tb)),
+            ("disjoint", mgr.disjoint(fa, fb), ta.disjoint(&tb)),
+            ("disjoint3", mgr.disjoint3(fa, fb, fc), ta.and(&tb).disjoint(&tc)),
+        ];
+        for (what, got, want) in verdicts {
+            if got != want {
+                return Err(Failure::new("decide", format!("{what}: got {got}, oracle {want}")));
+            }
+        }
+        checks += 3;
     }
 
     Ok(checks)
