@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use bdd::{Bdd, Func};
 use netlist::{Gate2, Netlist, SignalId};
-use pla::{Pla, Trit};
+use pla::Pla;
 
 /// Decomposes a PLA by mapping each output's BDD to gates, one top
 /// variable at a time (weak-only splits). Don't-cares are assigned to 0
@@ -30,38 +30,12 @@ pub fn bds_like(pla: &Pla) -> Netlist {
         .collect();
     let mut memo: HashMap<Func, SignalId> = HashMap::new();
     for out in 0..pla.num_outputs() {
-        let f = output_bdd(&mut mgr, pla, out);
+        let f = mgr.cover_function(pla.on_cubes(out).map(pla::Cube::literals));
         let name = pla.output_labels().map(|l| l[out].clone()).unwrap_or_else(|| format!("y{out}"));
         let signal = map_node(&mut mgr, &mut nl, &inputs, f, &mut memo);
         nl.add_output(name, signal);
     }
     nl
-}
-
-fn output_bdd(mgr: &mut Bdd, pla: &Pla, out: usize) -> Func {
-    let mut terms: Vec<Func> = pla
-        .on_cubes(out)
-        .map(|cube| {
-            let mut f = Func::ONE;
-            for (v, &t) in cube.inputs().iter().enumerate() {
-                let lit = match t {
-                    Trit::One => mgr.var(v as u32),
-                    Trit::Zero => mgr.nvar(v as u32),
-                    Trit::Dc => continue,
-                };
-                f = mgr.and(f, lit);
-            }
-            f
-        })
-        .collect();
-    while terms.len() > 1 {
-        let mut next = Vec::with_capacity(terms.len().div_ceil(2));
-        for pair in terms.chunks(2) {
-            next.push(if pair.len() == 2 { mgr.or(pair[0], pair[1]) } else { pair[0] });
-        }
-        terms = next;
-    }
-    terms.pop().unwrap_or(Func::ZERO)
 }
 
 /// Maps one BDD node to gates, memoized on the node so the shared DAG

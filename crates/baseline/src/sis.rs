@@ -2,7 +2,7 @@
 
 use bdd::{Bdd, Func};
 use netlist::{Gate2, Netlist, SignalId};
-use pla::{Pla, Trit};
+use pla::Pla;
 
 /// A cube as a sorted list of `(variable, polarity)` literals.
 type LitCube = Vec<(u32, bool)>;
@@ -46,57 +46,21 @@ pub fn sis_like_with(pla: &Pla, style: MappingStyle) -> Netlist {
         .collect();
 
     for (out, output_name) in output_names.iter().enumerate() {
-        let on: Vec<LitCube> = pla.on_cubes(out).map(cube_literals).collect();
-        let dc: Vec<LitCube> = pla.dc_cubes(out).map(cube_literals).collect();
-        let off: Vec<LitCube> = pla.off_cubes(out).map(cube_literals).collect();
-        let on_bdd = cover_bdd(&mut mgr, &on);
-        let dc_bdd = cover_bdd(&mut mgr, &dc);
+        let on: Vec<LitCube> = pla.on_cubes(out).map(|c| c.literals().collect()).collect();
+        let on_bdd = mgr.cover_function(&on);
+        let dc_bdd = mgr.cover_function(pla.dc_cubes(out).map(pla::Cube::literals));
+        let covered = mgr.or(on_bdd, dc_bdd);
         let off_bdd = if pla.pla_type().rest_is_offset() {
-            let covered = mgr.or(on_bdd, dc_bdd);
             mgr.not(covered)
         } else {
-            let explicit = cover_bdd(&mut mgr, &off);
-            let t = mgr.diff(explicit, on_bdd);
-            mgr.diff(t, dc_bdd)
+            let explicit = mgr.cover_function(pla.off_cubes(out).map(pla::Cube::literals));
+            mgr.diff(explicit, covered)
         };
         let cover = minimize_cover(&mut mgr, on, on_bdd, dc_bdd, off_bdd);
         let signal = map_cover(&mut nl, &inputs, &cover, style);
         nl.add_output(output_name.clone(), signal);
     }
     nl
-}
-
-fn cube_literals(cube: &pla::Cube) -> LitCube {
-    cube.inputs()
-        .iter()
-        .enumerate()
-        .filter_map(|(k, &t)| match t {
-            Trit::One => Some((k as u32, true)),
-            Trit::Zero => Some((k as u32, false)),
-            Trit::Dc => None,
-        })
-        .collect()
-}
-
-fn cube_bdd(mgr: &mut Bdd, cube: &LitCube) -> Func {
-    let mut f = Func::ONE;
-    for &(v, pos) in cube {
-        let lit = mgr.literal(v, pos);
-        f = mgr.and(f, lit);
-    }
-    f
-}
-
-fn cover_bdd(mgr: &mut Bdd, cubes: &[LitCube]) -> Func {
-    let mut terms: Vec<Func> = cubes.iter().map(|c| cube_bdd(mgr, c)).collect();
-    while terms.len() > 1 {
-        let mut next = Vec::with_capacity(terms.len().div_ceil(2));
-        for pair in terms.chunks(2) {
-            next.push(if pair.len() == 2 { mgr.or(pair[0], pair[1]) } else { pair[0] });
-        }
-        terms = next;
-    }
-    terms.pop().unwrap_or(Func::ZERO)
 }
 
 /// EXPAND + deduplicate + IRREDUNDANT (greedy, BDD-backed).
@@ -115,7 +79,7 @@ fn minimize_cover(
         while i < kept.len() {
             let mut candidate = kept.clone();
             candidate.remove(i);
-            let c = cube_bdd(mgr, &candidate);
+            let c = mgr.cover_function([&candidate]);
             if mgr.disjoint(c, off_bdd) {
                 kept = candidate; // literal was removable
             } else {
@@ -153,13 +117,9 @@ fn minimize_cover(
     let mut keep = vec![true; primes.len()];
     for i in 0..primes.len() {
         keep[i] = false;
-        let mut rest = dc_bdd;
-        for (j, cube) in primes.iter().enumerate() {
-            if keep[j] {
-                let c = cube_bdd(mgr, cube);
-                rest = mgr.or(rest, c);
-            }
-        }
+        let kept =
+            mgr.cover_function(primes.iter().zip(&keep).filter(|&(_, &k)| k).map(|(c, _)| c));
+        let rest = mgr.or(dc_bdd, kept);
         if !mgr.implies(care_target, rest) {
             keep[i] = true;
         }

@@ -7,6 +7,8 @@
 //! which no cube is redundant. This is the standard bridge from BDDs back
 //! to two-level (PLA) form.
 
+use std::borrow::Borrow;
+
 use crate::manager::{Bdd, Func};
 use crate::VarId;
 
@@ -79,18 +81,108 @@ impl Bdd {
         self.or(t, fd)
     }
 
-    /// The function of a cube list (disjunction of the literal products).
-    pub fn cover_function(&mut self, cubes: &[IsopCube]) -> Func {
-        let mut f = Func::ZERO;
+    /// The function of a cube list: the disjunction of the literal
+    /// products. The empty list denotes 0 and the empty cube denotes 1; a
+    /// cube holding both literals of a variable denotes 0.
+    ///
+    /// Builds top-down by partitioning the cubes on the topmost variable
+    /// any of them constrains in the current order: the cubes with `¬v`,
+    /// without `v` and with `v` are built one level down as `f₀`, `f_d`
+    /// and `f₁`, and the result is `mk(v, f₀ + f_d, f₁ + f_d)`. No cube is
+    /// copied into two branches, so a cover that specifies every variable
+    /// runs no `apply` and allocates only nodes of its result. Each
+    /// partition (one per `mk`) counts as one apply step.
+    pub fn cover_function<C>(&mut self, cubes: impl IntoIterator<Item = C>) -> Func
+    where
+        C: IntoIterator,
+        C::Item: Borrow<(VarId, bool)>,
+    {
+        // Each cube's literals, packed as `level << 1 | polarity`, sorted
+        // by level and closed by `DONE`, one run per cube.
+        let mut lits: Vec<u32> = Vec::new();
+        let mut group: Vec<Cursor> = Vec::new();
+        let mut run: Vec<u32> = Vec::new();
         for cube in cubes {
-            let mut prod = Func::ONE;
-            for &(v, pos) in cube {
-                let lit = self.literal(v, pos);
-                prod = self.and(prod, lit);
+            run.clear();
+            run.extend(cube.into_iter().map(|lit| {
+                let &(v, pos) = lit.borrow();
+                self.level_of_var(v) << 1 | u32::from(pos)
+            }));
+            run.sort_unstable();
+            run.dedup();
+            // Sorted, `¬v` and `v` sit side by side: such a cube is 0.
+            if run.windows(2).any(|w| w[0] ^ w[1] == 1) {
+                continue;
             }
-            f = self.or(f, prod);
+            let start = lits.len() as u32;
+            lits.extend_from_slice(&run);
+            lits.push(DONE);
+            group.push(Cursor { head: lits[start as usize], next: start + 1 });
         }
-        f
+        self.cover_rec(&lits, &mut group)
+    }
+
+    fn cover_rec(&mut self, lits: &[u32], group: &mut [Cursor]) -> Func {
+        if group.is_empty() {
+            return Func::ZERO;
+        }
+        let mut top = u32::MAX;
+        for c in group.iter() {
+            if c.head == DONE {
+                return Func::ONE; // a cube with no literal left covers everything
+            }
+            top = top.min(c.head >> 1);
+        }
+        self.note_apply_step();
+        // Three-way partition into [¬v | no v | v], stepping the cubes that
+        // constrain v past their literal.
+        let (neg, pos) = (top << 1, top << 1 | 1);
+        let (mut lo, mut mid, mut hi) = (0, 0, group.len());
+        while mid < hi {
+            let head = group[mid].head;
+            if head == neg {
+                group[mid].advance(lits);
+                group.swap(lo, mid);
+                lo += 1;
+                mid += 1;
+            } else if head == pos {
+                group[mid].advance(lits);
+                hi -= 1;
+                group.swap(mid, hi);
+            } else {
+                mid += 1;
+            }
+        }
+        let (negs, rest) = group.split_at_mut(lo);
+        let (without, poss) = rest.split_at_mut(hi - lo);
+        let mut f0 = self.cover_rec(lits, negs);
+        let mut f1 = self.cover_rec(lits, poss);
+        let fd = self.cover_rec(lits, without);
+        if !fd.is_zero() {
+            f0 = self.or(f0, fd);
+            f1 = self.or(f1, fd);
+        }
+        let var = self.var_at_level(top);
+        self.mk(var, f0, f1)
+    }
+}
+
+/// The end of a cube's literal run: [`Cursor::head`] of a cube with no
+/// literal left.
+const DONE: u32 = u32::MAX;
+
+/// A cube inside [`Bdd::cover_function`]: its first literal not yet split
+/// on, and the index of the next one in the packed literal list.
+#[derive(Clone, Copy)]
+struct Cursor {
+    head: u32,
+    next: u32,
+}
+
+impl Cursor {
+    fn advance(&mut self, lits: &[u32]) {
+        self.head = lits[self.next as usize];
+        self.next += 1;
     }
 }
 

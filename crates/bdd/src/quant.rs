@@ -218,28 +218,22 @@ mod tests {
             (0b11, [false, true, false, false]),
             (0b10, [false, true, true, true]),
         ];
-        let mut f = Func::ZERO;
+        let mut minterms = Vec::new();
         for (cd, cols) in rows {
             for (ci, &on) in cols.iter().enumerate() {
                 if !on {
                     continue;
                 }
                 let ab = [0b00, 0b01, 0b11, 0b10][ci];
-                let assignment = [
+                minterms.push([
                     (0u32, ab & 0b10 != 0), // a
                     (1, ab & 0b01 != 0),    // b
                     (2, cd & 0b10 != 0),    // c
                     (3, cd & 0b01 != 0),    // d
-                ];
-                let mut cube = Func::ONE;
-                for (v, pos) in assignment {
-                    let lit = mgr.literal(v, pos);
-                    cube = mgr.and(cube, lit);
-                }
-                f = mgr.or(f, cube);
+                ]);
             }
         }
-        f
+        mgr.cover_function(minterms)
     }
 
     #[test]

@@ -236,17 +236,7 @@ mod tests {
         let nc = mgr.not(c);
         let f = mgr.or(ab, nc);
         let cubes = mgr.all_cubes(f);
-        // Rebuild f from its cubes.
-        let mut rebuilt = Func::ZERO;
-        for cube in &cubes {
-            let mut prod = Func::ONE;
-            for &(v, pos) in cube {
-                let lit = mgr.literal(v, pos);
-                prod = mgr.and(prod, lit);
-            }
-            rebuilt = mgr.or(rebuilt, prod);
-        }
-        assert_eq!(rebuilt, f);
+        assert_eq!(mgr.cover_function(&cubes), f, "the cubes rebuild f");
     }
 
     #[test]

@@ -291,3 +291,116 @@ fn gc_preserves_protected_functions() {
         mgr.unprotect(f);
     }
 }
+
+/// Variables of the random cube lists fed to `cover_function`.
+const COVER_VARS: usize = 8;
+
+/// A random cube list over `COVER_VARS` variables: 0–40 cubes whose
+/// literal density is drawn per list from a 0.0–1.0 sweep (so the empty
+/// list, the empty cube and full minterms all occur), with duplicate
+/// cubes, shuffled literal order and the odd repeated or contradictory
+/// literal.
+fn random_cover(rng: &mut SplitMix64) -> Vec<Vec<(u32, bool)>> {
+    let density = rng.gen_range(11) as f64 / 10.0;
+    let count = rng.gen_range(41);
+    let mut cubes: Vec<Vec<(u32, bool)>> = Vec::with_capacity(count);
+    for _ in 0..count {
+        if !cubes.is_empty() && rng.gen_bool(0.1) {
+            let dup = cubes[rng.gen_range(cubes.len())].clone();
+            cubes.push(dup);
+            continue;
+        }
+        let mut cube = Vec::new();
+        for v in 0..COVER_VARS as u32 {
+            if rng.gen_bool(density) {
+                cube.push((v, rng.gen_bool(0.5)));
+            }
+        }
+        if !cube.is_empty() && rng.gen_bool(0.05) {
+            let (v, pos) = cube[rng.gen_range(cube.len())];
+            cube.push((v, pos ^ rng.gen_bool(0.5)));
+        }
+        rng.shuffle(&mut cube);
+        cubes.push(cube);
+    }
+    cubes
+}
+
+/// The cover as a sequential fold: AND each cube's literals, OR the cubes.
+fn fold_cover(mgr: &mut Bdd, cubes: &[Vec<(u32, bool)>]) -> Func {
+    let mut f = Func::ZERO;
+    for cube in cubes {
+        let mut prod = Func::ONE;
+        for &(v, pos) in cube {
+            let lit = mgr.literal(v, pos);
+            prod = mgr.and(prod, lit);
+        }
+        f = mgr.or(f, prod);
+    }
+    f
+}
+
+/// A manager over `COVER_VARS` variables under a seeded random order.
+fn shuffled_manager(rng: &mut SplitMix64) -> Bdd {
+    let mut mgr = Bdd::new(COVER_VARS);
+    let mut order: Vec<u32> = (0..COVER_VARS as u32).collect();
+    rng.shuffle(&mut order);
+    mgr.reorder(&order, &[]);
+    mgr
+}
+
+#[test]
+fn cover_function_matches_the_and_or_fold_and_pointwise_semantics() {
+    for seed in 0..4 * CASES {
+        let mut rng = SplitMix64::new(seed);
+        let cubes = random_cover(&mut rng);
+        let mut mgr = shuffled_manager(&mut rng);
+        let f = mgr.cover_function(&cubes);
+        assert_eq!(f, fold_cover(&mut mgr, &cubes), "seed {seed}: {cubes:?}");
+        for bits in 0..1u32 << COVER_VARS {
+            let vals: Vec<bool> = (0..COVER_VARS).map(|k| bits & (1 << k) != 0).collect();
+            let want = cubes.iter().any(|c| c.iter().all(|&(v, pos)| vals[v as usize] == pos));
+            assert_eq!(mgr.eval(f, &vals), want, "seed {seed}: {cubes:?} at {bits:b}");
+        }
+    }
+}
+
+#[test]
+fn cover_function_constants() {
+    let mut mgr = Bdd::new(3);
+    let empty: Vec<(u32, bool)> = Vec::new();
+    assert_eq!(mgr.cover_function(Vec::<Vec<(u32, bool)>>::new()), Func::ZERO, "empty list");
+    assert_eq!(mgr.cover_function([empty]), Func::ONE, "the empty cube is 1");
+    let with_empty = vec![vec![(0, true), (2, false)], vec![]];
+    assert_eq!(mgr.cover_function(&with_empty), Func::ONE, "the empty cube absorbs the rest");
+    let contradictory = vec![vec![(1, true), (0, false), (1, false)]];
+    assert_eq!(mgr.cover_function(&contradictory), Func::ZERO, "x·¬x is 0");
+}
+
+#[test]
+fn full_minterm_covers_allocate_only_their_result() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let mut mgr = shuffled_manager(&mut rng);
+        let density = rng.gen_range(11) as f64 / 10.0;
+        let mut minterms = Vec::new();
+        for m in 0..1u32 << COVER_VARS {
+            if rng.gen_bool(density) {
+                let mut cube: Vec<(u32, bool)> =
+                    (0..COVER_VARS as u32).map(|v| (v, m & (1 << v) != 0)).collect();
+                rng.shuffle(&mut cube);
+                minterms.push(cube);
+            }
+        }
+        let (nodes_before, stats_before) = (mgr.total_nodes(), mgr.op_stats());
+        let f = mgr.cover_function(&minterms);
+        let stats = mgr.op_stats();
+        assert_eq!(
+            mgr.total_nodes() - nodes_before,
+            mgr.node_count(f),
+            "seed {seed}: every allocated node belongs to the result"
+        );
+        assert_eq!(stats.cache_lookups, stats_before.cache_lookups, "seed {seed}: no apply ran");
+        assert_eq!(f, fold_cover(&mut mgr, &minterms), "seed {seed}");
+    }
+}

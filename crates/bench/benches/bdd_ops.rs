@@ -8,19 +8,8 @@ use std::hint::black_box;
 fn sym9_bdd(mgr: &mut Bdd) -> Func {
     // 9sym built arithmetically: ones-count in 3..=6 via a chain of adders
     // is overkill; build from minterms of the symmetric structure instead.
-    let mut f = Func::ZERO;
-    for m in 0..1u32 << 9 {
-        let c = m.count_ones();
-        if (3..=6).contains(&c) {
-            let mut cube = Func::ONE;
-            for v in 0..9 {
-                let lit = mgr.literal(v, m & (1 << v) != 0);
-                cube = mgr.and(cube, lit);
-            }
-            f = mgr.or(f, cube);
-        }
-    }
-    f
+    let minterms = (0..1u32 << 9).filter(|m| (3..=6).contains(&m.count_ones()));
+    mgr.cover_function(minterms.map(|m| (0..9).map(move |v| (v, m & (1 << v) != 0))))
 }
 
 fn main() {

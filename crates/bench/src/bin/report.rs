@@ -15,6 +15,7 @@
 use std::fs::File;
 use std::io::BufWriter;
 
+use bench::exit_cannot_write;
 use bench::report::{record_from_outcome, report_document, write_report};
 use bidecomp::doctor::{diagnose, DoctorConfig};
 use bidecomp::Options;
@@ -40,6 +41,8 @@ fn main() {
             _ => usage(),
         }
     }
+    // Open the output first, so an unwritable path fails before the run.
+    let file = File::create(&path).unwrap_or_else(|e| exit_cannot_write(&path, e));
     let suite = if small { benchmarks::small() } else { benchmarks::all() };
     let options = Options { threads, ..Options::default() };
     let doctor_cfg = DoctorConfig::default();
@@ -69,8 +72,6 @@ fn main() {
         records.push(record);
     }
     let document = report_document(records);
-    let file = File::create(&path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-    write_report(&document, BufWriter::new(file))
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    write_report(&document, BufWriter::new(file)).unwrap_or_else(|e| exit_cannot_write(&path, e));
     println!("wrote {path}");
 }

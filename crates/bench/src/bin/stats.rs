@@ -28,6 +28,7 @@
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 
+use bench::exit_cannot_write;
 use bidecomp::doctor::{diagnose, DoctorConfig, DOCTOR_SCHEMA};
 use bidecomp::trace::tree::{render_dot_clusters, DecompTree};
 use bidecomp::{Options, Stats};
@@ -93,14 +94,14 @@ fn parse_args() -> Args {
 }
 
 fn write_file(path: &str, contents: &str) {
-    std::fs::write(path, contents).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    std::fs::write(path, contents).unwrap_or_else(|e| exit_cannot_write(path, e));
     eprintln!("wrote {path}");
 }
 
 fn main() {
     let args = parse_args();
     let mut trace_sink = args.trace_out.as_ref().map(|path| {
-        let file = File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
+        let file = File::create(path).unwrap_or_else(|e| exit_cannot_write(path, e));
         JsonlSink::new(BufWriter::new(file))
     });
     let sink_errors = trace_sink.as_ref().map(|sink| sink.write_errors());
@@ -201,7 +202,7 @@ fn main() {
     }
     if let Some(sink) = trace_sink {
         let path = args.trace_out.expect("set together with the sink");
-        sink.into_inner().flush().unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        sink.into_inner().flush().unwrap_or_else(|e| exit_cannot_write(&path, e));
         let errors = sink_errors.map_or(0, |e| e.get());
         if errors > 0 {
             eprintln!("warning: {errors} trace line(s) were lost to sink write errors ({path})");

@@ -27,6 +27,13 @@ use bidecomp::{DecompOutcome, Options};
 use netlist::Netlist;
 use pla::Pla;
 
+/// Reports an output file that cannot be written — `cannot write <path>:
+/// <error>` on stderr — and exits with status 1.
+pub fn exit_cannot_write(path: &str, err: std::io::Error) -> ! {
+    eprintln!("cannot write {path}: {err}");
+    std::process::exit(1);
+}
+
 /// One row of a comparison table: the §8 measurement columns.
 #[derive(Clone, Debug)]
 pub struct Row {

@@ -1,5 +1,6 @@
-//! Integration tests driving the compiled `stats` and `diff` binaries —
-//! the acceptance checks for the profiling exporters and the perf gate.
+//! Integration tests driving the compiled `stats`, `report` and `diff`
+//! binaries — the acceptance checks for the profiling exporters, the perf
+//! gate and the output-path error handling.
 
 use std::fs;
 use std::path::PathBuf;
@@ -102,6 +103,35 @@ fn stats_rejects_bad_flags() {
     let output =
         Command::new(env!("CARGO_BIN_EXE_stats")).arg("--nonsense").output().expect("stats runs");
     assert_eq!(output.status.code(), Some(2));
+}
+
+#[test]
+fn unwritable_output_paths_exit_1_without_a_panic() {
+    let scratch = Scratch::new("unwritable");
+    let missing = scratch.path("no-such-dir").join("out.json");
+    let pla_path = scratch.path("sample.pla");
+    fs::write(&pla_path, SAMPLE_PLA).expect("write pla");
+    let report = Command::new(env!("CARGO_BIN_EXE_report"))
+        .arg("--small")
+        .arg(&missing)
+        .output()
+        .expect("report runs");
+    let stats = Command::new(env!("CARGO_BIN_EXE_stats"))
+        .arg("--pla")
+        .arg(&pla_path)
+        .arg("--flame")
+        .arg(&missing)
+        .output()
+        .expect("stats runs");
+    for (name, output) in [("report", report), ("stats", stats)] {
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!("cannot write {}: ", missing.display())),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
 }
 
 /// Builds a minimal report document with one record.

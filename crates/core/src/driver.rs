@@ -20,7 +20,7 @@ use bdd::{reorder, Analytics, Bdd, Func, MemReport, OpStats, VarId};
 use netlist::Netlist;
 use obs::json::Json;
 use obs::{Histogram, Recorder, TimeSeries};
-use pla::{Pla, Trit};
+use pla::{OutputValue, Pla};
 
 use crate::decompose::ComponentCacheStats;
 use crate::{verify, Decomposer, Isf, Options, Stats};
@@ -111,7 +111,8 @@ pub struct DecompOutcome {
 /// Follows espresso semantics: the on-set comes from `1` entries, the
 /// don't-care set from `d` entries, and the off-set from `0` entries
 /// (`fr`/`fdr`) or the uncovered remainder (`f`/`fd`). Overlaps resolve in
-/// favor of the on-set, then the don't-care set.
+/// favor of the on-set, then the don't-care set. Each set is built
+/// straight from its cube list by [`Bdd::cover_function`].
 ///
 /// # Panics
 ///
@@ -120,70 +121,30 @@ pub fn isfs_from_pla(mgr: &mut Bdd, pla: &Pla) -> Vec<Isf> {
     (0..pla.num_outputs()).map(|out| isf_for_output(mgr, pla, out)).collect()
 }
 
-/// Builds the specification ISF of a single PLA output inside `mgr` —
-/// the per-output unit of [`isfs_from_pla`], also used directly by the
-/// parallel driver where each worker builds only its own outputs.
-///
-/// # Panics
-///
-/// Panics if the manager has fewer variables than the PLA has inputs, or
-/// if `out` is not a valid output index.
-pub fn isf_for_output(mgr: &mut Bdd, pla: &Pla, out: usize) -> Isf {
+/// Builds the specification ISF of output `out` — the per-output unit of
+/// [`isfs_from_pla`], also used directly by the parallel driver where each
+/// worker builds only its own outputs.
+fn isf_for_output(mgr: &mut Bdd, pla: &Pla, out: usize) -> Isf {
     assert!(
         mgr.num_vars() >= pla.num_inputs(),
         "manager needs at least {} variables",
         pla.num_inputs()
     );
-    let on_terms: Vec<Func> = pla.on_cubes(out).map(|c| cube_bdd(mgr, c)).collect();
-    let q = balanced_or(mgr, on_terms);
-    let dc_terms: Vec<Func> = pla.dc_cubes(out).map(|c| cube_bdd(mgr, c)).collect();
-    let dc = balanced_or(mgr, dc_terms);
+    let cover = |mgr: &mut Bdd, value: OutputValue| {
+        let cubes = pla.cubes().iter().filter(|c| c.outputs()[out] == value);
+        mgr.cover_function(cubes.map(pla::Cube::literals))
+    };
+    let q = cover(mgr, OutputValue::One);
+    let dc = cover(mgr, OutputValue::DontCare);
+    let covered = mgr.or(q, dc);
     let r = if pla.pla_type().rest_is_offset() {
-        let covered = mgr.or(q, dc);
         mgr.not(covered)
     } else {
-        let mut r = Func::ZERO;
-        for cube in pla.off_cubes(out) {
-            let c = cube_bdd(mgr, cube);
-            r = mgr.or(r, c);
-        }
         // On-set wins on overlap, then don't-care.
-        let r = mgr.diff(r, q);
-        mgr.diff(r, dc)
+        let off = cover(mgr, OutputValue::Zero);
+        mgr.diff(off, covered)
     };
-    // Don't-care beats off-set in fd files where dc overlaps the
-    // uncovered remainder by construction; ensure q ∩ r = ∅.
-    let r = mgr.diff(r, q);
     Isf::new(mgr, q, r)
-}
-
-fn cube_bdd(mgr: &mut Bdd, cube: &pla::Cube) -> Func {
-    let mut f = Func::ONE;
-    for (v, &t) in cube.inputs().iter().enumerate() {
-        let lit = match t {
-            Trit::One => mgr.var(v as u32),
-            Trit::Zero => mgr.nvar(v as u32),
-            Trit::Dc => continue,
-        };
-        f = mgr.and(f, lit);
-    }
-    f
-}
-
-// Balanced disjunction keeps intermediate BDDs small on minterm-dense
-// inputs (e.g. the symmetric benchmarks).
-fn balanced_or(mgr: &mut Bdd, mut terms: Vec<Func>) -> Func {
-    if terms.is_empty() {
-        return Func::ZERO;
-    }
-    while terms.len() > 1 {
-        let mut next = Vec::with_capacity(terms.len().div_ceil(2));
-        for pair in terms.chunks(2) {
-            next.push(if pair.len() == 2 { mgr.or(pair[0], pair[1]) } else { pair[0] });
-        }
-        terms = next;
-    }
-    terms[0]
 }
 
 /// Decomposes a multi-output PLA into a netlist of two-input gates —

@@ -6,7 +6,8 @@
 //! dense [`TruthTable`]s. Everything downstream — `isfs_from_pla`, the
 //! `apply` family, ITE, quantification, per-class picking, the
 //! non-allocating decision procedures, cofactor, compose, `isop`, and
-//! reordering — must agree with the table algebra exactly.
+//! reordering — must agree with the table algebra exactly, and the ISFs
+//! must come out right under a random variable order too.
 
 use bdd::{reorder, Bdd, BinOp, Func, VarId, VarSet};
 use benchmarks::SplitMix64;
@@ -244,6 +245,28 @@ pub fn check_operators(pla: &Pla, seed: u64) -> Result<u64, Failure> {
             }
         }
         checks += 3;
+    }
+
+    // 8. ISF construction under a random variable order: the cube-list
+    //    builder splits on levels, not variable indices, so whatever the
+    //    order it must produce the canonical BDD of the reference. Last,
+    //    like section 7.
+    {
+        let mut perm: Vec<VarId> = (0..n as VarId).collect();
+        rng.shuffle(&mut perm);
+        let mut shuffled = Bdd::new(n);
+        shuffled.reorder(&perm, &[]);
+        let isfs = isfs_from_pla(&mut shuffled, pla);
+        for (k, (isf, (on, off))) in isfs.iter().zip(&refs).enumerate() {
+            for (got, want, set) in [(isf.q, on, "on-set"), (isf.r, off, "off-set")] {
+                let what = format!("output {k} {set} under order {perm:?}");
+                expect_tt(&shuffled, got, want, "isf_build", &what)?;
+                if got != want.to_bdd(&mut shuffled) {
+                    return Err(Failure::new("isf_build", format!("{what}: not canonical")));
+                }
+                checks += 2;
+            }
+        }
     }
 
     Ok(checks)

@@ -98,6 +98,15 @@ impl Cube {
         self.inputs.iter().filter(|&&t| t != Trit::Dc).count()
     }
 
+    /// The input literals as `(input index, polarity)`, in input order.
+    pub fn literals(&self) -> impl Iterator<Item = (u32, bool)> + '_ {
+        self.inputs.iter().enumerate().filter_map(|(k, &t)| match t {
+            Trit::One => Some((k as u32, true)),
+            Trit::Zero => Some((k as u32, false)),
+            Trit::Dc => None,
+        })
+    }
+
     /// Does the input assignment (bit `k` = variable `k`) lie inside this
     /// cube's input part?
     pub fn covers(&self, assignment: u64) -> bool {
@@ -144,6 +153,7 @@ mod tests {
         assert!(!c.covers(0b101));
         assert!(!c.covers(0b000));
         assert_eq!(c.literal_count(), 2);
+        assert_eq!(c.literals().collect::<Vec<_>>(), vec![(0, true), (2, false)]);
         assert_eq!(c.to_string(), "1-0 1");
     }
 

@@ -131,18 +131,8 @@ fn fig1_weak_decomposition_increases_dont_cares() {
     let mut mgr = Bdd::new(5);
     // maj(a,b,c) + d·e is strongly decomposable; use a majority-of-5-ish
     // blocker instead: the 5-input majority.
-    let vars: Vec<_> = (0..5).map(|v| mgr.var(v)).collect();
-    let mut f = bdd::Func::ZERO;
-    for m in 0..32u32 {
-        if m.count_ones() >= 3 {
-            let mut cube = bdd::Func::ONE;
-            for (v, &x) in vars.iter().enumerate() {
-                let lit = if m & (1 << v) != 0 { x } else { mgr.not(x) };
-                cube = mgr.and(cube, lit);
-            }
-            f = mgr.or(f, cube);
-        }
-    }
+    let minterms = (0..32u32).filter(|m| m.count_ones() >= 3);
+    let f = mgr.cover_function(minterms.map(|m| (0..5).map(move |v| (v, m & (1 << v) != 0))));
     let isf = Isf::from_csf(&mut mgr, f);
     let support = isf.support(&mgr);
     assert_eq!(support.len(), 5);

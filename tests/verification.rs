@@ -3,6 +3,7 @@
 //! and the BLIF output round-trips.
 
 use bidecomp::{decompose_pla, isfs_from_pla, Options};
+use boolfn::TruthTable;
 use netlist::Netlist;
 
 /// Debug builds are slow; verify the suite members that stay fast.
@@ -17,6 +18,26 @@ fn verifier_accepts_all_fast_benchmarks() {
     for b in fast_suite() {
         let outcome = decompose_pla(&b.pla, &Options::default());
         assert!(outcome.verified, "{}", b.name);
+    }
+}
+
+#[test]
+fn spec_isfs_under_frequency_order_match_pla_semantics() {
+    // The driver builds its ISFs under the literal-frequency order, so the
+    // cube-list builder must split on levels of that order, not indices:
+    // each set must be the canonical BDD of its `Pla::eval` truth table.
+    for b in benchmarks::small() {
+        let n = b.pla.num_inputs();
+        let mut mgr = bdd::Bdd::new(n);
+        mgr.reorder(&bdd::reorder::order_by_frequency(&b.pla.literal_frequencies()), &[]);
+        let isfs = isfs_from_pla(&mut mgr, &b.pla);
+        for (out, isf) in isfs.iter().enumerate() {
+            for (value, got) in [(true, isf.q), (false, isf.r)] {
+                let table = TruthTable::from_fn(n, |m| b.pla.eval(out, m as u64) == Some(value));
+                let want = table.to_bdd(&mut mgr);
+                assert_eq!(got, want, "{} output {out}, {value}-set", b.name);
+            }
+        }
     }
 }
 
