@@ -5,6 +5,9 @@
 //! ORs the columns together, universal quantification ANDs them (paper,
 //! Fig. 2).
 
+use std::collections::HashSet;
+
+use crate::hash::FxBuildHasher;
 use crate::manager::{Bdd, CacheKey, CacheOp, Func};
 use crate::varset::VarSet;
 
@@ -152,6 +155,50 @@ impl Bdd {
         };
         self.cache_put(key, result);
         result
+    }
+
+    /// The variables of `within` that the interval between disjoint `q`
+    /// and `¬r` depends on: `{v ∈ within : ∃v q · ∃v r ≠ 0}`. A variable
+    /// outside the result is inessential — some function `f` with
+    /// `q ≤ f ≤ ¬r` does not depend on it.
+    ///
+    /// One walk over the `(q, r)` node pairs answers every variable at
+    /// once. With `q · r = 0`, `∃v q · ∃v r = q₀·r₁ + q₁·r₀`, so `v` is
+    /// essential iff some reachable pair whose top variable is `v` in both
+    /// operands has `q₀·r₁ ≠ 0` or `q₁·r₀ ≠ 0`. The walk tests only
+    /// variables not yet found and stops as soon as all of `within` is.
+    /// Builds no nodes; counts one apply step per visited pair.
+    ///
+    /// `q · r = 0` is a precondition; the result is unspecified otherwise.
+    pub fn essential_vars(&mut self, q: Func, r: Func, within: &VarSet) -> VarSet {
+        let mut missing = *within;
+        let mut seen: HashSet<u64, FxBuildHasher> = HashSet::default();
+        let mut stack = vec![(q, r)];
+        while let Some((q, r)) = stack.pop() {
+            if missing.is_empty() {
+                break;
+            }
+            // A constant operand is 0 or forces the other to 0 (`q · r = 0`):
+            // nothing below has a common point.
+            if q.is_const() || r.is_const() || !seen.insert(u64::from(q.0) << 32 | u64::from(r.0)) {
+                continue;
+            }
+            self.note_apply_step();
+            let (lq, lr) = (self.level(q), self.level(r));
+            let top = lq.min(lr);
+            let (q0, q1) = self.cofactors_at(q, top);
+            let (r0, r1) = self.cofactors_at(r, top);
+            // Where only one operand tests `v`, its cofactors are both
+            // disjoint from the other operand.
+            let v = self.var_at_level(top);
+            if lq == lr && missing.contains(v) && !(self.disjoint(q0, r1) && self.disjoint(q1, r0))
+            {
+                missing.remove(v);
+            }
+            stack.push((q1, r1));
+            stack.push((q0, r0));
+        }
+        within.difference(&missing)
     }
 
     fn quant(&mut self, f: Func, cube: Func, existential: bool) -> Func {

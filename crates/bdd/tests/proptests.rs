@@ -404,3 +404,117 @@ fn full_minterm_covers_allocate_only_their_result() {
         assert_eq!(f, fold_cover(&mut mgr, &minterms), "seed {seed}");
     }
 }
+
+/// `∃v q · ∃v r ≠ 0` for every `v` of `within`, one variable at a time:
+/// the definition `essential_vars` answers in one walk.
+fn essential_by_definition(mgr: &mut Bdd, q: Func, r: Func, within: &VarSet) -> VarSet {
+    within
+        .iter()
+        .filter(|&v| {
+            let vs = VarSet::singleton(v);
+            let eq = mgr.exists_set(q, &vs);
+            let er = mgr.exists_set(r, &vs);
+            !mgr.disjoint(eq, er)
+        })
+        .collect()
+}
+
+/// A random disjoint pair `(q, r) = (f·c₁, ¬f·c₂)` under a random order of
+/// `NUM_VARS + 1` variables; variable `NUM_VARS` occurs in neither.
+fn random_interval(rng: &mut SplitMix64) -> (Bdd, Func, Func) {
+    let mut mgr = Bdd::new(NUM_VARS + 1);
+    let mut order: Vec<u32> = (0..=NUM_VARS as u32).collect();
+    rng.shuffle(&mut order);
+    mgr.reorder(&order, &[]);
+    let [f, c1, c2] = [0; 3].map(|_| {
+        let e = random_expr(rng, 5);
+        build(&mut mgr, &e)
+    });
+    let q = mgr.and(f, c1);
+    let nf = mgr.not(f);
+    let r = mgr.and(nf, c2);
+    (mgr, q, r)
+}
+
+#[test]
+fn essential_vars_matches_the_per_variable_definition() {
+    let all = VarSet::first_n(NUM_VARS + 1);
+    let (mut found_all, mut partial) = (0, 0);
+    for seed in 0..4 * CASES {
+        let mut rng = SplitMix64::new(seed);
+        let (mut mgr, q, r) = random_interval(&mut rng);
+        let mask = rng.gen_range(1 << (NUM_VARS + 1)) as u32;
+        let subset: VarSet = all.iter().filter(|v| mask & (1 << v) != 0).collect();
+        let support = mgr.support(q).union(&mgr.support(r));
+        for within in [all, subset, support, VarSet::new()] {
+            let got = mgr.essential_vars(q, r, &within);
+            let want = essential_by_definition(&mut mgr, q, r, &within);
+            assert_eq!(got, want, "seed {seed} within {within:?}");
+            assert!(!got.contains(NUM_VARS as u32), "seed {seed}: absent variable");
+        }
+        let essential = mgr.essential_vars(q, r, &support);
+        if essential == support {
+            found_all += 1;
+        } else {
+            partial += 1;
+        }
+    }
+    assert!(
+        found_all >= 20 && partial >= 20,
+        "sweep too easy: {found_all} full, {partial} partial"
+    );
+}
+
+#[test]
+fn essential_vars_constants_and_zero_operands() {
+    let mut mgr = Bdd::new(3);
+    let all = VarSet::first_n(3);
+    let a = mgr.var(0);
+    let b = mgr.var(1);
+    let ab = mgr.and(a, b);
+    let na = mgr.not(a);
+    for (q, r) in [
+        (Func::ZERO, Func::ZERO),
+        (Func::ONE, Func::ZERO),
+        (Func::ZERO, Func::ONE),
+        (ab, Func::ZERO),
+        (Func::ZERO, ab),
+    ] {
+        assert!(mgr.essential_vars(q, r, &all).is_empty(), "({q:?}, {r:?})");
+    }
+    // [a·b, ¬a]: only `a` is needed (f = a fits); `b` and `c` are not.
+    assert_eq!(mgr.essential_vars(ab, na, &all), VarSet::singleton(0));
+    assert!(mgr.essential_vars(ab, na, &VarSet::new()).is_empty());
+}
+
+#[test]
+fn essential_vars_stops_once_within_is_found() {
+    // Parity over all variables: every variable is essential. Asking only
+    // for the root variable settles at the root pair; asking also for an
+    // absent variable walks every pair.
+    let n = 8;
+    let mut mgr = Bdd::new(n + 1);
+    let mut f = Func::ZERO;
+    for v in 0..n as u32 {
+        let x = mgr.var(v);
+        f = mgr.xor(f, x);
+    }
+    let nf = mgr.not(f);
+    let mut steps = |within: &VarSet| {
+        let before = mgr.op_stats().apply_steps;
+        let got = mgr.essential_vars(f, nf, within);
+        (got, mgr.op_stats().apply_steps - before)
+    };
+    let support = VarSet::first_n(n);
+    let mut with_absent = support;
+    with_absent.insert(n as u32);
+    let (full, full_steps) = steps(&with_absent);
+    assert_eq!(full, support);
+    let (root, root_steps) = steps(&VarSet::singleton(0));
+    assert_eq!(root, VarSet::singleton(0));
+    // One visited pair and one disjointness test: `q₀ = r₁` at the root.
+    assert_eq!(root_steps, 2, "the walk must stop at the root pair");
+    let (early, early_steps) = steps(&support);
+    assert_eq!(early, support);
+    assert!(early_steps < full_steps, "{early_steps} steps vs {full_steps} for the full walk");
+}

@@ -3,7 +3,7 @@
 //! All checks take the variable sets as [`VarSet`]s and build the
 //! quantifier cubes internally. The grouping search reuses quantified
 //! sides across candidates through the crate-internal `theorem1`,
-//! `quantify_b` and `theorem2`.
+//! `quantify_b`, `theorem2_blocked` and `theorem2`.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -12,7 +12,11 @@ use bdd::{Bdd, Func, VarId, VarSet};
 use crate::Isf;
 
 /// Process-global count of theorem checks evaluated (Theorem 1 and its
-/// AND dual, Theorem 2 pairs, weak-usefulness tests). Monotonic; cost
+/// AND dual, Theorem 2 pairs, weak-usefulness tests). A Theorem 2 pair
+/// counts one check when it is answered, also when a blocked set built
+/// earlier answers it with no BDD work; a grouping search that the bound
+/// of `grouping::best_grouping` stops counts nothing for the candidates it
+/// never tests. Monotonic; cost
 /// attribution reads *deltas* around each recursive call, so the absolute
 /// value (shared across tests in one process) never matters. Follows the
 /// same process-global pattern as the mutation switch below — the check
@@ -94,19 +98,33 @@ pub(crate) fn quantify_b(mgr: &mut Bdd, r: Func, cube: Func) -> Func {
 ///
 /// Uses the Boolean derivative of the interval w.r.t. `xa`:
 /// `Q_D = ∃xa Q · ∃xa R` (derivative must be 1), `R_D = ∀xa Q + ∀xa R`
-/// (derivative must be 0). Decomposable iff `Q_D · ∃xb R_D = 0`.
+/// (derivative must be 0). Decomposable iff `Q_D · ∃xb R_D = 0`, i.e.
+/// iff `xb` is inessential in `[Q_D, ¬R_D]`, which one
+/// [`Bdd::essential_vars`] query decides.
 pub fn exor_decomposable_pair(mgr: &mut Bdd, isf: &Isf, xa: VarId, xb: VarId) -> bool {
-    let d = derivative(mgr, isf, xa);
-    theorem2(mgr, d, xb)
+    let blocked = theorem2_blocked(mgr, isf, xa, &VarSet::singleton(xb));
+    theorem2(&blocked, xb)
 }
 
-/// Theorem 2 with the derivative `(Q_D, R_D)` of `xa` already built. The
-/// condition is exact, so it is symmetric in `xa` and `xb`.
-pub(crate) fn theorem2(mgr: &mut Bdd, (qd, rd): (Func, Func), xb: VarId) -> bool {
+/// Theorem 2 for every partner of `xa` at once: the variables `y` of
+/// `within` for which the ISF is *not* EXOR-bi-decomposable with
+/// `({xa}, {y})`.
+///
+/// With the derivative `(Q_D, R_D)` of `xa` ([`derivative`]), the pair is
+/// decomposable iff `Q_D · ∃y R_D = 0`. Since `Q_D · R_D = 0`, that holds iff
+/// `∃y Q_D · ∃y R_D = 0`, i.e. iff `y` is inessential in `[Q_D, ¬R_D]` —
+/// so one [`Bdd::essential_vars`] query answers all of `within`. The
+/// condition is exact, so it is symmetric in `xa` and `y`.
+pub(crate) fn theorem2_blocked(mgr: &mut Bdd, isf: &Isf, xa: VarId, within: &VarSet) -> VarSet {
+    let (qd, rd) = derivative(mgr, isf, xa);
+    mgr.essential_vars(qd, rd, within)
+}
+
+/// Theorem 2 for the pair `(xa, y)`, read from the blocked set of `xa`
+/// ([`theorem2_blocked`], with `y` in its `within`).
+pub(crate) fn theorem2(blocked: &VarSet, y: VarId) -> bool {
     note_check();
-    let cb = mgr.cube(&VarSet::singleton(xb));
-    let erd = mgr.exists(rd, cb);
-    mgr.disjoint(qd, erd)
+    !blocked.contains(y)
 }
 
 /// The on-set and off-set of the Boolean derivative of the ISF w.r.t. `v`.
@@ -234,6 +252,48 @@ mod tests {
         assert_eq!(qd, b, "a·b toggles with a exactly when b=1");
         let nb = mgr.not(b);
         assert_eq!(rd, nb);
+    }
+
+    #[test]
+    fn blocked_sets_match_the_exists_disjoint_pair_formula() {
+        use boolfn::TruthTable;
+        let n = 6;
+        let (mut passing, mut failing) = (0, 0);
+        for seed in 0..40u64 {
+            let f = TruthTable::random(n, 0.5, seed);
+            let f = match seed % 3 {
+                // An EXOR of halves makes passing pairs common.
+                0 => f.exists(0b111000).xor(&TruthTable::random(n, 0.5, !seed).exists(0b000111)),
+                _ => f,
+            };
+            let care = TruthTable::random(n, 0.3 + 0.15 * (seed % 5) as f64, seed ^ 0xca4e);
+            let mut mgr = Bdd::new(n);
+            let q = f.and(&care).to_bdd(&mut mgr);
+            let r = f.complement().and(&care).to_bdd(&mut mgr);
+            let isf = Isf::new(&mut mgr, q, r);
+            let support = isf.support(&mgr);
+            for x in support.iter() {
+                let (qd, rd) = derivative(&mut mgr, &isf, x);
+                assert!(mgr.disjoint(qd, rd), "seed {seed}: Q_D · R_D = 0");
+                let mut others = support;
+                others.remove(x);
+                let blocked = theorem2_blocked(&mut mgr, &isf, x, &others);
+                for y in others.iter() {
+                    // The pair test `Q_D · ∃y R_D = 0`, built in full.
+                    let cube = mgr.cube(&VarSet::singleton(y));
+                    let erd = mgr.exists(rd, cube);
+                    let want = mgr.disjoint(qd, erd);
+                    assert_eq!(theorem2(&blocked, y), want, "seed {seed} pair ({x}, {y})");
+                    assert_eq!(exor_decomposable_pair(&mut mgr, &isf, x, y), want);
+                    if want {
+                        passing += 1;
+                    } else {
+                        failing += 1;
+                    }
+                }
+            }
+        }
+        assert!(passing >= 50 && failing >= 50, "{passing} passing, {failing} failing pairs");
     }
 
     #[test]

@@ -397,7 +397,7 @@ impl Decomposer {
             }
         }
         let comp = if self.options.use_strong {
-            match self.best_strong_grouping(&isf, &support) {
+            match grouping::best_grouping(&mut self.mgr, &isf, &support, self.options.use_exor) {
                 Some((gate, grouping)) => self.decompose_strong(&isf, gate, &grouping),
                 None => self.decompose_weak_or_shannon(&isf, &support),
             }
@@ -410,25 +410,6 @@ impl Decomposer {
         );
         self.cache_insert(comp);
         comp
-    }
-
-    fn best_strong_grouping(
-        &mut self,
-        isf: &Isf,
-        support: &VarSet,
-    ) -> Option<(GateChoice, Grouping)> {
-        let or = grouping::group_variables(&mut self.mgr, isf, support, GateChoice::Or);
-        let and = grouping::group_variables(&mut self.mgr, isf, support, GateChoice::And);
-        let exor = if self.options.use_exor {
-            grouping::group_variables(&mut self.mgr, isf, support, GateChoice::Exor)
-        } else {
-            None
-        };
-        grouping::find_best_grouping([
-            (GateChoice::Or, or),
-            (GateChoice::And, and),
-            (GateChoice::Exor, exor),
-        ])
     }
 
     fn decompose_strong(&mut self, isf: &Isf, gate: GateChoice, grouping: &Grouping) -> Component {

@@ -11,10 +11,15 @@
 //! - OR/AND carry `∃X_A R` and `∃X_B R` (`Q` for AND) from candidate to
 //!   candidate, so a candidate `z` costs one `∃z` of one side plus a
 //!   non-allocating Theorem 1 test.
-//! - EXOR computes each variable's Theorem 2 derivative once per call, and
-//!   skips the Fig. 4 propagation when a Theorem 2 pair test already rules
-//!   the candidate out: EXOR decomposability with `(X_A ∪ {z}, X_B)`
-//!   implies it for every pair `({z}, {y})`, `y ∈ X_B`.
+//! - EXOR answers all Theorem 2 pairs of a variable from one blocked set
+//!   (one [`Bdd::essential_vars`] query on its derivative), and skips the
+//!   Fig. 4 propagation when a pair test already rules the candidate out:
+//!   EXOR decomposability with `(X_A ∪ {z}, X_B)` implies it for every
+//!   pair `({z}, {y})`, `y ∈ X_B`.
+//!
+//! [`best_grouping`] runs the three searches of Fig. 7 with a bound: a
+//! search stops once the variables it can still add cannot make its
+//! grouping beat the one an earlier search found.
 
 use bdd::{Bdd, Func, VarId, VarSet};
 
@@ -70,7 +75,7 @@ pub fn find_initial_grouping(
     let vars: Vec<VarId> = support.iter().collect();
     match gate {
         GateChoice::Exor => {
-            let mut pairs = PairTests::new(vars.len());
+            let mut pairs = PairTests::new(&vars);
             let (i, j) = pairs.first_pair(mgr, isf, &vars)?;
             Some(Grouping::pair(vars[i], vars[j]))
         }
@@ -90,10 +95,68 @@ pub fn group_variables(
     gate: GateChoice,
 ) -> Option<Grouping> {
     let vars: Vec<VarId> = support.iter().collect();
-    match gate {
-        GateChoice::Exor => group_exor(mgr, isf, &vars),
-        _ => group_theorem1(mgr, &theorem1_isf(isf, gate), &vars),
+    search(mgr, isf, &vars, gate, None)
+}
+
+/// `FindBestVariableGrouping` of Fig. 7: the choice [`find_best_grouping`]
+/// makes over the [`group_variables`] results for OR, AND and (if
+/// `use_exor`) EXOR, with the later searches bounded by the earlier ones.
+///
+/// AND runs against OR's grouping, EXOR against the better of OR's and
+/// AND's. A bounded search gives up as soon as its total plus the
+/// candidates it has not rejected is below the incumbent's total, or
+/// equal to it while the incumbent's imbalance is already `total % 2`. A
+/// search that gives up could not have been picked, so the choice is the
+/// unbounded one.
+pub fn best_grouping(
+    mgr: &mut Bdd,
+    isf: &Isf,
+    support: &VarSet,
+    use_exor: bool,
+) -> Option<(GateChoice, Grouping)> {
+    let vars: Vec<VarId> = support.iter().collect();
+    let or = search(mgr, isf, &vars, GateChoice::Or, None);
+    let and = search(mgr, isf, &vars, GateChoice::And, or.as_ref());
+    let best = find_best_grouping([
+        (GateChoice::Or, or),
+        (GateChoice::And, and),
+        (GateChoice::Exor, None),
+    ]);
+    let exor = if use_exor {
+        search(mgr, isf, &vars, GateChoice::Exor, best.map(|(_, g)| g).as_ref())
+    } else {
+        None
+    };
+    find_best_grouping([(GateChoice::Or, or), (GateChoice::And, and), (GateChoice::Exor, exor)])
+}
+
+/// Figs. 5–6 for one gate. With an `incumbent`, gives up (`None`) once
+/// the grouping cannot beat it even if every candidate not yet rejected
+/// joins it.
+fn search(
+    mgr: &mut Bdd,
+    isf: &Isf,
+    vars: &[VarId],
+    gate: GateChoice,
+    incumbent: Option<&Grouping>,
+) -> Option<Grouping> {
+    if !can_win(incumbent, vars.len()) {
+        return None;
     }
+    match gate {
+        GateChoice::Exor => group_exor(mgr, isf, vars, incumbent),
+        _ => group_theorem1(mgr, &theorem1_isf(isf, gate), vars, incumbent),
+    }
+}
+
+/// Can a grouping of at most `reachable` variables still beat `incumbent`
+/// in [`find_best_grouping`]? Later gates win only with a strictly larger
+/// total, or the same total and a strictly smaller imbalance — and no
+/// grouping of `t` variables is more balanced than `t % 2`.
+fn can_win(incumbent: Option<&Grouping>, reachable: usize) -> bool {
+    incumbent.is_none_or(|b| {
+        reachable > b.total() || (reachable == b.total() && b.imbalance() > reachable % 2)
+    })
 }
 
 /// Does the smaller set (`X_A` on a tie) come first for the next
@@ -127,10 +190,17 @@ fn theorem1_initial(mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Option<(Groupin
 }
 
 /// Fig. 6 for Theorem 1, carrying `∃X_A R` and `∃X_B R` across candidates.
-fn group_theorem1(mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Option<Grouping> {
+fn group_theorem1(
+    mgr: &mut Bdd,
+    isf: &Isf,
+    vars: &[VarId],
+    incumbent: Option<&Grouping>,
+) -> Option<Grouping> {
     let (mut grouping, mut ra, mut rb) = theorem1_initial(mgr, isf, vars)?;
     let initial = grouping.xa.union(&grouping.xb);
+    let mut rejected = 0;
     for &z in vars.iter().filter(|&&z| !initial.contains(z)) {
+        let total = grouping.total();
         let cube = mgr.cube(&VarSet::singleton(z));
         let to_a_first = a_first(&grouping);
         for to_a in [to_a_first, !to_a_first] {
@@ -150,32 +220,42 @@ fn group_theorem1(mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Option<Grouping> 
                 }
             }
         }
+        if grouping.total() == total {
+            rejected += 1;
+            if !can_win(incumbent, vars.len() - rejected) {
+                return None;
+            }
+        }
     }
     Some(grouping)
 }
 
-/// Theorem 2 pair tests over one support, with each variable's derivative
-/// built at most once.
+/// Theorem 2 pair tests over one support. Each variable's blocked set —
+/// the partners it fails Theorem 2 with — is built at most once, by one
+/// [`check::theorem2_blocked`] query over the rest of the support.
 struct PairTests {
-    derivatives: Vec<Option<(Func, Func)>>,
+    support: VarSet,
+    blocked: Vec<Option<VarSet>>,
 }
 
 impl PairTests {
-    fn new(n: usize) -> Self {
-        PairTests { derivatives: vec![None; n] }
+    fn new(vars: &[VarId]) -> Self {
+        PairTests { support: vars.iter().copied().collect(), blocked: vec![None; vars.len()] }
     }
 
     /// Is the ISF EXOR-decomposable with `({vars[i]}, {y})`?
     fn test(&mut self, mgr: &mut Bdd, isf: &Isf, vars: &[VarId], i: usize, y: VarId) -> bool {
-        let d = match self.derivatives[i] {
-            Some(d) => d,
+        let blocked = match self.blocked[i] {
+            Some(b) => b,
             None => {
-                let d = check::derivative(mgr, isf, vars[i]);
-                self.derivatives[i] = Some(d);
-                d
+                let mut others = self.support;
+                others.remove(vars[i]);
+                let b = check::theorem2_blocked(mgr, isf, vars[i], &others);
+                self.blocked[i] = Some(b);
+                b
             }
         };
-        check::theorem2(mgr, d, y)
+        check::theorem2(&blocked, y)
     }
 
     /// Fig. 5 for EXOR: the positions of the first decomposable pair.
@@ -193,11 +273,18 @@ impl PairTests {
 
 /// Fig. 6 for EXOR: each candidate runs the Fig. 4 check only after the
 /// necessary Theorem 2 pair tests against the other set pass.
-fn group_exor(mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Option<Grouping> {
-    let mut pairs = PairTests::new(vars.len());
+fn group_exor(
+    mgr: &mut Bdd,
+    isf: &Isf,
+    vars: &[VarId],
+    incumbent: Option<&Grouping>,
+) -> Option<Grouping> {
+    let mut pairs = PairTests::new(vars);
     let (i, j) = pairs.first_pair(mgr, isf, vars)?;
     let mut grouping = Grouping::pair(vars[i], vars[j]);
+    let mut rejected = 0;
     for k in (0..vars.len()).filter(|&k| k != i && k != j) {
+        let total = grouping.total();
         let zs = VarSet::singleton(vars[k]);
         let to_a_first = a_first(&grouping);
         for to_a in [to_a_first, !to_a_first] {
@@ -211,6 +298,12 @@ fn group_exor(mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Option<Grouping> {
             {
                 grouping = Grouping { xa, xb };
                 break;
+            }
+        }
+        if grouping.total() == total {
+            rejected += 1;
+            if !can_win(incumbent, vars.len() - rejected) {
+                return None;
             }
         }
     }
@@ -256,20 +349,21 @@ pub fn group_variables_weak(
     support: &VarSet,
 ) -> Option<(GateChoice, VarSet)> {
     let mut best: Option<(GateChoice, VarSet, f64)> = None;
+    let (q_count, r_count) = (mgr.sat_count(isf.q), mgr.sat_count(isf.r));
     for x in support.iter() {
         let xs = VarSet::singleton(x);
         let cube = mgr.cube(&xs);
         // Weak OR gain: on-set minterms whose row has no off-set point.
         let er = mgr.exists(isf.r, cube);
         let qa = mgr.and(isf.q, er);
-        let gain_or = mgr.sat_count(isf.q) - mgr.sat_count(qa);
+        let gain_or = q_count - mgr.sat_count(qa);
         if gain_or > 0.0 && best.as_ref().is_none_or(|&(_, _, g)| gain_or > g) {
             best = Some((GateChoice::Or, xs, gain_or));
         }
         // Weak AND gain: dual.
         let eq = mgr.exists(isf.q, cube);
         let ra = mgr.and(isf.r, eq);
-        let gain_and = mgr.sat_count(isf.r) - mgr.sat_count(ra);
+        let gain_and = r_count - mgr.sat_count(ra);
         if gain_and > 0.0 && best.as_ref().is_none_or(|&(_, _, g)| gain_and > g) {
             best = Some((GateChoice::And, xs, gain_and));
         }
@@ -475,7 +569,10 @@ mod tests {
             let r = f.complement().and(&care).to_bdd(&mut mgr);
             let isf = Isf::new(&mut mgr, q, r);
             let support = isf.support(&mgr);
-            for gate in [GateChoice::Or, GateChoice::And, GateChoice::Exor] {
+            let mut unbounded =
+                [(GateChoice::Or, None), (GateChoice::And, None), (GateChoice::Exor, None)];
+            for (gate, result) in &mut unbounded {
+                let gate = *gate;
                 let want = group_from_scratch(&mut mgr, &isf, &support, gate);
                 let got = group_variables(&mut mgr, &isf, &support, gate);
                 assert_eq!(got, want, "seed {seed} gate {gate:?}");
@@ -485,7 +582,13 @@ mod tests {
                     found += 1;
                     grown += usize::from(g.total() > 2);
                 }
+                *result = got;
             }
+            let want = find_best_grouping(unbounded);
+            assert_eq!(best_grouping(&mut mgr, &isf, &support, true), want, "seed {seed}");
+            unbounded[2].1 = None;
+            let want = find_best_grouping(unbounded);
+            assert_eq!(best_grouping(&mut mgr, &isf, &support, false), want, "seed {seed} no EXOR");
         }
         assert!(found >= 60 && grown >= 40, "sweep too easy: {found} found, {grown} grown");
     }

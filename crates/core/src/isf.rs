@@ -62,10 +62,10 @@ impl Isf {
         mgr.implies(self.q, f) && mgr.disjoint(self.r, f)
     }
 
-    /// Theorem 6 (second half): is the *complement* of `f` compatible?
+    /// Theorem 6 (second half): is the *complement* of `f` compatible
+    /// (`Q·f = 0` and `R·¬f = 0`)? Decided without building `¬f`.
     pub fn contains_complement(&self, mgr: &mut Bdd, f: Func) -> bool {
-        let nf = mgr.not(f);
-        mgr.implies(self.q, nf) && mgr.disjoint(self.r, nf)
+        mgr.disjoint(self.q, f) && mgr.implies(self.r, f)
     }
 
     /// The complemented ISF (swap on-set and off-set).
@@ -78,8 +78,9 @@ impl Isf {
         Isf { q: mgr.cofactor(self.q, v, value), r: mgr.cofactor(self.r, v, value) }
     }
 
-    /// The *essential* support: variables on which at least one of `Q`, `R`
-    /// structurally depends.
+    /// The structural support: variables on which at least one of `Q`, `R`
+    /// depends. It may hold inessential variables; [`Bdd::essential_vars`]
+    /// tells which of them the interval really needs.
     pub fn support(&self, mgr: &Bdd) -> VarSet {
         mgr.support(self.q).union(&mgr.support(self.r))
     }
@@ -87,26 +88,33 @@ impl Isf {
     /// Is variable `v` inessential — does the interval contain a function
     /// independent of `v`? (`∃v Q` and `∃v R` must not overlap.)
     pub fn is_inessential(&self, mgr: &mut Bdd, v: VarId) -> bool {
-        let vs = VarSet::singleton(v);
-        let eq = mgr.exists_set(self.q, &vs);
-        let er = mgr.exists_set(self.r, &vs);
-        mgr.disjoint(eq, er)
+        mgr.essential_vars(self.q, self.r, &VarSet::singleton(v)).is_empty()
     }
 
     /// Removes inessential variables with the paper's simple greedy sweep
     /// (§7: `RemoveInessentialVariables`): each variable of the support is
-    /// tested once and, if inessential, existentially quantified out of
-    /// both sets.
+    /// tested once, in order, and, if inessential, existentially quantified
+    /// out of both sets.
+    ///
+    /// One [`Bdd::essential_vars`] query answers the tests up to the next
+    /// removal; only a removal changes the interval and so asks again for
+    /// the variables still to come. A variable that an earlier removal
+    /// took out of the support is inessential and counts as removed.
     ///
     /// Returns the reduced ISF and the number of variables removed.
     pub fn remove_inessential(&self, mgr: &mut Bdd) -> (Isf, usize) {
         let mut isf = *self;
         let mut removed = 0;
-        for v in isf.support(mgr).iter() {
-            if isf.is_inessential(mgr, v) {
+        let support = isf.support(mgr);
+        let mut rest = support;
+        let mut essential = mgr.essential_vars(isf.q, isf.r, &rest);
+        for v in support.iter() {
+            rest.remove(v);
+            if !essential.contains(v) {
                 let vs = VarSet::singleton(v);
                 isf = Isf { q: mgr.exists_set(isf.q, &vs), r: mgr.exists_set(isf.r, &vs) };
                 removed += 1;
+                essential = mgr.essential_vars(isf.q, isf.r, &rest);
             }
         }
         (isf, removed)
@@ -198,6 +206,86 @@ mod tests {
         let (reduced, removed) = isf.remove_inessential(&mut mgr);
         assert_eq!(removed, 0);
         assert_eq!(reduced.support(&mgr), isf.support(&mgr));
+    }
+
+    /// Random intervals `[f·c, ¬(¬f·c)]` over `n` variables.
+    fn random_isf(mgr: &mut Bdd, n: usize, seed: u64) -> Isf {
+        use boolfn::TruthTable;
+        let f = TruthTable::random(n, 0.5, seed);
+        let care = TruthTable::random(n, 0.15 + 0.1 * (seed % 6) as f64, seed ^ 0xca4e);
+        let q = f.and(&care).to_bdd(mgr);
+        let r = f.complement().and(&care).to_bdd(mgr);
+        Isf::new(mgr, q, r)
+    }
+
+    #[test]
+    fn contains_complement_matches_the_negated_function() {
+        for seed in 0..60u64 {
+            let mut mgr = Bdd::new(5);
+            let isf = random_isf(&mut mgr, 5, seed);
+            let candidates = [
+                isf.q,
+                isf.r,
+                Func::ZERO,
+                Func::ONE,
+                boolfn::TruthTable::random(5, 0.5, seed ^ 0xf00d).to_bdd(&mut mgr),
+            ];
+            for f in candidates {
+                let nodes = mgr.total_nodes();
+                let got = isf.contains_complement(&mut mgr, f);
+                assert_eq!(mgr.total_nodes(), nodes, "seed {seed}: no node allocated");
+                let nf = mgr.not(f);
+                assert_eq!(got, isf.contains(&mut mgr, nf), "seed {seed}");
+            }
+        }
+    }
+
+    /// The sweep one variable at a time, each test building `∃v Q` and
+    /// `∃v R`: what `remove_inessential` computes with fewer queries.
+    fn remove_one_at_a_time(isf: &Isf, mgr: &mut Bdd) -> (Isf, usize) {
+        let mut isf = *isf;
+        let mut removed = 0;
+        for v in isf.support(mgr).iter() {
+            let vs = VarSet::singleton(v);
+            let eq = mgr.exists_set(isf.q, &vs);
+            let er = mgr.exists_set(isf.r, &vs);
+            if mgr.disjoint(eq, er) {
+                isf = Isf { q: eq, r: er };
+                removed += 1;
+            }
+        }
+        (isf, removed)
+    }
+
+    #[test]
+    fn sweep_matches_the_per_variable_loop() {
+        let mut removing = 0;
+        for seed in 0..120u64 {
+            let mut mgr = Bdd::new(6);
+            let isf = random_isf(&mut mgr, 6, seed);
+            for v in isf.support(&mgr).iter() {
+                let vs = VarSet::singleton(v);
+                let eq = mgr.exists_set(isf.q, &vs);
+                let er = mgr.exists_set(isf.r, &vs);
+                let want = mgr.disjoint(eq, er);
+                assert_eq!(isf.is_inessential(&mut mgr, v), want, "seed {seed} var {v}");
+            }
+            let want = remove_one_at_a_time(&isf, &mut mgr);
+            assert_eq!(isf.remove_inessential(&mut mgr), want, "seed {seed}");
+            removing += usize::from(want.1 > 1);
+        }
+        assert!(removing >= 20, "only {removing} cases remove two or more variables");
+        // Q = c·(a ⊕ b), R = ¬c: removing `a` takes `b` out of the support,
+        // and `b` still counts as removed.
+        let mut mgr = Bdd::new(3);
+        let (a, b, c) = (mgr.var(0), mgr.var(1), mgr.var(2));
+        let ab = mgr.xor(a, b);
+        let q = mgr.and(c, ab);
+        let nc = mgr.not(c);
+        let isf = Isf::new(&mut mgr, q, nc);
+        let (reduced, removed) = isf.remove_inessential(&mut mgr);
+        assert_eq!((reduced, removed), (Isf { q: c, r: nc }, 2));
+        assert_eq!(remove_one_at_a_time(&isf, &mut mgr), (reduced, removed));
     }
 
     #[test]

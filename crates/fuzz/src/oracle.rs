@@ -5,9 +5,10 @@
 //! (espresso resolution: on beats don't-care beats off), enumerated into
 //! dense [`TruthTable`]s. Everything downstream — `isfs_from_pla`, the
 //! `apply` family, ITE, quantification, per-class picking, the
-//! non-allocating decision procedures, cofactor, compose, `isop`, and
-//! reordering — must agree with the table algebra exactly, and the ISFs
-//! must come out right under a random variable order too.
+//! non-allocating decision procedures, cofactor, compose, `isop`,
+//! reordering and essential-variable sets — must agree with the table
+//! algebra exactly, and the ISFs must come out right under a random
+//! variable order too.
 
 use bdd::{reorder, Bdd, BinOp, Func, VarId, VarSet};
 use benchmarks::SplitMix64;
@@ -267,6 +268,45 @@ pub fn check_operators(pla: &Pla, seed: u64) -> Result<u64, Failure> {
                 checks += 2;
             }
         }
+    }
+
+    // 9. Essential variables, on every output interval and on the Theorem 2
+    //    derivative of one output w.r.t. one variable, against the
+    //    per-variable definition `∃v Q · ∃v R ≠ 0` on the tables. Last,
+    //    like section 7.
+    let essential_mask = |on: &TruthTable, off: &TruthTable| {
+        (0..n as u32)
+            .filter(|&v| !on.exists(1 << v).disjoint(&off.exists(1 << v)))
+            .fold(0u32, |m, v| m | (1 << v))
+    };
+    let all = VarSet::first_n(n);
+    for (k, (isf, (on, off))) in isfs.iter().zip(&refs).enumerate() {
+        let got = varset_mask(&mgr.essential_vars(isf.q, isf.r, &all));
+        let want = essential_mask(on, off);
+        if got != want {
+            let what = format!("output {k}: got {got:b}, oracle {want:b}");
+            return Err(Failure::new("essential_vars", what));
+        }
+        checks += 1;
+    }
+    {
+        let k = rng.gen_range(isfs.len());
+        let x = rng.gen_range(n) as VarId;
+        let (on, off) = &refs[k];
+        let bit = 1 << x;
+        let qd_t = on.exists(bit).and(&off.exists(bit));
+        let rd_t = on.forall(bit).or(&off.forall(bit));
+        let (qd, rd) = bidecomp::check::derivative(&mut mgr, &isfs[k], x);
+        let what = format!("output {k} derivative w.r.t. {x}");
+        expect_tt(&mgr, qd, &qd_t, "essential_vars", &format!("{what} on-set"))?;
+        expect_tt(&mgr, rd, &rd_t, "essential_vars", &format!("{what} off-set"))?;
+        let got = varset_mask(&mgr.essential_vars(qd, rd, &all));
+        let want = essential_mask(&qd_t, &rd_t);
+        if got != want {
+            let what = format!("{what}: got {got:b}, oracle {want:b}");
+            return Err(Failure::new("essential_vars", what));
+        }
+        checks += 3;
     }
 
     Ok(checks)
