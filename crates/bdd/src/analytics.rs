@@ -52,28 +52,6 @@ impl ProbeStats {
             .field("chain_histogram", hist)
             .field("expected_probes", self.expected_probes)
     }
-
-    /// Adds another table's distribution into this one (bucket counts and
-    /// histograms sum; expected probes re-weight by entries). Used when
-    /// combining per-worker managers.
-    pub fn merge(&mut self, other: &ProbeStats) {
-        let total = self.entries + other.entries;
-        if total > 0 {
-            self.expected_probes = (self.expected_probes * self.entries as f64
-                + other.expected_probes * other.entries as f64)
-                / total as f64;
-        }
-        self.buckets += other.buckets;
-        self.entries = total;
-        self.occupied_buckets += other.occupied_buckets;
-        self.max_chain = self.max_chain.max(other.max_chain);
-        if self.chain_histogram.len() < other.chain_histogram.len() {
-            self.chain_histogram.resize(other.chain_histogram.len(), 0);
-        }
-        for (i, &n) in other.chain_histogram.iter().enumerate() {
-            self.chain_histogram[i] += n;
-        }
-    }
 }
 
 /// Computed-cache traffic of one operation kind.
@@ -195,36 +173,6 @@ impl Analytics {
             .field("computed_cache_by_op", by_op)
             .field("gc", self.gc.to_json())
             .field("reorders", self.reorders)
-    }
-
-    /// Folds another manager's section into this one (combining per-worker
-    /// managers into one run-level `analytics` section).
-    pub fn merge(&mut self, other: &Analytics) {
-        self.probe.merge(&other.probe);
-        for theirs in &other.cache_by_op {
-            match self.cache_by_op.iter_mut().find(|mine| mine.op == theirs.op) {
-                Some(mine) => {
-                    mine.lookups += theirs.lookups;
-                    mine.hits += theirs.hits;
-                }
-                None => self.cache_by_op.push(*theirs),
-            }
-        }
-        self.cache_by_op.sort_by(|a, b| {
-            a.hit_rate().partial_cmp(&b.hit_rate()).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        // Re-weight the mean by sample counts before concatenating.
-        let (n1, n2) = (self.gc.samples.len(), other.gc.samples.len());
-        if n1 + n2 > 0 {
-            self.gc.mean_reclaim_fraction = (self.gc.mean_reclaim_fraction * n1 as f64
-                + other.gc.mean_reclaim_fraction * n2 as f64)
-                / (n1 + n2) as f64;
-        }
-        self.gc.runs += other.gc.runs;
-        self.gc.nodes_reclaimed += other.gc.nodes_reclaimed;
-        self.gc.samples.extend(other.gc.samples.iter().copied());
-        self.gc.truncated += other.gc.truncated;
-        self.reorders += other.reorders;
     }
 }
 
@@ -402,54 +350,6 @@ mod tests {
         assert_eq!(stats.max_chain, 20);
         assert_eq!(*stats.chain_histogram.last().unwrap(), 1);
         assert!(stats.expected_probes > 10.0);
-    }
-
-    #[test]
-    fn analytics_merge_combines_workers() {
-        let mut a = Analytics {
-            probe: probe_stats_from_occupancy(&[1, 2, 0, 0]),
-            cache_by_op: vec![OpCacheStats { op: "and", lookups: 10, hits: 5 }],
-            gc: GcAnalytics {
-                runs: 1,
-                nodes_reclaimed: 4,
-                mean_reclaim_fraction: 0.5,
-                samples: vec![GcSample { nodes_before: 8, freed: 4, ..GcSample::default() }],
-                truncated: 0,
-            },
-            reorders: 1,
-        };
-        let b = Analytics {
-            probe: probe_stats_from_occupancy(&[3, 0, 0, 0]),
-            cache_by_op: vec![
-                OpCacheStats { op: "and", lookups: 10, hits: 9 },
-                OpCacheStats { op: "xor", lookups: 2, hits: 0 },
-            ],
-            gc: GcAnalytics {
-                runs: 2,
-                nodes_reclaimed: 6,
-                mean_reclaim_fraction: 1.0,
-                samples: vec![GcSample { nodes_before: 6, freed: 6, ..GcSample::default() }],
-                truncated: 3,
-            },
-            reorders: 0,
-        };
-        a.merge(&b);
-        assert_eq!(a.probe.entries, 6);
-        assert_eq!(a.probe.buckets, 8);
-        assert_eq!(a.probe.max_chain, 3);
-        let and = a.cache_by_op.iter().find(|s| s.op == "and").unwrap();
-        assert_eq!((and.lookups, and.hits), (20, 14));
-        assert!(a.cache_by_op.iter().any(|s| s.op == "xor"));
-        // Worst hit rate still sorts first after the merge.
-        for pair in a.cache_by_op.windows(2) {
-            assert!(pair[0].hit_rate() <= pair[1].hit_rate() + 1e-12);
-        }
-        assert_eq!(a.gc.runs, 3);
-        assert_eq!(a.gc.nodes_reclaimed, 10);
-        assert_eq!(a.gc.samples.len(), 2);
-        assert!((a.gc.mean_reclaim_fraction - 0.75).abs() < 1e-12);
-        assert_eq!(a.gc.truncated, 3);
-        assert_eq!(a.reorders, 1);
     }
 
     #[test]

@@ -216,8 +216,8 @@ impl OpStats {
         self.mk_calls.saturating_sub(self.unique_hits)
     }
 
-    /// Adds `other`'s counters into `self` (combining per-worker managers
-    /// into one run-level report).
+    /// Adds `other`'s counters into `self` (aggregating several runs, or
+    /// carrying counters across a manager rebuild).
     pub fn merge(&mut self, other: &OpStats) {
         self.mk_calls += other.mk_calls;
         self.unique_hits += other.unique_hits;
@@ -269,17 +269,6 @@ impl MemReport {
             .field("node_slab_bytes", self.node_slab_bytes)
             .field("total_bytes", self.total_bytes)
             .field("peak_bytes", self.peak_bytes)
-    }
-
-    /// Sums two reports component-wise. Peaks sum as well: per-worker
-    /// managers live concurrently, so the summed peak is an upper bound on
-    /// the true process-wide peak.
-    pub fn merge(&mut self, other: &MemReport) {
-        self.unique_table_bytes += other.unique_table_bytes;
-        self.computed_cache_bytes += other.computed_cache_bytes;
-        self.node_slab_bytes += other.node_slab_bytes;
-        self.total_bytes += other.total_bytes;
-        self.peak_bytes += other.peak_bytes;
     }
 }
 
@@ -415,46 +404,6 @@ impl ComputedCache {
             ComputedCache::Lossy { capacity, .. } => ComputedCache::lossy(*capacity),
             ComputedCache::Unbounded(_) => ComputedCache::Unbounded(FxHashMap::default()),
         }
-    }
-}
-
-/// A point-in-time view of the manager's tables (see
-/// [`Bdd::telemetry_snapshot`]).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ManagerSnapshot {
-    /// Live nodes (allocated minus freed), including the two terminals.
-    pub total_nodes: usize,
-    /// Freed slots awaiting reuse.
-    pub free_nodes: usize,
-    /// Entries in the unique table.
-    pub unique_entries: usize,
-    /// Unique-table load factor (entries over allocated capacity).
-    pub unique_load_factor: f64,
-    /// Entries in the computed cache.
-    pub cache_entries: usize,
-    /// Operation counters at snapshot time.
-    pub op_stats: OpStats,
-}
-
-impl ManagerSnapshot {
-    /// The snapshot as a JSON object (the shape embedded in run reports).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("total_nodes", self.total_nodes)
-            .field("free_nodes", self.free_nodes)
-            .field("unique_entries", self.unique_entries)
-            .field("unique_load_factor", self.unique_load_factor)
-            .field("cache_entries", self.cache_entries)
-            .field("mk_calls", self.op_stats.mk_calls)
-            .field("unique_hits", self.op_stats.unique_hits)
-            .field("apply_steps", self.op_stats.apply_steps)
-            .field("cache_lookups", self.op_stats.cache_lookups)
-            .field("cache_hits", self.op_stats.cache_hits)
-            .field("cache_hit_rate", self.op_stats.cache_hit_rate())
-            .field("cache_evictions", self.op_stats.cache_evictions)
-            .field("gc_runs", self.op_stats.gc_runs)
-            .field("gc_nodes_reclaimed", self.op_stats.gc_nodes_reclaimed)
-            .field("gc_time_s", self.op_stats.gc_time.as_secs_f64())
     }
 }
 
@@ -886,9 +835,9 @@ impl Bdd {
         self.gc_runs
     }
 
-    /// Clears the computed cache: between decomposition outputs (so one
-    /// output's entries cannot alias the next output's work), and in
-    /// benchmarks to measure cold-cache performance.
+    /// Clears the computed cache: between decomposition outputs, and in
+    /// benchmarks to measure cold-cache performance. Results never depend
+    /// on the cache's contents.
     pub fn clear_computed_cache(&mut self) {
         self.cache.clear();
     }
@@ -1118,30 +1067,17 @@ impl Bdd {
         }
     }
 
-    /// A point-in-time view of the manager's tables and counters.
-    pub fn telemetry_snapshot(&self) -> ManagerSnapshot {
-        ManagerSnapshot {
-            total_nodes: self.total_nodes(),
-            free_nodes: self.free.len(),
-            unique_entries: self.unique_entries,
-            unique_load_factor: self.unique_load_factor(),
-            cache_entries: self.cache.len(),
-            op_stats: self.op_stats,
-        }
-    }
-
-    /// Publishes the snapshot as gauges on the attached recorder (no-op
-    /// without one).
+    /// Publishes the manager's table sizes and cache counters as gauges on
+    /// the attached recorder (no-op without one).
     pub fn emit_gauges(&self) {
         let Some(rec) = &self.recorder else { return };
-        let snap = self.telemetry_snapshot();
-        rec.gauge("bdd.total_nodes", snap.total_nodes as f64);
-        rec.gauge("bdd.free_nodes", snap.free_nodes as f64);
-        rec.gauge("bdd.unique.entries", snap.unique_entries as f64);
-        rec.gauge("bdd.unique.load_factor", snap.unique_load_factor);
-        rec.gauge("bdd.cache.entries", snap.cache_entries as f64);
-        rec.gauge("bdd.cache.hit_rate", snap.op_stats.cache_hit_rate());
-        rec.gauge("bdd.cache.evictions", snap.op_stats.cache_evictions as f64);
+        rec.gauge("bdd.total_nodes", self.total_nodes() as f64);
+        rec.gauge("bdd.free_nodes", self.free.len() as f64);
+        rec.gauge("bdd.unique.entries", self.unique_entries as f64);
+        rec.gauge("bdd.unique.load_factor", self.unique_load_factor());
+        rec.gauge("bdd.cache.entries", self.cache.len() as f64);
+        rec.gauge("bdd.cache.hit_rate", self.op_stats.cache_hit_rate());
+        rec.gauge("bdd.cache.evictions", self.op_stats.cache_evictions as f64);
         self.emit_mem_gauges(rec);
     }
 }
@@ -1342,25 +1278,23 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_gauges_reflect_tables() {
+    fn gauges_reflect_tables() {
         let mut mgr = Bdd::new(3);
         let a = mgr.var(0);
         let b = mgr.var(1);
         let _f = mgr.and(a, b);
-        let snap = mgr.telemetry_snapshot();
-        assert_eq!(snap.total_nodes, mgr.total_nodes());
-        assert_eq!(snap.free_nodes, 0);
-        assert!(snap.unique_entries >= 3);
-        assert!(snap.unique_load_factor > 0.0 && snap.unique_load_factor <= 1.0);
-        assert!(snap.cache_entries >= 1);
-        let json = snap.to_json();
-        assert_eq!(json.get("total_nodes").and_then(Json::as_f64), Some(mgr.total_nodes() as f64));
-        // Gauges publish the same values.
+        assert_eq!(mgr.free.len(), 0);
+        assert!(mgr.unique_entries >= 3);
+        assert!(mgr.unique_load_factor() > 0.0 && mgr.unique_load_factor() <= 1.0);
+        assert!(mgr.cache.len() >= 1);
         let rec = Recorder::new();
         mgr.set_recorder(Some(rec.clone()));
         mgr.emit_gauges();
         assert_eq!(rec.gauge_value("bdd.total_nodes"), Some(mgr.total_nodes() as f64));
+        assert_eq!(rec.gauge_value("bdd.free_nodes"), Some(0.0));
+        assert_eq!(rec.gauge_value("bdd.unique.entries"), Some(mgr.unique_entries as f64));
         assert_eq!(rec.gauge_value("bdd.unique.load_factor"), Some(mgr.unique_load_factor()));
+        assert_eq!(rec.gauge_value("bdd.cache.entries"), Some(mgr.cache.len() as f64));
         // Fresh managers report a zero load factor, not NaN.
         assert_eq!(Bdd::new(1).unique_load_factor(), 0.0);
     }
@@ -1485,10 +1419,13 @@ mod tests {
             let assignment: Vec<bool> = (0..9).map(|v| (i >> v) & 1 == 1).collect();
             assert!(mgr.eval(*f, &assignment));
         }
-        let snap_entries = mgr.telemetry_snapshot().unique_entries;
-        assert_eq!(snap_entries, mgr.total_nodes() - 2, "every live non-terminal is an entry");
+        assert_eq!(
+            mgr.unique_entries,
+            mgr.total_nodes() - 2,
+            "every live non-terminal is an entry"
+        );
         let probe = mgr.unique_probe_stats();
-        assert_eq!(probe.entries, snap_entries, "chains cover every entry exactly once");
+        assert_eq!(probe.entries, mgr.unique_entries, "chains cover every entry exactly once");
         let lf = mgr.unique_load_factor();
         assert!(lf > 0.0 && lf <= 1.0, "load factor bounded by the grow policy, got {lf}");
     }
@@ -1562,10 +1499,9 @@ mod tests {
         mgr.protect(keep);
         let freed = mgr.gc();
         assert!(freed > 0);
-        let snap = mgr.telemetry_snapshot();
-        assert_eq!(snap.unique_entries, mgr.total_nodes() - 2);
+        assert_eq!(mgr.unique_entries, mgr.total_nodes() - 2);
         let probe = mgr.unique_probe_stats();
-        assert_eq!(probe.entries, snap.unique_entries);
+        assert_eq!(probe.entries, mgr.unique_entries);
         // The kept conjunction still resolves node-by-node via mk hits.
         let mut expect = mgr.one();
         for v in (0..12).rev() {
@@ -1598,22 +1534,6 @@ mod tests {
             OpStats { mk_calls: 9, unique_hits: 4, ..OpStats::default() }.nodes_allocated(),
             5
         );
-    }
-
-    #[test]
-    fn mem_report_merge_sums_components_and_peaks() {
-        let a = MemReport {
-            unique_table_bytes: 1,
-            computed_cache_bytes: 2,
-            node_slab_bytes: 3,
-            total_bytes: 6,
-            peak_bytes: 10,
-        };
-        let mut m = a;
-        m.merge(&a);
-        assert_eq!(m.total_bytes, 12);
-        assert_eq!(m.peak_bytes, 20);
-        assert_eq!(m.unique_table_bytes + m.computed_cache_bytes + m.node_slab_bytes, 12);
     }
 
     #[test]

@@ -5,12 +5,9 @@
 //! past the doctor; findings are echoed to stderr so a slow report run
 //! explains itself.
 //!
-//! Usage: `report [--small] [--threads N] [OUTPUT]` (default
-//! `BENCH_bidecomp.json`). `--small` runs the quick subset
-//! (`benchmarks::small()`) — the set the CI perf gate regenerates on every
-//! push. `--threads N` decomposes outputs on `N` worker threads (the
-//! netlist is byte-identical at any thread count; the `threads` field of
-//! each record says what ran).
+//! Usage: `report [--small] [OUTPUT]` (default `BENCH_bidecomp.json`).
+//! `--small` runs the quick subset (`benchmarks::small()`) — the set the CI
+//! perf gate regenerates on every push.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -23,20 +20,14 @@ use obs::json::Json;
 
 fn main() {
     let mut small = false;
-    let mut threads = 1usize;
     let mut path = "BENCH_bidecomp.json".to_owned();
     let usage = || -> ! {
-        eprintln!("usage: report [--small] [--threads N] [OUTPUT]");
+        eprintln!("usage: report [--small] [OUTPUT]");
         std::process::exit(2);
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--small" => small = true,
-            "--threads" => match it.next().as_deref().map(str::parse::<usize>) {
-                Some(Ok(n)) if n >= 1 => threads = n,
-                _ => usage(),
-            },
             other if !other.starts_with('-') => path = other.to_owned(),
             _ => usage(),
         }
@@ -44,14 +35,13 @@ fn main() {
     // Open the output first, so an unwritable path fails before the run.
     let file = File::create(&path).unwrap_or_else(|e| exit_cannot_write(&path, e));
     let suite = if small { benchmarks::small() } else { benchmarks::all() };
-    let options = Options { threads, ..Options::default() };
     let doctor_cfg = DoctorConfig::default();
     let mut records = Vec::new();
     for b in suite {
         // Telemetry on, as bench_record does: records carry the depth
         // histogram, analytics and time series.
-        let telemetry_options = Options { telemetry: true, ..options };
-        let outcome = bidecomp::decompose_pla(&b.pla, &telemetry_options);
+        let options = Options { telemetry: true, ..Options::default() };
+        let outcome = bidecomp::decompose_pla(&b.pla, &options);
         let record = record_from_outcome(b.name, &outcome);
         for finding in &diagnose(&outcome, &doctor_cfg).findings {
             eprintln!(

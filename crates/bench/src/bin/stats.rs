@@ -4,7 +4,7 @@
 //!
 //! Usage: `stats [--trace-out FILE] [--chrome-trace FILE] [--flame FILE]
 //! [--doctor FILE] [--tree-dot FILE] [--timeseries-out FILE] [--small]
-//! [--threads N] [--pla FILE]`
+//! [--pla FILE]`
 //!
 //! * `--trace-out` streams every benchmark's decomposition trace to
 //!   `FILE` as JSONL (one `benchmark` marker point per benchmark, then
@@ -21,8 +21,6 @@
 //! * `--timeseries-out` writes the background resource sampler's series
 //!   (nodes, table/cache/slab bytes, op rate) as JSON.
 //! * `--small` runs the quick subset (`benchmarks::small()`).
-//! * `--threads` decomposes outputs on `N` worker threads (netlists are
-//!   byte-identical at any thread count).
 //! * `--pla` runs a single PLA file instead of the built-in suite.
 
 use std::fs::File;
@@ -47,7 +45,6 @@ struct Args {
     tree_dot: Option<String>,
     timeseries_out: Option<String>,
     small: bool,
-    threads: usize,
     pla: Option<String>,
 }
 
@@ -55,13 +52,13 @@ fn usage() -> ! {
     eprintln!(
         "usage: stats [--trace-out FILE] [--chrome-trace FILE] [--flame FILE] \
          [--doctor FILE] [--tree-dot FILE] [--timeseries-out FILE] [--small] \
-         [--threads N] [--pla FILE]"
+         [--pla FILE]"
     );
     std::process::exit(2);
 }
 
 fn parse_args() -> Args {
-    let mut args = Args { threads: 1, ..Args::default() };
+    let mut args = Args::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let slot = match flag.as_str() {
@@ -73,13 +70,6 @@ fn parse_args() -> Args {
             "--timeseries-out" => &mut args.timeseries_out,
             "--small" => {
                 args.small = true;
-                continue;
-            }
-            "--threads" => {
-                match it.next().as_deref().map(str::parse::<usize>) {
-                    Some(Ok(n)) if n >= 1 => args.threads = n,
-                    _ => usage(),
-                }
                 continue;
             }
             "--pla" => &mut args.pla,
@@ -112,7 +102,6 @@ fn main() {
     let options = Options {
         trace: args.trace_out.is_some() || forensics,
         telemetry: forensics,
-        threads: args.threads,
         ..Options::default()
     };
 

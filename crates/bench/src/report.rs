@@ -22,10 +22,10 @@ use pla::Pla;
 /// computed-cache hit rates, GC efficacy, reorder count, component-cache
 /// reuse) and `timeseries` (the background resource sampler) sections,
 /// plus a top-level `obs` section with the trace-sink write-error count.
-/// v4 adds the per-record `threads` field (worker threads the run used)
-/// and the `bdd.nodes_allocated` / `bdd.cache_evictions` counters of the
-/// kernel-grade manager.
-pub const REPORT_SCHEMA: &str = "bidecomp-bench/v4";
+/// v4 added the `bdd.nodes_allocated` / `bdd.cache_evictions` counters of
+/// the kernel-grade manager (and a per-record `threads` field). v5 drops
+/// `threads`: decomposition is always serial.
+pub const REPORT_SCHEMA: &str = "bidecomp-bench/v5";
 
 /// Runs BI-DECOMP on one benchmark (with telemetry on, so the
 /// recursion-depth histogram is populated) and builds its report record.
@@ -44,7 +44,6 @@ pub fn record_from_outcome(name: &str, outcome: &DecompOutcome) -> Json {
         .field("name", name)
         .field("verified", outcome.verified)
         .field("time_s", outcome.elapsed.as_secs_f64())
-        .field("threads", outcome.threads)
         .field("netlist", outcome.netlist.stats().to_json())
         .field("phases", outcome.phases.to_json())
         .field(
@@ -158,8 +157,8 @@ mod tests {
         assert_eq!(netlist.get("gates").and_then(Json::as_f64), Some(3.0));
         let bdd = record.get("bdd").expect("bdd counters");
         assert!(bdd.get("mk_calls").and_then(Json::as_f64).unwrap() > 0.0);
-        // v4: thread count and the kernel counters.
-        assert_eq!(record.get("threads").and_then(Json::as_f64), Some(1.0));
+        // v4 kernel counters; v5 dropped the thread count.
+        assert!(record.get("threads").is_none());
         let allocated = bdd.get("nodes_allocated").and_then(Json::as_f64).unwrap();
         assert!(
             allocated > 0.0 && allocated <= bdd.get("mk_calls").and_then(Json::as_f64).unwrap()

@@ -1,17 +1,16 @@
 //! Golden test for the `BENCH_bidecomp.json` schema: the document the
 //! `report` binary writes must parse with the workspace JSON parser and
-//! keep the `bidecomp-bench/v4` record shape stable.
+//! keep the `bidecomp-bench/v5` record shape stable.
 
 use bench::report::{bench_record, report_document, write_report, REPORT_SCHEMA};
 use bidecomp::Options;
 use obs::json::Json;
 
 /// The top-level keys of one record, in schema order.
-const RECORD_KEYS: [&str; 11] = [
+const RECORD_KEYS: [&str; 10] = [
     "name",
     "verified",
     "time_s",
-    "threads",
     "netlist",
     "phases",
     "bdd",
@@ -72,7 +71,7 @@ fn suite_document() -> Json {
 }
 
 #[test]
-fn report_document_matches_the_v4_schema() {
+fn report_document_matches_the_v5_schema() {
     let document = suite_document();
     let mut bytes = Vec::new();
     write_report(&document, &mut bytes).expect("in-memory write");
@@ -157,8 +156,9 @@ fn report_document_matches_the_v4_schema() {
         let total: f64 = histogram.iter().map(|n| n.as_f64().expect("numeric bucket")).sum();
         assert_eq!(total, calls, "histogram buckets sum to the recursive call count");
         assert_eq!(decomp.get("max_depth").and_then(Json::as_f64), Some(histogram.len() as f64));
-        // v4: thread count and the kernel counters are consistent.
-        assert_eq!(record.get("threads").and_then(Json::as_f64), Some(1.0));
+        // v5 dropped the thread count; the v4 kernel counters are
+        // consistent.
+        assert!(record.get("threads").is_none());
         let bdd = record.get("bdd").expect("bdd");
         let b = |k: &str| bdd.get(k).and_then(Json::as_f64).expect("numeric");
         assert_eq!(

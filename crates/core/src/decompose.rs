@@ -280,17 +280,6 @@ impl Decomposer {
         (self.netlist, self.stats, self.mgr)
     }
 
-    /// Clears the per-run memoization state between top-level outputs: the
-    /// §6 component-reuse cache and the manager's computed cache. Makes the
-    /// decomposition of each output independent of the outputs decomposed
-    /// before it, which is what keeps the serial and parallel drivers
-    /// byte-identical. The netlist's structural hashing still deduplicates
-    /// shared cones across outputs.
-    pub fn clear_between_outputs(&mut self) {
-        self.cache.clear();
-        self.mgr.clear_computed_cache();
-    }
-
     /// Garbage-collects the BDD manager, keeping the cached components and
     /// any `extra_roots` alive. Safe only between top-level
     /// [`decompose`](Decomposer::decompose) calls.

@@ -2,21 +2,13 @@
 //!
 //! Mirrors the experimental flow of §8: read the PLA, build the on-set and
 //! off-set BDDs per output, order the variables, run `BiDecompose` on each
-//! output, verify with the BDD verifier, and report statistics and
+//! output (one decomposer, so the §6 component cache is shared across
+//! outputs), verify with the BDD verifier, and report statistics and
 //! wall-clock time.
-//!
-//! Outputs are decomposed independently (memoization state is cleared
-//! between outputs; shared cones still merge through the netlist's
-//! structural hashing), which makes the per-output loop embarrassingly
-//! parallel: with [`Options::threads`] `> 1` the outputs are partitioned
-//! round-robin over `std::thread::scope` workers, each owning a private BDD
-//! manager, and the per-worker netlists, counters and reports are merged
-//! into one [`DecompOutcome`]. The produced netlist is byte-identical at
-//! any thread count.
 
 use std::time::{Duration, Instant};
 
-use bdd::{reorder, Analytics, Bdd, Func, MemReport, OpStats, VarId};
+use bdd::{reorder, Analytics, Bdd, Func, MemReport, OpStats};
 use netlist::Netlist;
 use obs::json::Json;
 use obs::{Histogram, Recorder, TimeSeries};
@@ -101,9 +93,6 @@ pub struct DecompOutcome {
     /// driver-initiated GC and at the end of the run. Empty unless
     /// [`Options::telemetry`] is on or a recorder was attached.
     pub timeseries: TimeSeries,
-    /// Worker threads actually used (`min(Options::threads, outputs)`;
-    /// `1` is the serial path).
-    pub threads: usize,
 }
 
 /// Builds the specification ISFs of every PLA output inside `mgr`.
@@ -112,39 +101,37 @@ pub struct DecompOutcome {
 /// don't-care set from `d` entries, and the off-set from `0` entries
 /// (`fr`/`fdr`) or the uncovered remainder (`f`/`fd`). Overlaps resolve in
 /// favor of the on-set, then the don't-care set. Each set is built
-/// straight from its cube list by [`Bdd::cover_function`].
+/// straight from its cube list by [`Bdd::cover_function`], one output at a
+/// time, in output order.
 ///
 /// # Panics
 ///
 /// Panics if the manager has fewer variables than the PLA has inputs.
 pub fn isfs_from_pla(mgr: &mut Bdd, pla: &Pla) -> Vec<Isf> {
-    (0..pla.num_outputs()).map(|out| isf_for_output(mgr, pla, out)).collect()
-}
-
-/// Builds the specification ISF of output `out` — the per-output unit of
-/// [`isfs_from_pla`], also used directly by the parallel driver where each
-/// worker builds only its own outputs.
-fn isf_for_output(mgr: &mut Bdd, pla: &Pla, out: usize) -> Isf {
     assert!(
         mgr.num_vars() >= pla.num_inputs(),
         "manager needs at least {} variables",
         pla.num_inputs()
     );
-    let cover = |mgr: &mut Bdd, value: OutputValue| {
+    let cover = |mgr: &mut Bdd, out: usize, value: OutputValue| {
         let cubes = pla.cubes().iter().filter(|c| c.outputs()[out] == value);
         mgr.cover_function(cubes.map(pla::Cube::literals))
     };
-    let q = cover(mgr, OutputValue::One);
-    let dc = cover(mgr, OutputValue::DontCare);
-    let covered = mgr.or(q, dc);
-    let r = if pla.pla_type().rest_is_offset() {
-        mgr.not(covered)
-    } else {
-        // On-set wins on overlap, then don't-care.
-        let off = cover(mgr, OutputValue::Zero);
-        mgr.diff(off, covered)
-    };
-    Isf::new(mgr, q, r)
+    (0..pla.num_outputs())
+        .map(|out| {
+            let q = cover(mgr, out, OutputValue::One);
+            let dc = cover(mgr, out, OutputValue::DontCare);
+            let covered = mgr.or(q, dc);
+            let r = if pla.pla_type().rest_is_offset() {
+                mgr.not(covered)
+            } else {
+                // On-set wins on overlap, then don't-care.
+                let off = cover(mgr, out, OutputValue::Zero);
+                mgr.diff(off, covered)
+            };
+            Isf::new(mgr, q, r)
+        })
+        .collect()
 }
 
 /// Decomposes a multi-output PLA into a netlist of two-input gates —
@@ -166,9 +153,6 @@ pub fn decompose_pla_with_recorder(
     recorder: Option<Recorder>,
 ) -> DecompOutcome {
     let start = Instant::now();
-    if options.threads > 1 && pla.num_outputs() > 1 {
-        return decompose_pla_parallel(pla, options, recorder, start);
-    }
     let run_span = recorder.as_ref().map(|r| r.span("decompose_pla"));
     let n = pla.num_inputs();
     let input_names: Vec<String> = match pla.input_labels() {
@@ -215,11 +199,8 @@ pub fn decompose_pla_with_recorder(
         let mut components = Vec::with_capacity(isfs.len());
         for (k, isf) in isfs.iter().enumerate() {
             if k > 0 {
-                // Decompose every output from a clean slate (§6 component
-                // cache and computed cache) — the independence that lets
-                // the parallel driver reproduce this netlist byte for
-                // byte. Shared cones still merge via structural hashing.
-                dec.clear_between_outputs();
+                // Cannot change results; skipping it measured deep -15% but random-dc +15%.
+                dec.manager().clear_computed_cache();
             }
             let _out_span =
                 recorder.as_ref().map(|r| r.span(format!("output.{}", output_names[k])));
@@ -296,268 +277,6 @@ pub fn decompose_pla_with_recorder(
         analytics: instrumented.then(|| mgr.analytics()),
         component_cache,
         timeseries,
-        threads: 1,
-    }
-}
-
-/// Everything one worker reports back about one decomposed output. Plain
-/// `Send` data only — the `Decomposer` (whose telemetry recorder is
-/// `Rc`-based) is created, used and torn down entirely inside the worker.
-struct OutputSlice {
-    netlist: Netlist,
-    stats: Stats,
-    verified: bool,
-    phases: PhaseTimes,
-    decompose_time: Duration,
-    peak_nodes: usize,
-    op_stats: OpStats,
-    depth_histogram: Vec<u64>,
-    trace: Vec<crate::trace::TraceEvent>,
-    op_latency: Option<Histogram>,
-    mem: MemReport,
-    analytics: Option<Analytics>,
-    component_cache: ComponentCacheStats,
-    /// `(t_s, live_nodes, unique_bytes, cache_bytes, slab_bytes,
-    /// apply_steps)` — the worker's end-of-output resource sample.
-    sample: Option<(f64, u64, u64, u64, u64, u64)>,
-}
-
-/// The run-constant inputs every worker shares: the PLA, the resolved
-/// options/order/names, the run clock and whether telemetry is armed.
-struct WorkerCtx<'a> {
-    pla: &'a Pla,
-    options: &'a Options,
-    order: Option<&'a [VarId]>,
-    input_names: &'a [String],
-    run_start: Instant,
-    instrumented: bool,
-}
-
-/// Decomposes a single PLA output in a private manager/netlist — the unit
-/// of work of the parallel driver. Mirrors the serial flow exactly (order,
-/// build, decompose, verify), which is what keeps the replayed netlists
-/// byte-identical.
-fn decompose_one_output(ctx: &WorkerCtx<'_>, out: usize, output_name: String) -> OutputSlice {
-    let WorkerCtx { pla, options, order, input_names, run_start, instrumented } = *ctx;
-    let mut worker_options = *options;
-    worker_options.telemetry = instrumented;
-    let mut dec = Decomposer::with_options(pla.num_inputs(), Some(input_names), worker_options);
-    if instrumented {
-        dec.manager().enable_op_timing();
-    }
-    let mut phases = PhaseTimes::default();
-    let t = Instant::now();
-    if let Some(order) = order {
-        dec.set_variable_order(order);
-    }
-    phases.ordering = t.elapsed();
-    let t = Instant::now();
-    let isf = isf_for_output(dec.manager(), pla, out);
-    phases.bdd_build = t.elapsed();
-    let t = Instant::now();
-    let comp = dec.decompose(isf);
-    let decompose_time = t.elapsed();
-    phases.decompose = decompose_time;
-    dec.add_output(output_name, comp);
-    let mut peak_nodes = dec.manager().total_nodes().max(dec.peak_live_nodes());
-    dec.manager().sample_mem();
-    let depth_histogram = dec.depth_histogram().to_vec();
-    let trace = dec.take_trace();
-    let component_cache = dec.component_cache_stats();
-    let (netlist, stats, mut mgr) = dec.into_parts();
-    let t = Instant::now();
-    let verified =
-        if options.verify { verify::verify_netlist(&mut mgr, &netlist, &[isf]) } else { true };
-    phases.verify = t.elapsed();
-    peak_nodes = peak_nodes.max(mgr.total_nodes());
-    mgr.sample_mem();
-    let sample = instrumented.then(|| {
-        let mem = mgr.mem_report();
-        let ops = mgr.op_stats();
-        (
-            run_start.elapsed().as_secs_f64(),
-            mgr.total_nodes() as u64,
-            mem.unique_table_bytes as u64,
-            mem.computed_cache_bytes as u64,
-            mem.node_slab_bytes as u64,
-            ops.apply_steps,
-        )
-    });
-    OutputSlice {
-        netlist,
-        stats,
-        verified,
-        phases,
-        decompose_time,
-        peak_nodes,
-        op_stats: mgr.op_stats(),
-        depth_histogram,
-        trace,
-        op_latency: mgr.op_latency().cloned(),
-        mem: mgr.mem_report(),
-        analytics: instrumented.then(|| mgr.analytics()),
-        component_cache,
-        sample,
-    }
-}
-
-/// The parallel per-output driver: outputs are partitioned round-robin
-/// over [`Options::threads`] scoped workers, each decomposing its outputs
-/// in private managers, and the per-output netlists are replayed into one
-/// netlist in output order (structural hashing merges shared cones exactly
-/// as the serial builder would).
-///
-/// Phase times and counters are **sums across workers** (CPU time, so
-/// `phases` can exceed `elapsed`); `bdd_nodes` and memory peaks are the
-/// per-manager maxima/sums as documented on their types. With a recorder
-/// attached only the run-level spans are emitted — per-output spans would
-/// need a `Send` recorder — but the merged report carries every per-worker
-/// counter, so doctor and `bench diff` see the full picture.
-fn decompose_pla_parallel(
-    pla: &Pla,
-    options: &Options,
-    recorder: Option<Recorder>,
-    start: Instant,
-) -> DecompOutcome {
-    let run_span = recorder.as_ref().map(|r| r.span("decompose_pla"));
-    let n = pla.num_inputs();
-    let num_outputs = pla.num_outputs();
-    let threads = options.threads.min(num_outputs);
-    let instrumented = options.telemetry || recorder.is_some();
-    let input_names: Vec<String> = match pla.input_labels() {
-        Some(labels) => labels.to_vec(),
-        None => (0..n).map(|k| format!("x{k}")).collect(),
-    };
-    let output_names: Vec<String> = match pla.output_labels() {
-        Some(labels) => labels.to_vec(),
-        None => (0..num_outputs).map(|k| format!("y{k}")).collect(),
-    };
-    let order: Option<Vec<VarId>> =
-        options.order_by_frequency.then(|| reorder::order_by_frequency(&pla.literal_frequencies()));
-
-    let mut results: Vec<(usize, OutputSlice)> = {
-        let _span = recorder.as_ref().map(|r| r.span("decompose"));
-        let ctx = WorkerCtx {
-            pla,
-            options,
-            order: order.as_deref(),
-            input_names: &input_names,
-            run_start: start,
-            instrumented,
-        };
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let ctx = &ctx;
-                    let output_names = &output_names;
-                    scope.spawn(move || {
-                        (w..num_outputs)
-                            .step_by(threads)
-                            .map(|k| (k, decompose_one_output(ctx, k, output_names[k].clone())))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("decomposition worker panicked"))
-                .collect()
-        })
-    };
-    results.sort_by_key(|&(k, _)| k);
-
-    // Merge: replay per-output netlists in output order; sum/maximize the
-    // counters as documented on each type's `merge`.
-    let mut netlist = Netlist::new();
-    for name in &input_names {
-        netlist.add_input(name.clone());
-    }
-    let mut stats = Stats::default();
-    let mut verified = true;
-    let mut phases = PhaseTimes::default();
-    let mut peak_nodes = 0;
-    let mut op_stats = OpStats::default();
-    let mut depth_histogram: Vec<u64> = Vec::new();
-    let mut trace = Vec::new();
-    let mut output_latency = Histogram::new();
-    let mut op_latency: Option<Histogram> = None;
-    let mut mem = MemReport::default();
-    let mut analytics: Option<Analytics> = None;
-    let mut component_cache = ComponentCacheStats::default();
-    let mut timeseries = TimeSeries::new(obs::timeseries::DEFAULT_CAPACITY);
-    for (_, slice) in &results {
-        netlist.merge_from(&slice.netlist);
-        stats.merge(&slice.stats);
-        verified &= slice.verified;
-        phases.ordering += slice.phases.ordering;
-        phases.bdd_build += slice.phases.bdd_build;
-        phases.decompose += slice.phases.decompose;
-        phases.verify += slice.phases.verify;
-        peak_nodes = peak_nodes.max(slice.peak_nodes);
-        op_stats.merge(&slice.op_stats);
-        if depth_histogram.len() < slice.depth_histogram.len() {
-            depth_histogram.resize(slice.depth_histogram.len(), 0);
-        }
-        for (a, b) in depth_histogram.iter_mut().zip(&slice.depth_histogram) {
-            *a += b;
-        }
-        trace.extend(slice.trace.iter().cloned());
-        output_latency.record(slice.decompose_time);
-        if let Some(h) = &slice.op_latency {
-            op_latency.get_or_insert_with(Histogram::new).merge(h);
-        }
-        mem.merge(&slice.mem);
-        if let Some(a) = &slice.analytics {
-            match &mut analytics {
-                Some(acc) => acc.merge(a),
-                None => analytics = Some(a.clone()),
-            }
-        }
-        component_cache.support_sets += slice.component_cache.support_sets;
-        component_cache.components += slice.component_cache.components;
-        component_cache.max_bucket =
-            component_cache.max_bucket.max(slice.component_cache.max_bucket);
-        component_cache.hits += slice.component_cache.hits;
-        component_cache.complement_hits += slice.component_cache.complement_hits;
-        if let Some((t_s, nodes, unique, cache, slab, steps)) = slice.sample {
-            timeseries.record(t_s, "output", nodes, unique, cache, slab, steps);
-        }
-    }
-    if instrumented {
-        timeseries.record(
-            start.elapsed().as_secs_f64(),
-            "end",
-            peak_nodes as u64,
-            mem.unique_table_bytes as u64,
-            mem.computed_cache_bytes as u64,
-            mem.node_slab_bytes as u64,
-            op_stats.apply_steps,
-        );
-    }
-    let elapsed = start.elapsed();
-    drop(run_span);
-    if let Some(rec) = &recorder {
-        rec.gauge("bdd.total_nodes", peak_nodes as f64);
-        rec.gauge("decomp.max_depth", depth_histogram.len() as f64);
-        rec.flush();
-    }
-    DecompOutcome {
-        netlist,
-        stats,
-        verified,
-        elapsed,
-        bdd_nodes: peak_nodes,
-        phases,
-        op_stats,
-        depth_histogram,
-        trace,
-        output_latency,
-        op_latency,
-        mem,
-        analytics,
-        component_cache,
-        timeseries,
-        threads,
     }
 }
 
@@ -772,63 +491,6 @@ mod tests {
         assert!(last.live_nodes >= 2);
         assert!(last.total_bytes() > 0);
         assert_eq!(rich.timeseries.samples().filter(|s| s.label == "output").count(), 2);
-    }
-
-    #[test]
-    fn parallel_netlist_is_byte_identical_to_serial() {
-        let pla: Pla = "\
-.i 4
-.o 3
-11-- 111
---1- 100
----1 011
-1--1 010
-.e
-"
-        .parse()
-        .expect("valid");
-        let serial = decompose_pla(&pla, &Options::default());
-        assert_eq!(serial.threads, 1);
-        for threads in [2, 4, 8] {
-            let par = decompose_pla(&pla, &Options { threads, ..Options::default() });
-            assert!(par.verified);
-            assert_eq!(par.threads, threads.min(pla.num_outputs()));
-            assert_eq!(
-                par.netlist.to_blif("m"),
-                serial.netlist.to_blif("m"),
-                "threads={threads} must reproduce the serial netlist"
-            );
-            assert_eq!(par.stats.calls, serial.stats.calls, "same recursion tree");
-        }
-    }
-
-    #[test]
-    fn parallel_outcome_merges_worker_reports() {
-        let pla: Pla = ".i 3\n.o 2\n111 10\n-11 01\n101 10\n.e\n".parse().expect("valid");
-        let outcome = decompose_pla(&pla, &Options { threads: 2, ..Options::default() });
-        assert!(outcome.verified);
-        assert_eq!(outcome.threads, 2);
-        assert_eq!(outcome.output_latency.count(), 2, "one latency sample per output");
-        assert!(outcome.op_stats.mk_calls > 0, "worker counters must merge");
-        assert!(outcome.mem.total_bytes > 0);
-        assert!(outcome.phases.decompose.as_nanos() > 0);
-        // Plain runs keep forensics off, exactly like the serial path.
-        assert!(outcome.analytics.is_none());
-        assert!(outcome.timeseries.is_empty());
-        assert!(outcome.depth_histogram.is_empty());
-        // With telemetry the merged forensics ride along.
-        let rich =
-            decompose_pla(&pla, &Options { threads: 2, telemetry: true, ..Options::default() });
-        assert!(rich.analytics.is_some());
-        assert_eq!(rich.timeseries.samples().filter(|s| s.label == "output").count(), 2);
-        assert_eq!(rich.timeseries.latest().expect("non-empty").label, "end");
-        assert_eq!(rich.depth_histogram.iter().sum::<u64>(), rich.stats.calls as u64);
-        assert!(rich.op_latency.is_some());
-        // Tracing concatenates the per-output traces in output order.
-        let traced =
-            decompose_pla(&pla, &Options { threads: 2, trace: true, ..Options::default() });
-        let serial_traced = decompose_pla(&pla, &Options { trace: true, ..Options::default() });
-        assert_eq!(traced.trace, serial_traced.trace, "same steps in the same order");
     }
 
     #[test]

@@ -68,11 +68,6 @@ pub struct Options {
     /// manager's lossy computed cache. Larger caches trade memory for hit
     /// rate; results are identical at any size.
     pub cache_entries: usize,
-    /// Worker threads for per-output decomposition. `1` (the default) runs
-    /// the serial path; `N > 1` decomposes outputs on `N` scoped threads,
-    /// each with its own BDD manager. The produced netlist is byte-identical
-    /// at any thread count.
-    pub threads: usize,
 }
 
 impl Default for Options {
@@ -88,7 +83,6 @@ impl Default for Options {
             telemetry: false,
             gc_threshold: 2_000_000,
             cache_entries: bdd::DEFAULT_CACHE_ENTRIES,
-            threads: 1,
         }
     }
 }
@@ -115,7 +109,6 @@ mod tests {
         let o = Options::default();
         assert!(o.use_exor && o.use_cache && o.use_strong);
         assert!(!o.telemetry, "telemetry is opt-in");
-        assert_eq!(o.threads, 1, "the paper's runs are single-threaded");
         assert_eq!(o.cache_entries, bdd::DEFAULT_CACHE_ENTRIES);
         assert_eq!(Options::paper(), o);
         assert!(!Options::weak_only().use_strong);

@@ -57,7 +57,8 @@ impl Stats {
         ratio(self.calls_with_inessential, self.calls)
     }
 
-    /// Merges counters from another run (used by the multi-output driver).
+    /// Adds another run's counters into these (aggregating the statistics of
+    /// several PLAs, as the benchmark tools do).
     pub fn merge(&mut self, other: &Stats) {
         self.calls += other.calls;
         self.cache_hits += other.cache_hits;

@@ -1,7 +1,6 @@
-//! Seeded property tests for the kernel-grade BDD manager and the
-//! parallel driver.
+//! Seeded property tests for the kernel-grade BDD manager.
 //!
-//! Three guarantees the kernel rework must not bend:
+//! Two guarantees the kernel rework must not bend:
 //!
 //! * **Canonicity** — the intrusive unique table keeps the manager
 //!   canonical (one node per distinct cofactor triple) across any
@@ -13,21 +12,14 @@
 //!   memoizes; evictions change speed, never results. The same operator
 //!   script replayed under a size-1 cache, the default cache and the
 //!   unbounded shim must produce bit-identical handles at every step.
-//! * **Thread-count transparency** — `Options::threads` partitions
-//!   outputs across workers but the merged netlist is byte-identical to
-//!   the serial one, over the whole committed fuzz corpus.
 //!
 //! These live in the fuzz crate because `bdd` cannot depend on `boolfn`
-//! or the corpus (the oracle layers depend on `bdd`).
-
-use std::path::Path;
+//! (the oracle layers depend on `bdd`).
 
 use bdd::{Bdd, BinOp, Func, VarId};
 use benchmarks::SplitMix64;
-use bidecomp::Options;
 use boolfn::TruthTable;
 use fuzz::oracle::tt_apply;
-use pla::Pla;
 
 const OPS: [BinOp; 8] = [
     BinOp::And,
@@ -171,33 +163,5 @@ fn computed_cache_size_never_changes_results() {
         // The size-1 cache must actually have been under pressure, or
         // this test proves nothing.
         assert!(tiny.op_stats().cache_evictions > 0, "case {case}: the size-1 cache never evicted");
-    }
-}
-
-fn committed_corpus() -> Vec<(String, Pla)> {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts/corpus");
-    fuzz::corpus::load_dir(&dir).expect("corpus directory is readable")
-}
-
-/// The whole committed corpus (plus the small benchmark suite) must
-/// produce byte-identical BLIF at `--threads 1` and `--threads 4`.
-#[test]
-fn corpus_netlists_are_byte_identical_across_thread_counts() {
-    let mut suite: Vec<(String, Pla)> = committed_corpus();
-    assert!(!suite.is_empty(), "the committed corpus must not be empty");
-    suite.extend(benchmarks::small().into_iter().map(|b| (b.name.to_owned(), b.pla)));
-
-    let serial = Options { threads: 1, ..Options::default() };
-    let parallel = Options { threads: 4, ..Options::default() };
-    for (name, pla) in &suite {
-        let one = bidecomp::decompose_pla(pla, &serial);
-        let four = bidecomp::decompose_pla(pla, &parallel);
-        assert!(one.verified, "{name}: serial netlist failed verification");
-        assert!(four.verified, "{name}: parallel netlist failed verification");
-        assert_eq!(
-            one.netlist.to_blif(name),
-            four.netlist.to_blif(name),
-            "{name}: netlist differs between --threads 1 and --threads 4"
-        );
     }
 }

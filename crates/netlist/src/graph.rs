@@ -263,46 +263,6 @@ impl Netlist {
         }
     }
 
-    /// Replays every node of `other` into `self`, re-declaring `other`'s
-    /// outputs, and returns the signal mapping (`other`'s id → `self`'s id).
-    ///
-    /// Inputs are matched **positionally**: `other`'s `k`-th declared input
-    /// maps to `self`'s `k`-th declared input. Gates go through the normal
-    /// `add_*` constructors, so structural hashing, constant folding and the
-    /// local identities deduplicate against everything already in `self` —
-    /// replaying netlists produced independently per output reconstructs
-    /// exactly the netlist a single shared builder would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `other` declares more inputs than `self`.
-    pub fn merge_from(&mut self, other: &Netlist) -> Vec<SignalId> {
-        assert!(
-            other.inputs.len() <= self.inputs.len(),
-            "merge_from: other has {} inputs, self only {}",
-            other.inputs.len(),
-            self.inputs.len()
-        );
-        let mut map = vec![0; other.nodes.len()];
-        let mut next_input = 0;
-        for (id, gate) in other.nodes.iter().enumerate() {
-            map[id] = match *gate {
-                Gate::Input(_) => {
-                    let mapped = self.inputs[next_input];
-                    next_input += 1;
-                    mapped
-                }
-                Gate::Const(v) => self.constant(v),
-                Gate::Not(a) => self.add_not(map[a as usize]),
-                Gate::Binary(op, a, b) => self.add_gate(op, map[a as usize], map[b as usize]),
-            };
-        }
-        for (name, signal) in &other.outputs {
-            self.add_output(name.clone(), map[*signal as usize]);
-        }
-        map
-    }
-
     /// Signals actually reachable from the outputs (live logic), in
     /// topological order.
     pub fn live_signals(&self) -> Vec<SignalId> {
@@ -427,40 +387,6 @@ mod tests {
         assert_eq!(nl.inputs(), &[a]);
         nl.add_output("out", a);
         assert_eq!(nl.outputs().len(), 1);
-    }
-
-    #[test]
-    fn merge_from_replays_and_deduplicates() {
-        // Two "worker" netlists over the same inputs, sharing the cone a·b.
-        let mut host = Netlist::new();
-        host.add_input("a");
-        host.add_input("b");
-        host.add_input("c");
-        let mut w1 = Netlist::new();
-        {
-            let (a, b, _c) = (w1.add_input("a"), w1.add_input("b"), w1.add_input("c"));
-            let ab = w1.add_gate(Gate2::And, a, b);
-            w1.add_output("f", ab);
-        }
-        let mut w2 = Netlist::new();
-        {
-            let (a, b, c) = (w2.add_input("a"), w2.add_input("b"), w2.add_input("c"));
-            let ab = w2.add_gate(Gate2::And, b, a); // commuted on purpose
-            let f = w2.add_gate(Gate2::Or, ab, c);
-            w2.add_output("g", f);
-        }
-        host.merge_from(&w1);
-        host.merge_from(&w2);
-        assert_eq!(host.stats().gates, 2, "a·b must be shared across merges");
-        assert_eq!(host.outputs().len(), 2);
-        // Byte-identity with the single-builder netlist.
-        let mut serial = Netlist::new();
-        let (a, b, c) = (serial.add_input("a"), serial.add_input("b"), serial.add_input("c"));
-        let ab = serial.add_gate(Gate2::And, a, b);
-        serial.add_output("f", ab);
-        let f = serial.add_gate(Gate2::Or, ab, c);
-        serial.add_output("g", f);
-        assert_eq!(host.to_blif("m"), serial.to_blif("m"));
     }
 
     #[test]

@@ -170,3 +170,30 @@ fn paper_configuration_beats_exorless_on_symmetric_functions() {
         without.netlist.stats().gates
     );
 }
+
+#[test]
+fn components_are_reused_across_outputs() {
+    // f = a·b + c and g = a·b + d. Decomposing g needs a component for
+    // a·b, which the §6 cache already holds from f.
+    let both: Pla = ".i 4\n.o 2\n11-- 11\n--1- 10\n---1 01\n.e\n".parse().expect("valid");
+    let f_only: Pla = ".i 4\n.o 1\n11-- 1\n--1- 1\n.e\n".parse().expect("valid");
+    let g_only: Pla = ".i 4\n.o 1\n11-- 1\n---1 1\n.e\n".parse().expect("valid");
+    let hits = |pla: &Pla| {
+        let outcome = decompose_pla(pla, &Options::default());
+        assert!(outcome.verified);
+        outcome.stats.cache_hits
+    };
+    assert_eq!(hits(&f_only), 0);
+    assert_eq!(hits(&g_only), 0);
+    assert_eq!(hits(&both), 1, "g's a·b must come from the component cached for f");
+    let no_cache = decompose_pla(&both, &Options { use_cache: false, ..Options::default() });
+    assert_eq!(no_cache.stats.cache_hits, 0);
+
+    // rd84's outputs share most of their structure: 58 gates with the
+    // cache shared across outputs (89 when it is cleared between them).
+    let rd84 = benchmarks::by_name("rd84").expect("known");
+    let outcome = decompose_pla(&rd84.pla, &Options::default());
+    assert!(outcome.verified);
+    assert_eq!(outcome.netlist.stats().gates, 58);
+    assert!(outcome.component_cache.hits > 0);
+}

@@ -15,8 +15,8 @@ use pla::Pla;
 const FIG3: &str = ".i 4\n.o 1\n.ilb a b c d\n.ob f\n11-- 1\n--11 1\n.e\n";
 
 /// The multi-output sharing example from the driver tests: f = a·b + c,
-/// g = a·b + d. The shared a·b component makes the trace exercise the
-/// component cache.
+/// g = a·b + d. The a·b component is decomposed once, for f; g's copy is a
+/// §6 component-cache hit.
 const SHARED: &str = ".i 4\n.o 2\n11-- 11\n--1- 10\n---1 01\n.e\n";
 
 fn trace_of(text: &str) -> Vec<bidecomp::trace::TraceEvent> {

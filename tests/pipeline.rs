@@ -109,6 +109,19 @@ fn gc_threshold_does_not_change_results() {
     let tight = decompose_pla(&b.pla, &Options { gc_threshold: 500, ..Options::default() });
     assert!(normal.verified && tight.verified);
     assert!(equivalent(&normal.netlist, &tight.netlist, 8));
+
+    // cps has 109 outputs, so a tight threshold collects between many of
+    // them while the §6 cache carries components from earlier outputs: GC
+    // must keep every cached component alive and leave the netlist
+    // byte-identical.
+    let b = benchmarks::by_name("cps").expect("known");
+    let normal = decompose_pla(&b.pla, &Options::default());
+    let tight = decompose_pla(&b.pla, &Options { gc_threshold: 500, ..Options::default() });
+    assert!(normal.verified && tight.verified);
+    assert_eq!(normal.op_stats.gc_runs, 0);
+    assert!(tight.op_stats.gc_runs > 0, "the tight threshold must trigger GC");
+    assert!(tight.component_cache.hits > 0, "cached components must be reused across GCs");
+    assert_eq!(tight.netlist.to_blif("cps"), normal.netlist.to_blif("cps"));
 }
 
 #[test]
