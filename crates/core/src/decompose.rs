@@ -336,8 +336,7 @@ impl Decomposer {
             let ops = self.mgr.op_stats();
             let cost = crate::trace::CallCost {
                 elapsed_ns: start.elapsed().as_nanos() as u64,
-                nodes_allocated: (ops.mk_calls - ops_before.mk_calls)
-                    .saturating_sub(ops.unique_hits - ops_before.unique_hits),
+                nodes_allocated: ops.inserts - ops_before.inserts,
                 cache_lookups: ops.cache_lookups - ops_before.cache_lookups,
                 cache_hits: ops.cache_hits - ops_before.cache_hits,
                 theorem_checks: crate::check::theorem_checks() - checks_before,

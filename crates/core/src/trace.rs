@@ -65,7 +65,7 @@ pub enum Step {
 pub struct CallCost {
     /// Wall-clock time of the call, nanoseconds.
     pub elapsed_ns: u64,
-    /// BDD nodes constructed (`mk` calls minus unique-table hits).
+    /// BDD nodes constructed (fresh unique-table insertions).
     pub nodes_allocated: u64,
     /// Computed-cache lookups issued.
     pub cache_lookups: u64,
