@@ -20,18 +20,12 @@ fn mix(state: u64, word: u64) -> u64 {
     (state.rotate_left(5) ^ word).wrapping_mul(SEED)
 }
 
-/// Direct Fx hash of a `(u32, u32, u32)` triple — the unique-table key —
-/// without going through the `Hasher` trait machinery.
+/// Direct Fx hash of a `(u32, u32, u32)` triple — the unique-table key, and
+/// the computed-cache key with its operation tag packed into the first
+/// word — without going through the `Hasher` trait machinery.
 #[inline]
 pub(crate) fn hash3(a: u32, b: u32, c: u32) -> u64 {
     mix(mix(mix(0, u64::from(a)), u64::from(b)), u64::from(c))
-}
-
-/// Direct Fx hash of an `(op, u32, u32, u32)` quadruple — the computed-cache
-/// key.
-#[inline]
-pub(crate) fn hash4(op: u8, a: u32, b: u32, c: u32) -> u64 {
-    mix(mix(mix(mix(0, u64::from(op)), u64::from(a)), u64::from(b)), u64::from(c))
 }
 
 /// Multiply-rotate hasher; not DoS-resistant, which is fine for internal
@@ -109,11 +103,5 @@ mod tests {
         h.write_u32(7);
         h.write_u32(9);
         assert_eq!(h.finish(), hash3(3, 7, 9));
-        let mut h = FxHasher::default();
-        h.write_u8(5);
-        h.write_u32(3);
-        h.write_u32(7);
-        h.write_u32(9);
-        assert_eq!(h.finish(), hash4(5, 3, 7, 9));
     }
 }

@@ -4,11 +4,11 @@
 //! transferred into a fresh node store under a new variable order
 //! ([`Bdd::reorder`]). On top of that, [`order_by_frequency`] provides the
 //! classic static ordering heuristic (most frequently used variables near
-//! the top), and [`greedy_sift`] is a rebuild-based sifting search that
-//! trades time for node-count reductions on small managers.
+//! the top).
 //!
-//! Reordering is an extension beyond the paper (BuDDy 1.9 had sifting, but
-//! BI-DECOMP did not invoke it); it is exercised by the ablation benches.
+//! The decomposer applies the frequency order once, to the empty manager,
+//! before it builds the specification BDDs. Dynamic reordering (BuDDy 1.9
+//! had sifting) is not implemented: BI-DECOMP did not invoke it.
 
 use std::collections::HashMap;
 
@@ -38,6 +38,7 @@ impl Bdd {
             );
         }
         let mut fresh = Bdd::new(n);
+        fresh.take_cache_from(self);
         let order: Vec<VarId> = level2var.to_vec();
         fresh.set_order(&order);
         let mut memo: FxHashMap<u32, Func> = HashMap::default();
@@ -100,60 +101,6 @@ pub fn order_by_frequency(weights: &[f64]) -> Vec<VarId> {
             .then(a.cmp(&b))
     });
     idx
-}
-
-/// Rebuild-based greedy sifting: repeatedly tries moving each variable to
-/// every position, keeping the move that most reduces the shared node count
-/// of `roots`. Stops after one pass with no improvement or after
-/// `max_passes`.
-///
-/// Returns the remapped roots (the manager adopts the best order found).
-/// Intended for small-to-medium managers; cost is
-/// `O(num_vars² · rebuild)` per pass.
-pub fn greedy_sift(mgr: &mut Bdd, roots: &[Func], max_passes: usize) -> Vec<Func> {
-    let n = mgr.num_vars();
-    let mut roots: Vec<Func> = roots.to_vec();
-    if n < 3 {
-        return roots;
-    }
-    let mut best_count = mgr.node_count_all(&roots);
-    for _ in 0..max_passes {
-        let mut improved = false;
-        for v in 0..n as u32 {
-            let current: Vec<VarId> = mgr.order().to_vec();
-            let here = current.iter().position(|&x| x == v).expect("var in order");
-            let mut best_pos = here;
-            let mut best_here = best_count;
-            for pos in 0..n {
-                if pos == here {
-                    continue;
-                }
-                let mut candidate = current.clone();
-                candidate.remove(here);
-                candidate.insert(pos, v);
-                let moved = mgr.reorder(&candidate, &roots);
-                let count = mgr.node_count_all(&moved);
-                if count < best_here {
-                    best_here = count;
-                    best_pos = pos;
-                }
-                // Restore the current order before trying the next position.
-                roots = mgr.reorder(&current, &moved);
-            }
-            if best_pos != here {
-                let mut candidate = current.clone();
-                candidate.remove(here);
-                candidate.insert(best_pos, v);
-                roots = mgr.reorder(&candidate, &roots);
-                best_count = best_here;
-                improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    roots
 }
 
 #[cfg(test)]
@@ -238,30 +185,6 @@ mod tests {
     fn order_by_frequency_sorts_descending() {
         assert_eq!(order_by_frequency(&[0.5, 2.0, 1.0, 2.0]), vec![1, 3, 2, 0]);
         assert_eq!(order_by_frequency(&[]), Vec::<VarId>::new());
-    }
-
-    #[test]
-    fn greedy_sift_finds_interleaved_order() {
-        let n = 4;
-        let mut mgr = Bdd::new(2 * n);
-        let mut f = Func::ZERO;
-        for i in 0..n as u32 {
-            let x = mgr.var(i);
-            let y = mgr.var(n as u32 + i);
-            let t = mgr.and(x, y);
-            f = mgr.or(f, t);
-        }
-        let before = mgr.node_count(f);
-        let roots = greedy_sift(&mut mgr, &[f], 2);
-        let after = mgr.node_count(roots[0]);
-        assert!(after <= before);
-        assert!(after < before, "sifting should improve the comparator");
-        // Semantics preserved.
-        for bits in 0..256u32 {
-            let vals: Vec<bool> = (0..8).map(|k| bits & (1 << k) != 0).collect();
-            let expected = (0..n).any(|i| vals[i] && vals[n + i]);
-            assert_eq!(mgr.eval(roots[0], &vals), expected);
-        }
     }
 
     #[test]

@@ -22,9 +22,8 @@ pub struct Thresholds {
     pub max_gates_regress: f64,
     /// Allowed fractional increase of `bdd.nodes_allocated` (fresh
     /// unique-table insertions — the memory-churn dimension of the kernel).
-    /// Deterministic single-threaded, but parallel runs rebuild
-    /// specifications per worker, so CI passes a generous budget on the
-    /// multi-thread gate. Skipped when the baseline reports 0 allocations
+    /// The count is deterministic, so any growth past this budget is a
+    /// real change. Skipped when the baseline reports 0 allocations
     /// (pre-v4 baselines lack the counter).
     pub max_nodes_regress: f64,
     /// Benchmarks faster than this (in *both* reports) skip the time

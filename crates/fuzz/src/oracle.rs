@@ -10,7 +10,7 @@
 //! algebra exactly, and the ISFs must come out right under a random
 //! variable order too.
 
-use bdd::{reorder, Bdd, BinOp, Func, VarId, VarSet};
+use bdd::{Bdd, BinOp, Func, VarId, VarSet};
 use benchmarks::SplitMix64;
 use bidecomp::isfs_from_pla;
 use boolfn::TruthTable;
@@ -204,8 +204,8 @@ pub fn check_operators(pla: &Pla, seed: u64) -> Result<u64, Failure> {
         checks += 3;
     }
 
-    // 6. Reorder invariance: rebuilding under a random order and sifting
-    //    must preserve semantics, support and satisfy counts.
+    // 6. Reorder invariance: rebuilding under a random order must preserve
+    //    semantics, support and satisfy counts.
     {
         let (ta, _) = &pool[3];
         let ta = ta.clone();
@@ -221,12 +221,7 @@ pub fn check_operators(pla: &Pla, seed: u64) -> Result<u64, Failure> {
         if mgr2.sat_count(roots[0]) != ta.count_ones() as f64 {
             return Err(Failure::new("reorder", "sat_count changed across reorder".to_string()));
         }
-        let roots = reorder::greedy_sift(&mut mgr2, &roots, 2);
-        expect_tt(&mgr2, roots[0], &ta, "reorder", "greedy_sift")?;
-        if mgr2.sat_count(roots[0]) != ta.count_ones() as f64 {
-            return Err(Failure::new("reorder", "sat_count changed across sifting".to_string()));
-        }
-        checks += 5;
+        checks += 3;
     }
 
     // 7. The non-allocating decision procedures, on operand pairs and

@@ -8,10 +8,11 @@
 //!   freelists slots and rebuilds the bucket array) and rebuild-based
 //!   reorders. Checked by re-deriving every live root from its truth
 //!   table: a canonical manager must hand back the identical handle.
-//! * **Lossy-cache transparency** — the direct-mapped computed cache only
+//! * **Lossy-cache transparency** — the 4-way computed cache only
 //!   memoizes; evictions change speed, never results. The same operator
-//!   script replayed under a size-1 cache, the default cache and the
-//!   unbounded shim must produce bit-identical handles at every step.
+//!   script replayed under a one-bucket cache, the default cache and a
+//!   2^20-entry cache that never evicts must produce bit-identical handles
+//!   at every step.
 //!
 //! These live in the fuzz crate because `bdd` cannot depend on `boolfn`
 //! (the oracle layers depend on `bdd`).
@@ -118,11 +119,11 @@ fn computed_cache_size_never_changes_results() {
     for case in 0..10 {
         let n = 4 + rng.gen_range(4); // 4..=7
         let mut tiny = Bdd::new(n);
-        tiny.set_cache_capacity(1); // every insert collides
+        tiny.set_cache_capacity(1); // one 4-way bucket: constant eviction
         let mut default = Bdd::new(n);
-        let mut unbounded = Bdd::new(n);
-        unbounded.set_unbounded_cache(); // never evicts
-        let mut managers = [&mut tiny, &mut default, &mut unbounded];
+        let mut huge = Bdd::new(n);
+        huge.set_cache_capacity(1 << 20); // large enough never to evict
+        let mut managers = [&mut tiny, &mut default, &mut huge];
 
         let mut pool: Vec<Func> = Vec::new();
         for _ in 0..3 {
@@ -147,7 +148,7 @@ fn computed_cache_size_never_changes_results() {
             assert!(
                 handles.windows(2).all(|w| w[0] == w[1]),
                 "case {case} step {step}: cache size changed a result handle \
-                 (tiny={:?} default={:?} unbounded={:?})",
+                 (tiny={:?} default={:?} huge={:?})",
                 handles[0],
                 handles[1],
                 handles[2]
@@ -160,8 +161,12 @@ fn computed_cache_size_never_changes_results() {
             nodes.windows(2).all(|w| w[0] == w[1]),
             "case {case}: node counts diverge across cache sizes: {nodes:?}"
         );
-        // The size-1 cache must actually have been under pressure, or
+        // The one-bucket cache must actually have been under pressure, or
         // this test proves nothing.
-        assert!(tiny.op_stats().cache_evictions > 0, "case {case}: the size-1 cache never evicted");
+        assert!(
+            tiny.op_stats().cache_evictions > 0,
+            "case {case}: the one-bucket cache never evicted"
+        );
+        assert_eq!(huge.op_stats().cache_evictions, 0, "case {case}: the 2^20-entry cache evicted");
     }
 }
