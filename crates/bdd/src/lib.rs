@@ -55,6 +55,6 @@ mod varset;
 
 pub use analytics::{Analytics, GcAnalytics, GcSample, OpCacheStats, ProbeStats};
 pub use isop::IsopCube;
-pub use manager::{Bdd, Func, MemReport, OpStats, VarId, DEFAULT_CACHE_ENTRIES};
+pub use manager::{Bdd, Func, MemReport, OpStats, VarId, DEFAULT_CACHE_ENTRIES, MAX_NODES};
 pub use ops::BinOp;
 pub use varset::VarSet;
