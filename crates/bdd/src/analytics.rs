@@ -2,7 +2,7 @@
 //!
 //! Everything here is *analysis*, not instrumentation: the manager keeps a
 //! handful of cheap always-on counters (per-op-kind cache counts, one
-//! sample per GC run, the reorder count) and this module turns them — plus
+//! sample per GC run) and this module turns them — plus
 //! a one-shot walk of the unique table — into the structured `analytics`
 //! section of run reports. Building an [`Analytics`] costs one pass over
 //! the unique table; nothing here runs on the operator hot path.
@@ -94,8 +94,6 @@ pub struct GcSample {
     pub freed: u64,
     /// Computed-cache entries dropped (the cache is cleared on GC).
     pub cache_entries_dropped: u64,
-    /// Wall-clock nanoseconds spent collecting.
-    pub elapsed_ns: u64,
 }
 
 impl GcSample {
@@ -114,7 +112,6 @@ impl GcSample {
             .field("nodes_before", self.nodes_before)
             .field("freed", self.freed)
             .field("cache_entries_dropped", self.cache_entries_dropped)
-            .field("elapsed_ns", self.elapsed_ns)
             .field("reclaim_fraction", self.reclaim_fraction())
     }
 }
@@ -148,8 +145,8 @@ impl GcAnalytics {
 }
 
 /// The structured `analytics` section: unique-table probe distribution,
-/// computed-cache hit rate by operation kind, GC reclaim efficacy, and the
-/// reorder count. Built on demand by [`Bdd::analytics`].
+/// computed-cache hit rate by operation kind, and GC reclaim efficacy.
+/// Built on demand by [`Bdd::analytics`].
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Analytics {
     /// Unique-table probe-length distribution (estimated; see
@@ -160,8 +157,6 @@ pub struct Analytics {
     pub cache_by_op: Vec<OpCacheStats>,
     /// GC reclaim efficacy.
     pub gc: GcAnalytics,
-    /// Reorder-by-rebuild runs across the manager's lifetime.
-    pub reorders: u64,
 }
 
 impl Analytics {
@@ -172,7 +167,6 @@ impl Analytics {
             .field("unique_table", self.probe.to_json())
             .field("computed_cache_by_op", by_op)
             .field("gc", self.gc.to_json())
-            .field("reorders", self.reorders)
     }
 }
 
@@ -210,7 +204,7 @@ pub(crate) fn probe_stats_from_occupancy(occupancy: &[u32]) -> ProbeStats {
 }
 
 /// Always-on analytics state carried inside the manager: per-op cache
-/// counters, the GC sample log, and the reorder count. Cheap enough to
+/// counters and the GC sample log. Cheap enough to
 /// maintain unconditionally (two array increments per cache lookup, one
 /// push per GC run).
 #[derive(Clone, Debug, Default)]
@@ -219,7 +213,6 @@ pub(crate) struct AnalyticsState {
     pub(crate) cache_by_op: [[u64; 2]; CacheOp::COUNT],
     pub(crate) gc_samples: Vec<GcSample>,
     pub(crate) gc_samples_truncated: u64,
-    pub(crate) reorders: u64,
 }
 
 /// GC samples retained before the log starts dropping (the counters keep
@@ -257,7 +250,6 @@ impl AnalyticsState {
         }
         self.gc_samples = samples;
         self.gc_samples_truncated += old.gc_samples_truncated;
-        self.reorders += old.reorders;
     }
 }
 
@@ -293,7 +285,6 @@ impl Bdd {
                 samples: state.gc_samples.clone(),
                 truncated: state.gc_samples_truncated,
             },
-            reorders: state.reorders,
         }
     }
 }
@@ -382,7 +373,6 @@ mod tests {
         let json = analytics.to_json();
         assert!(json.get("unique_table").is_some());
         assert!(json.get("computed_cache_by_op").and_then(Json::as_arr).is_some());
-        assert_eq!(json.get("reorders").and_then(Json::as_f64), Some(0.0));
         mgr.unprotect(f);
     }
 
@@ -400,7 +390,6 @@ mod tests {
         let order: Vec<u32> = (0..4).rev().collect();
         let _roots = mgr.reorder(&order, &[f]);
         let after = mgr.analytics();
-        assert_eq!(after.reorders, 1, "the rebuild is counted");
         let after_lookups =
             after.cache_by_op.iter().find(|s| s.op == "and").map_or(0, |s| s.lookups);
         assert!(after_lookups >= and_lookups, "per-op counters survive the rebuild");

@@ -2,10 +2,10 @@
 //! collection.
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use obs::json::Json;
-use obs::{Histogram, Recorder};
+use obs::Recorder;
 
 use crate::hash::{self, FxHashMap};
 use crate::varset::MAX_VARS;
@@ -207,8 +207,6 @@ pub struct OpStats {
     pub gc_runs: u64,
     /// Nodes reclaimed by those collections.
     pub gc_nodes_reclaimed: u64,
-    /// Wall-clock time spent collecting.
-    pub gc_time: Duration,
 }
 
 impl OpStats {
@@ -238,7 +236,6 @@ impl OpStats {
         self.apply_steps += other.apply_steps;
         self.gc_runs += other.gc_runs;
         self.gc_nodes_reclaimed += other.gc_nodes_reclaimed;
-        self.gc_time += other.gc_time;
     }
 }
 
@@ -438,11 +435,8 @@ pub struct Bdd {
     recorder: Option<Recorder>,
     /// Largest sampled heap footprint (see [`Bdd::sample_mem`]).
     peak_mem_bytes: usize,
-    /// Per-operation latency histogram; `None` (the default) costs one
-    /// branch per public operator call.
-    op_timing: Option<Box<Histogram>>,
-    /// Always-on analytics counters (per-op cache traffic, GC samples,
-    /// reorder count); see [`crate::analytics`].
+    /// Always-on analytics counters (per-op cache traffic, GC samples);
+    /// see [`crate::analytics`].
     analytics: crate::analytics::AnalyticsState,
 }
 
@@ -468,7 +462,6 @@ impl Bdd {
             op_stats: OpStats::default(),
             recorder: None,
             peak_mem_bytes: 0,
-            op_timing: None,
             analytics: crate::analytics::AnalyticsState::default(),
         };
         // Slots 0 and 1 are the terminals.
@@ -755,12 +748,10 @@ impl Bdd {
         let elapsed = start.elapsed();
         self.op_stats.gc_runs += 1;
         self.op_stats.gc_nodes_reclaimed += freed as u64;
-        self.op_stats.gc_time += elapsed;
         self.analytics.note_gc(crate::analytics::GcSample {
             nodes_before: nodes_before as u64,
             freed: freed as u64,
             cache_entries_dropped: cache_entries as u64,
-            elapsed_ns: elapsed.as_nanos() as u64,
         });
         if let Some(rec) = &self.recorder {
             rec.count("bdd.gc.runs", 1);
@@ -870,11 +861,6 @@ impl Bdd {
         self.recorder = old.recorder.clone();
         self.gc_runs += old.gc_runs;
         self.peak_mem_bytes = self.peak_mem_bytes.max(old.peak_mem_bytes);
-        match (&mut self.op_timing, &old.op_timing) {
-            (Some(mine), Some(theirs)) => mine.merge(theirs),
-            (None, Some(theirs)) => self.op_timing = Some(theirs.clone()),
-            _ => {}
-        }
         let fresh = std::mem::take(&mut self.op_stats);
         self.op_stats = old.op_stats;
         self.op_stats.merge(&fresh);
@@ -882,15 +868,9 @@ impl Bdd {
     }
 
     /// The always-on analytics counters (per-op cache traffic, GC sample
-    /// log, reorder count).
+    /// log).
     pub(crate) fn analytics_state(&self) -> &crate::analytics::AnalyticsState {
         &self.analytics
-    }
-
-    /// Counts one reorder-by-rebuild run (called by
-    /// [`reorder`](Bdd::reorder) on the freshly built manager).
-    pub(crate) fn note_reorder(&mut self) {
-        self.analytics.reorders += 1;
     }
 
     /// Exact unique-table probe-length distribution, from walking the real
@@ -951,34 +931,6 @@ impl Bdd {
         rec.gauge("bdd.mem.node_slab_bytes", mem.node_slab_bytes as f64);
         rec.gauge("bdd.mem.total_bytes", mem.total_bytes as f64);
         rec.gauge("bdd.mem.peak_bytes", mem.peak_bytes as f64);
-    }
-
-    /// Turns on the per-operation latency histogram: every public operator
-    /// call ([`apply`](Bdd::apply), [`not`](Bdd::not), [`ite`](Bdd::ite) and
-    /// the named wrappers) records its wall-clock duration. Off by default;
-    /// the disabled path costs one branch per call.
-    pub fn enable_op_timing(&mut self) {
-        if self.op_timing.is_none() {
-            self.op_timing = Some(Box::default());
-        }
-    }
-
-    #[inline]
-    pub(crate) fn op_timing_enabled(&self) -> bool {
-        self.op_timing.is_some()
-    }
-
-    #[inline]
-    pub(crate) fn record_op_duration(&mut self, d: Duration) {
-        if let Some(h) = &mut self.op_timing {
-            h.record(d);
-        }
-    }
-
-    /// The per-operation latency histogram, if
-    /// [`enable_op_timing`](Bdd::enable_op_timing) was called.
-    pub fn op_latency(&self) -> Option<&Histogram> {
-        self.op_timing.as_deref()
     }
 
     /// Unique-table load factor: entries over bucket count, in `[0, 1]`
@@ -1159,7 +1111,6 @@ mod tests {
         let stats = mgr.op_stats();
         assert_eq!(stats.gc_runs, 0);
         assert_eq!(stats.gc_nodes_reclaimed, 0);
-        assert_eq!(stats.gc_time, Duration::ZERO);
         // …but the lifetime count survives, and the next GC starts a fresh
         // delta.
         assert_eq!(mgr.gc_runs(), 1);
@@ -1273,26 +1224,8 @@ mod tests {
     }
 
     #[test]
-    fn op_timing_is_off_by_default_and_records_when_enabled() {
-        let mut mgr = Bdd::new(4);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let _ = mgr.and(a, b);
-        assert!(mgr.op_latency().is_none(), "timing must be opt-in");
-        mgr.enable_op_timing();
-        mgr.enable_op_timing(); // idempotent: must not clear samples below
-        let c = mgr.var(2);
-        let f = mgr.not(c);
-        let g = mgr.or(f, a);
-        let _ = mgr.ite(g, b, c);
-        let h = mgr.op_latency().expect("enabled");
-        assert!(h.count() >= 3, "not/or/ite calls all record, got {}", h.count());
-    }
-
-    #[test]
-    fn reorder_carries_peak_mem_and_op_timing() {
+    fn reorder_carries_peak_mem() {
         let mut mgr = Bdd::new(6);
-        mgr.enable_op_timing();
         let mut f = mgr.zero();
         for v in 0..6 {
             let x = mgr.var(v);
@@ -1300,13 +1233,9 @@ mod tests {
         }
         mgr.sample_mem();
         let peak_before = mgr.mem_report().peak_bytes;
-        let samples_before = mgr.op_latency().unwrap().count();
-        assert!(samples_before > 0);
         let reversed: Vec<VarId> = (0..6).rev().collect();
         let roots = mgr.reorder(&reversed, &[f]);
         assert!(mgr.mem_report().peak_bytes >= peak_before, "peak survives reorder");
-        let h = mgr.op_latency().expect("op timing survives reorder");
-        assert!(h.count() >= samples_before, "samples survive reorder");
         assert_eq!(roots.len(), 1);
     }
 
@@ -1495,13 +1424,11 @@ mod tests {
             apply_steps: 6,
             gc_runs: 7,
             gc_nodes_reclaimed: 8,
-            gc_time: Duration::from_millis(9),
         };
         let b = a;
         a.merge(&b);
         assert_eq!(a.mk_calls, 2);
         assert_eq!(a.cache_evictions, 10);
-        assert_eq!(a.gc_time, Duration::from_millis(18));
         assert_eq!(a.inserts, 6);
         assert_eq!(a.nodes_allocated(), 6, "allocations are the insertion count");
     }

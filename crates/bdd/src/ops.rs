@@ -1,12 +1,4 @@
 //! Boolean operators: negation, the binary `apply` family, and if-then-else.
-//!
-//! The public entry points ([`Bdd::apply`], [`Bdd::not`], [`Bdd::ite`] and
-//! the named wrappers) optionally time themselves into the manager's
-//! per-operation latency histogram ([`Bdd::enable_op_timing`]); the
-//! recursion happens in private `*_rec` bodies so a call is sampled once,
-//! not once per visited node.
-
-use std::time::Instant;
 
 use crate::manager::{Bdd, CacheKey, CacheOp, Func};
 
@@ -38,16 +30,6 @@ pub enum BinOp {
 impl Bdd {
     /// Negation `¬f`.
     pub fn not(&mut self, f: Func) -> Func {
-        if !self.op_timing_enabled() {
-            return self.not_rec(f);
-        }
-        let start = Instant::now();
-        let result = self.not_rec(f);
-        self.record_op_duration(start.elapsed());
-        result
-    }
-
-    fn not_rec(&mut self, f: Func) -> Func {
         if f.is_zero() {
             return Func::ONE;
         }
@@ -59,8 +41,8 @@ impl Bdd {
             return hit;
         }
         let node = *self.node(f);
-        let low = self.not_rec(node.low);
-        let high = self.not_rec(node.high);
+        let low = self.not(node.low);
+        let high = self.not(node.high);
         let result = self.mk(node.var, low, high);
         self.cache_put(key, result);
         result
@@ -174,16 +156,6 @@ impl Bdd {
 
     /// Applies a binary connective to two functions.
     pub fn apply(&mut self, op: BinOp, f: Func, g: Func) -> Func {
-        if !self.op_timing_enabled() {
-            return self.apply_rec(op, f, g);
-        }
-        let start = Instant::now();
-        let result = self.apply_rec(op, f, g);
-        self.record_op_duration(start.elapsed());
-        result
-    }
-
-    fn apply_rec(&mut self, op: BinOp, f: Func, g: Func) -> Func {
         match op {
             BinOp::And => self.apply_prim(CacheOp::And, f, g),
             BinOp::Or => self.apply_prim(CacheOp::Or, f, g),
@@ -191,18 +163,18 @@ impl Bdd {
             BinOp::Diff => self.apply_prim(CacheOp::Diff, f, g),
             BinOp::Nand => {
                 let t = self.apply_prim(CacheOp::And, f, g);
-                self.not_rec(t)
+                self.not(t)
             }
             BinOp::Nor => {
                 let t = self.apply_prim(CacheOp::Or, f, g);
-                self.not_rec(t)
+                self.not(t)
             }
             BinOp::Xnor => {
                 let t = self.apply_prim(CacheOp::Xor, f, g);
-                self.not_rec(t)
+                self.not(t)
             }
             BinOp::Imp => {
-                let nf = self.not_rec(f);
+                let nf = self.not(f);
                 self.apply_prim(CacheOp::Or, nf, g)
             }
         }
@@ -294,16 +266,6 @@ impl Bdd {
 
     /// If-then-else `ite(f, g, h) = f·g + ¬f·h`.
     pub fn ite(&mut self, f: Func, g: Func, h: Func) -> Func {
-        if !self.op_timing_enabled() {
-            return self.ite_rec(f, g, h);
-        }
-        let start = Instant::now();
-        let result = self.ite_rec(f, g, h);
-        self.record_op_duration(start.elapsed());
-        result
-    }
-
-    fn ite_rec(&mut self, f: Func, g: Func, h: Func) -> Func {
         // Terminal cases.
         if f.is_one() {
             return g;
@@ -318,7 +280,7 @@ impl Bdd {
             return f;
         }
         if g.is_zero() && h.is_one() {
-            return self.not_rec(f);
+            return self.not(f);
         }
         // Standard-triple normalization: route degenerate triples through
         // the canonical binary-op cache slots instead of a private Ite
@@ -335,7 +297,7 @@ impl Bdd {
         }
         if h.is_one() {
             // ite(f, g, 1) = ¬f + g.
-            let nf = self.not_rec(f);
+            let nf = self.not(f);
             return self.apply_prim(CacheOp::Or, nf, g);
         }
         if f == g {
@@ -355,8 +317,8 @@ impl Bdd {
         let (f0, f1) = self.cofactors_at(f, top);
         let (g0, g1) = self.cofactors_at(g, top);
         let (h0, h1) = self.cofactors_at(h, top);
-        let low = self.ite_rec(f0, g0, h0);
-        let high = self.ite_rec(f1, g1, h1);
+        let low = self.ite(f0, g0, h0);
+        let high = self.ite(f1, g1, h1);
         let result = self.mk(var, low, high);
         self.cache_put(key, result);
         result

@@ -45,7 +45,6 @@ impl Bdd {
         let new_roots: Vec<Func> =
             roots.iter().map(|&r| transfer(self, &mut fresh, r, &mut memo)).collect();
         fresh.carry_instrumentation_from(self);
-        fresh.note_reorder();
         *self = fresh;
         new_roots
     }

@@ -1,24 +1,20 @@
 //! Compares two `BENCH_bidecomp.json` reports and exits non-zero on
-//! regression — the CI perf gate.
+//! regression — the CI regression gate.
 //!
-//! Usage: `diff BASELINE CURRENT [--max-time-regress PCT]
-//! [--max-gates-regress PCT] [--max-nodes-regress PCT] [--min-time-ms MS]`
+//! Usage: `diff BASELINE CURRENT`
 //!
-//! Thresholds are percentages (`--max-time-regress 10` allows +10%
-//! time). Benchmarks faster than `--min-time-ms` in both reports skip the
-//! time check (clock noise). Defaults: 10% time, 0% gates, 10% node
-//! allocations, 10 ms floor.
+//! Fails on any growth of a gated counter (`netlist.gates`,
+//! `bdd.nodes_allocated`) and on a gated counter or benchmark missing
+//! from CURRENT. Both counters are deterministic, so there is no
+//! tolerance to set.
 //!
 //! Exit codes: 0 clean, 1 regression, 2 usage or unreadable input.
 
-use bench::diff::{diff_reports, Thresholds};
+use bench::diff::diff_reports;
 use obs::json::Json;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: diff BASELINE CURRENT [--max-time-regress PCT] \
-         [--max-gates-regress PCT] [--max-nodes-regress PCT] [--min-time-ms MS]"
-    );
+    eprintln!("usage: diff BASELINE CURRENT");
     std::process::exit(2);
 }
 
@@ -34,38 +30,20 @@ fn load(path: &str) -> Json {
 }
 
 fn main() {
-    let mut positional: Vec<String> = Vec::new();
-    let mut thresholds = Thresholds::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let parse_pct = |it: &mut dyn Iterator<Item = String>| -> f64 {
-            match it.next().as_deref().map(str::parse::<f64>) {
-                Some(Ok(v)) if v >= 0.0 => v,
-                _ => usage(),
-            }
-        };
-        match arg.as_str() {
-            "--max-time-regress" => thresholds.max_time_regress = parse_pct(&mut it) / 100.0,
-            "--max-gates-regress" => thresholds.max_gates_regress = parse_pct(&mut it) / 100.0,
-            "--max-nodes-regress" => thresholds.max_nodes_regress = parse_pct(&mut it) / 100.0,
-            "--min-time-ms" => thresholds.min_time_s = parse_pct(&mut it) / 1000.0,
-            other if !other.starts_with('-') => positional.push(other.to_owned()),
-            _ => usage(),
-        }
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [baseline_path, current_path] = args.as_slice() else { usage() };
+    if args.iter().any(|a| a.starts_with('-')) {
+        usage();
     }
-    let [baseline_path, current_path] = positional.as_slice() else { usage() };
 
     let baseline = load(baseline_path);
     let current = load(current_path);
-    let diff = diff_reports(&baseline, &current, &thresholds).unwrap_or_else(|e| {
+    let diff = diff_reports(&baseline, &current).unwrap_or_else(|e| {
         eprintln!("cannot diff: {e}");
         std::process::exit(2);
     });
     println!("{baseline_path} → {current_path}");
     print!("{}", diff.render());
-    for warning in &diff.warnings {
-        eprintln!("warning: {warning}");
-    }
     if diff.has_regressions() {
         eprintln!();
         for line in diff.regressions() {

@@ -1,9 +1,8 @@
 //! Runs the benchmark suite and writes `BENCH_bidecomp.json`: one record
-//! per benchmark with the Table 2 columns, per-phase times, BDD op/GC
-//! counters, latency percentiles, memory footprint, cache/GC analytics,
-//! the resource time series and the §7 rates. Each benchmark is also run
-//! past the doctor; findings are echoed to stderr so a slow report run
-//! explains itself.
+//! per benchmark with the Table 2 netlist columns, BDD op/GC counters,
+//! memory footprint, cache/GC analytics and the §7 rates — counters only,
+//! no wall time. Each benchmark is also run past the doctor; findings are
+//! echoed to stderr so a slow report run explains itself.
 //!
 //! Usage: `report [--small] [OUTPUT]` (default `BENCH_bidecomp.json`).
 //! `--small` runs the quick subset (`benchmarks::small()`) — the set the CI
@@ -16,7 +15,6 @@ use bench::exit_cannot_write;
 use bench::report::{record_from_outcome, report_document, write_report};
 use bidecomp::doctor::{diagnose, DoctorConfig};
 use bidecomp::Options;
-use obs::json::Json;
 
 fn main() {
     let mut small = false;
@@ -39,7 +37,7 @@ fn main() {
     let mut records = Vec::new();
     for b in suite {
         // Telemetry on, as bench_record does: records carry the depth
-        // histogram, analytics and time series.
+        // histogram and analytics.
         let options = Options { telemetry: true, ..Options::default() };
         let outcome = bidecomp::decompose_pla(&b.pla, &options);
         let record = record_from_outcome(b.name, &outcome);
@@ -52,13 +50,12 @@ fn main() {
                 finding.message
             );
         }
-        let gates = record
-            .get("netlist")
-            .and_then(|n| n.get("gates"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
-        let time = record.get("time_s").and_then(Json::as_f64).unwrap_or(0.0);
-        println!("{:8} {:>6} gates {:>8.3}s", b.name, gates as u64, time);
+        println!(
+            "{:8} {:>6} gates {:>9} nodes allocated",
+            b.name,
+            outcome.netlist.stats().gates,
+            outcome.op_stats.nodes_allocated()
+        );
         records.push(record);
     }
     let document = report_document(records);

@@ -3,8 +3,7 @@
 //! across the benchmark suite.
 //!
 //! Usage: `stats [--trace-out FILE] [--chrome-trace FILE] [--flame FILE]
-//! [--doctor FILE] [--tree-dot FILE] [--timeseries-out FILE] [--small]
-//! [--pla FILE]`
+//! [--doctor FILE] [--tree-dot FILE] [--small] [--pla FILE]`
 //!
 //! * `--trace-out` streams every benchmark's decomposition trace to
 //!   `FILE` as JSONL (one `benchmark` marker point per benchmark, then
@@ -18,8 +17,6 @@
 //!   exits 1 when any finding has `error` severity (the CI gate).
 //! * `--tree-dot` writes every benchmark's cost-annotated decomposition
 //!   tree as Graphviz DOT (one cluster per benchmark).
-//! * `--timeseries-out` writes the background resource sampler's series
-//!   (nodes, table/cache/slab bytes, op rate) as JSON.
 //! * `--small` runs the quick subset (`benchmarks::small()`).
 //! * `--pla` runs a single PLA file instead of the built-in suite.
 
@@ -43,7 +40,6 @@ struct Args {
     flame: Option<String>,
     doctor: Option<String>,
     tree_dot: Option<String>,
-    timeseries_out: Option<String>,
     small: bool,
     pla: Option<String>,
 }
@@ -51,8 +47,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: stats [--trace-out FILE] [--chrome-trace FILE] [--flame FILE] \
-         [--doctor FILE] [--tree-dot FILE] [--timeseries-out FILE] [--small] \
-         [--pla FILE]"
+         [--doctor FILE] [--tree-dot FILE] [--small] [--pla FILE]"
     );
     std::process::exit(2);
 }
@@ -67,7 +62,6 @@ fn parse_args() -> Args {
             "--flame" => &mut args.flame,
             "--doctor" => &mut args.doctor,
             "--tree-dot" => &mut args.tree_dot,
-            "--timeseries-out" => &mut args.timeseries_out,
             "--small" => {
                 args.small = true;
                 continue;
@@ -96,9 +90,8 @@ fn main() {
     });
     let sink_errors = trace_sink.as_ref().map(|sink| sink.write_errors());
     // The forensics outputs need the trace (tree, doctor's grouping
-    // detector) and telemetry (costs, analytics, the resource sampler).
-    let forensics =
-        args.doctor.is_some() || args.tree_dot.is_some() || args.timeseries_out.is_some();
+    // detector) and telemetry (costs, analytics).
+    let forensics = args.doctor.is_some() || args.tree_dot.is_some();
     let options = Options {
         trace: args.trace_out.is_some() || forensics,
         telemetry: forensics,
@@ -141,7 +134,6 @@ fn main() {
     let mut doctor_records: Vec<Json> = Vec::new();
     let mut doctor_errors = 0usize;
     let mut trees: Vec<(String, DecompTree)> = Vec::new();
-    let mut series: Vec<Json> = Vec::new();
     for (name, pla) in &suite {
         let outcome = bidecomp::decompose_pla_with_recorder(pla, &options, recorder.clone());
         let s = outcome.stats;
@@ -181,13 +173,6 @@ fn main() {
         if args.tree_dot.is_some() {
             trees.push((name.clone(), DecompTree::from_trace(&outcome.trace)));
         }
-        if args.timeseries_out.is_some() {
-            series.push(
-                Json::obj()
-                    .field("name", name.as_str())
-                    .field("timeseries", outcome.timeseries.to_json()),
-            );
-        }
     }
     if let Some(sink) = trace_sink {
         let path = args.trace_out.expect("set together with the sink");
@@ -215,12 +200,6 @@ fn main() {
     }
     if let Some(path) = &args.tree_dot {
         write_file(path, &render_dot_clusters(&trees, true));
-    }
-    if let Some(path) = &args.timeseries_out {
-        let document = Json::obj()
-            .field("schema", "bidecomp-timeseries/v1")
-            .field("benchmarks", Json::Arr(series));
-        write_file(path, &document.render());
     }
     println!();
     println!("Suite totals:\n{merged}");

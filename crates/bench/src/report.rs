@@ -1,12 +1,14 @@
 //! Machine-readable run reports: `BENCH_bidecomp.json`.
 //!
 //! The `report` binary runs the benchmark suite and writes one JSON
-//! document with a record per benchmark — the Table 2 columns plus the
-//! telemetry the text tables do not show: per-phase wall-clock times, BDD
-//! operation and GC counters, and the §7 rates (weak decomposition,
-//! component reuse, inessential variables). The schema is versioned
-//! ([`REPORT_SCHEMA`]) and covered by a golden test so downstream tooling
-//! can diff reports across revisions.
+//! document with a record per benchmark — the Table 2 netlist columns plus
+//! the counters the text tables do not show: BDD operation and GC
+//! counters, the manager's memory footprint, cache/GC analytics, and the
+//! §7 rates (weak decomposition, component reuse, inessential variables).
+//! Records carry no clock: every number is deterministic for a given
+//! input, so two reports diff exactly (wall time is bdbench's job). The
+//! schema is versioned ([`REPORT_SCHEMA`]) and covered by a golden test so
+//! downstream tooling can diff reports across revisions.
 
 use std::io::{self, Write};
 
@@ -24,8 +26,10 @@ use pla::Pla;
 /// plus a top-level `obs` section with the trace-sink write-error count.
 /// v4 added the `bdd.nodes_allocated` / `bdd.cache_evictions` counters of
 /// the kernel-grade manager (and a per-record `threads` field). v5 drops
-/// `threads`: decomposition is always serial.
-pub const REPORT_SCHEMA: &str = "bidecomp-bench/v5";
+/// `threads`: decomposition is always serial. v6 drops every clock:
+/// `time_s`, `phases`, `bdd.gc_time_s`, `percentiles`, `timeseries`,
+/// `analytics.reorders` and the GC samples' `elapsed_ns`.
+pub const REPORT_SCHEMA: &str = "bidecomp-bench/v6";
 
 /// Runs BI-DECOMP on one benchmark (with telemetry on, so the
 /// recursion-depth histogram is populated) and builds its report record.
@@ -43,9 +47,7 @@ pub fn record_from_outcome(name: &str, outcome: &DecompOutcome) -> Json {
     Json::obj()
         .field("name", name)
         .field("verified", outcome.verified)
-        .field("time_s", outcome.elapsed.as_secs_f64())
         .field("netlist", outcome.netlist.stats().to_json())
-        .field("phases", outcome.phases.to_json())
         .field(
             "bdd",
             Json::obj()
@@ -59,18 +61,7 @@ pub fn record_from_outcome(name: &str, outcome: &DecompOutcome) -> Json {
                 .field("cache_hit_rate", op.cache_hit_rate())
                 .field("cache_evictions", op.cache_evictions)
                 .field("gc_runs", op.gc_runs)
-                .field("gc_nodes_reclaimed", op.gc_nodes_reclaimed)
-                .field("gc_time_s", op.gc_time.as_secs_f64()),
-        )
-        .field(
-            "percentiles",
-            Json::obj().field("output_latency", outcome.output_latency.to_json()).field(
-                "op_latency",
-                match &outcome.op_latency {
-                    Some(h) => h.to_json(),
-                    None => Json::Null,
-                },
-            ),
+                .field("gc_nodes_reclaimed", op.gc_nodes_reclaimed),
         )
         .field("mem", outcome.mem.to_json())
         .field(
@@ -80,7 +71,6 @@ pub fn record_from_outcome(name: &str, outcome: &DecompOutcome) -> Json {
                 None => Json::Null,
             },
         )
-        .field("timeseries", outcome.timeseries.to_json())
         .field(
             "decomp",
             Json::obj()
@@ -168,26 +158,20 @@ mod tests {
         assert!(decomp.get("calls").and_then(Json::as_f64).unwrap() >= 1.0);
         let histogram = decomp.get("depth_histogram").and_then(Json::as_arr).expect("histogram");
         assert!(!histogram.is_empty(), "telemetry is forced on for records");
-        let pct = record.get("percentiles").expect("percentiles section");
-        let out_lat = pct.get("output_latency").expect("output latency summary");
-        assert_eq!(out_lat.get("count").and_then(Json::as_f64), Some(1.0), "one output");
-        let op_lat = pct.get("op_latency").expect("op latency summary");
-        assert!(
-            op_lat.get("count").and_then(Json::as_f64).unwrap() > 0.0,
-            "telemetry forces op timing on"
-        );
         let mem = record.get("mem").expect("mem section");
         assert!(mem.get("peak_bytes").and_then(Json::as_f64).unwrap() > 0.0);
-        // v3: analytics and timeseries ride along (telemetry is forced on
-        // for records, so both are populated).
+        // v3: analytics ride along (telemetry is forced on for records).
         let analytics = record.get("analytics").expect("analytics section");
         assert!(
             analytics.get("unique_table").and_then(|t| t.get("entries")).is_some(),
             "probe stats present"
         );
         assert!(analytics.get("component_cache").is_some());
-        let ts = record.get("timeseries").expect("timeseries section");
-        assert!(!ts.get("samples").and_then(Json::as_arr).expect("samples").is_empty());
+        // v6: no clock anywhere in the record.
+        for key in ["time_s", "phases", "percentiles", "timeseries"] {
+            assert!(record.get(key).is_none(), "v6 records carry no `{key}`");
+        }
+        assert!(bdd.get("gc_time_s").is_none());
     }
 
     #[test]

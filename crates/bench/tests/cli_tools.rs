@@ -1,6 +1,6 @@
 //! Integration tests driving the compiled `stats`, `report` and `diff`
-//! binaries — the acceptance checks for the profiling exporters, the perf
-//! gate and the output-path error handling.
+//! binaries — the acceptance checks for the profiling exporters, the
+//! regression gate and the output-path error handling.
 
 use std::fs;
 use std::path::PathBuf;
@@ -134,29 +134,40 @@ fn unwritable_output_paths_exit_1_without_a_panic() {
     }
 }
 
-/// Builds a minimal report document with one record.
-fn report(name: &str, time_s: f64, gates: u64) -> String {
+/// A minimal report record.
+fn record(name: &str, gates: u64, nodes_allocated: u64) -> Json {
     Json::obj()
-        .field("schema", "bidecomp-bench/v2")
+        .field("name", name)
+        .field("netlist", Json::obj().field("gates", gates).field("cascades", 4u64))
         .field(
-            "records",
-            Json::Arr(vec![Json::obj()
-                .field("name", name)
-                .field("time_s", time_s)
-                .field("netlist", Json::obj().field("gates", gates).field("cascades", 4u64))
-                .field("bdd", Json::obj().field("peak_nodes", 321u64))
-                .field("mem", Json::obj().field("peak_bytes", 65536u64))]),
+            "bdd",
+            Json::obj().field("peak_nodes", 321u64).field("nodes_allocated", nodes_allocated),
         )
+        .field("mem", Json::obj().field("peak_bytes", 65536u64))
+}
+
+/// Wraps one record into a report document.
+fn report(record: Json) -> String {
+    Json::obj()
+        .field("schema", "bidecomp-bench/v6")
+        .field("records", Json::Arr(vec![record]))
         .render()
+}
+
+/// Runs `diff` on two report documents.
+fn diff(tag: &str, baseline: &str, current: &str) -> std::process::Output {
+    let scratch = Scratch::new(tag);
+    let a = scratch.path("a.json");
+    let b = scratch.path("b.json");
+    fs::write(&a, baseline).expect("write");
+    fs::write(&b, current).expect("write");
+    Command::new(env!("CARGO_BIN_EXE_diff")).arg(&a).arg(&b).output().expect("diff runs")
 }
 
 #[test]
 fn diff_exits_zero_on_identical_reports() {
-    let scratch = Scratch::new("diff-same");
-    let a = scratch.path("a.json");
-    fs::write(&a, report("rd73", 0.5, 40)).expect("write");
-    let output =
-        Command::new(env!("CARGO_BIN_EXE_diff")).arg(&a).arg(&a).output().expect("diff runs");
+    let a = report(record("rd73", 40, 5000));
+    let output = diff("diff-same", &a, &a);
     assert!(output.status.success(), "identical reports must pass");
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("no regressions"), "got: {stdout}");
@@ -164,39 +175,35 @@ fn diff_exits_zero_on_identical_reports() {
 }
 
 #[test]
-fn diff_fails_on_time_inflation_and_respects_thresholds() {
-    let scratch = Scratch::new("diff-time");
-    let a = scratch.path("a.json");
-    let b = scratch.path("b.json");
-    fs::write(&a, report("rd73", 0.5, 40)).expect("write");
-    fs::write(&b, report("rd73", 1.0, 40)).expect("write");
-
-    // 2× slower against the default 10% budget: exit 1 and name the cause.
+fn diff_fails_on_gate_growth() {
     let output =
-        Command::new(env!("CARGO_BIN_EXE_diff")).arg(&a).arg(&b).output().expect("diff runs");
-    assert_eq!(output.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(stderr.contains("REGRESSION") && stderr.contains("time"), "got: {stderr}");
-
-    // The same delta passes a 150% budget.
-    let output = Command::new(env!("CARGO_BIN_EXE_diff"))
-        .args([a.to_str().unwrap(), b.to_str().unwrap(), "--max-time-regress", "150"])
-        .output()
-        .expect("diff runs");
-    assert!(output.status.success(), "loose budget must accept +100% time");
+        diff("diff-gates", &report(record("alu2", 40, 5000)), &report(record("alu2", 41, 5000)));
+    assert_eq!(output.status.code(), Some(1), "one extra gate fails");
+    assert!(String::from_utf8_lossy(&output.stderr).contains("netlist.gates"));
 }
 
 #[test]
-fn diff_fails_on_gate_growth() {
-    let scratch = Scratch::new("diff-gates");
-    let a = scratch.path("a.json");
-    let b = scratch.path("b.json");
-    fs::write(&a, report("alu2", 0.5, 40)).expect("write");
-    fs::write(&b, report("alu2", 0.5, 41)).expect("write");
+fn diff_fails_on_nodes_allocated_growth() {
     let output =
-        Command::new(env!("CARGO_BIN_EXE_diff")).arg(&a).arg(&b).output().expect("diff runs");
-    assert_eq!(output.status.code(), Some(1), "one extra gate fails the 0% default");
-    assert!(String::from_utf8_lossy(&output.stderr).contains("gates"));
+        diff("diff-nodes", &report(record("alu2", 40, 5000)), &report(record("alu2", 40, 5001)));
+    assert_eq!(output.status.code(), Some(1), "one extra allocation fails");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("REGRESSION alu2: bdd.nodes_allocated grew"), "got: {stderr}");
+}
+
+#[test]
+fn diff_fails_when_current_lacks_the_gated_counters() {
+    // A current record stripped of `netlist.gates` and
+    // `bdd.nodes_allocated`: a missing counter is not a zero.
+    let stripped = Json::obj()
+        .field("name", "alu2")
+        .field("netlist", Json::obj().field("cascades", 4u64))
+        .field("bdd", Json::obj().field("peak_nodes", 321u64));
+    let output = diff("diff-missing", &report(record("alu2", 40, 5000)), &report(stripped));
+    assert_eq!(output.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("netlist.gates is missing"), "got: {stderr}");
+    assert!(stderr.contains("bdd.nodes_allocated is missing"), "got: {stderr}");
 }
 
 #[test]
@@ -208,4 +215,10 @@ fn diff_usage_and_unreadable_inputs_exit_2() {
         .output()
         .expect("diff runs");
     assert_eq!(output.status.code(), Some(2), "unreadable input is not a regression");
+    // The tolerance flags are gone: the gate has no knobs.
+    let output = Command::new(env!("CARGO_BIN_EXE_diff"))
+        .args(["a.json", "b.json", "--max-time-regress", "400"])
+        .output()
+        .expect("diff runs");
+    assert_eq!(output.status.code(), Some(2), "threshold flags are a usage error");
 }

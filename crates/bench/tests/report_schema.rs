@@ -1,28 +1,16 @@
 //! Golden test for the `BENCH_bidecomp.json` schema: the document the
 //! `report` binary writes must parse with the workspace JSON parser and
-//! keep the `bidecomp-bench/v5` record shape stable.
+//! keep the `bidecomp-bench/v6` record shape stable.
 
 use bench::report::{bench_record, report_document, write_report, REPORT_SCHEMA};
 use bidecomp::Options;
 use obs::json::Json;
 
 /// The top-level keys of one record, in schema order.
-const RECORD_KEYS: [&str; 10] = [
-    "name",
-    "verified",
-    "time_s",
-    "netlist",
-    "phases",
-    "bdd",
-    "percentiles",
-    "mem",
-    "analytics",
-    "timeseries",
-];
+const RECORD_KEYS: [&str; 7] = ["name", "verified", "netlist", "bdd", "mem", "analytics", "decomp"];
 const NETLIST_KEYS: [&str; 8] =
     ["inputs", "outputs", "gates", "exors", "inverters", "cascades", "area", "delay"];
-const PHASE_KEYS: [&str; 4] = ["ordering_s", "bdd_build_s", "decompose_s", "verify_s"];
-const BDD_KEYS: [&str; 12] = [
+const BDD_KEYS: [&str; 11] = [
     "peak_nodes",
     "mk_calls",
     "unique_hits",
@@ -34,15 +22,10 @@ const BDD_KEYS: [&str; 12] = [
     "cache_evictions",
     "gc_runs",
     "gc_nodes_reclaimed",
-    "gc_time_s",
 ];
-const PERCENTILE_KEYS: [&str; 2] = ["output_latency", "op_latency"];
-const LATENCY_KEYS: [&str; 6] = ["count", "mean_ns", "p50_ns", "p90_ns", "p99_ns", "max_ns"];
 const MEM_KEYS: [&str; 5] =
     ["unique_table_bytes", "computed_cache_bytes", "node_slab_bytes", "total_bytes", "peak_bytes"];
-const ANALYTICS_KEYS: [&str; 5] =
-    ["unique_table", "computed_cache_by_op", "gc", "reorders", "component_cache"];
-const TIMESERIES_KEYS: [&str; 3] = ["capacity", "dropped", "samples"];
+const ANALYTICS_KEYS: [&str; 4] = ["unique_table", "computed_cache_by_op", "gc", "component_cache"];
 const DECOMP_KEYS: [&str; 13] = [
     "calls",
     "cache_hits",
@@ -71,7 +54,7 @@ fn suite_document() -> Json {
 }
 
 #[test]
-fn report_document_matches_the_v5_schema() {
+fn report_document_matches_the_v6_schema() {
     let document = suite_document();
     let mut bytes = Vec::new();
     write_report(&document, &mut bytes).expect("in-memory write");
@@ -89,40 +72,18 @@ fn report_document_matches_the_v5_schema() {
     let records = parsed.get("records").and_then(Json::as_arr).expect("records array");
     assert_eq!(records.len(), 2);
     for record in records {
-        let keys = record.keys();
-        for want in RECORD_KEYS {
-            assert!(keys.contains(&want), "record key {want} missing from {keys:?}");
-        }
-        assert_eq!(record.keys().last(), Some(&"decomp"), "decomp closes the record");
+        // v6: exactly these sections, in this order — no clock anywhere.
+        assert_eq!(record.keys(), RECORD_KEYS, "record keys drifted");
         for (section, wanted) in [
             ("netlist", &NETLIST_KEYS[..]),
-            ("phases", &PHASE_KEYS[..]),
             ("bdd", &BDD_KEYS[..]),
-            ("percentiles", &PERCENTILE_KEYS[..]),
             ("mem", &MEM_KEYS[..]),
             ("analytics", &ANALYTICS_KEYS[..]),
-            ("timeseries", &TIMESERIES_KEYS[..]),
             ("decomp", &DECOMP_KEYS[..]),
         ] {
             let obj = record.get(section).unwrap_or_else(|| panic!("{section} section"));
             assert_eq!(obj.keys(), wanted, "{section} keys drifted");
         }
-        // v2: both latency summaries carry the histogram shape, with
-        // internally consistent percentiles.
-        let pct = record.get("percentiles").expect("percentiles");
-        for kind in PERCENTILE_KEYS {
-            let summary = pct.get(kind).unwrap_or_else(|| panic!("{kind} summary"));
-            assert_eq!(summary.keys(), LATENCY_KEYS, "{kind} histogram keys drifted");
-            let get = |k: &str| summary.get(k).and_then(Json::as_f64).expect("numeric");
-            assert!(get("count") > 0.0, "{kind} must have samples (telemetry is on)");
-            assert!(get("p50_ns") <= get("p90_ns"));
-            assert!(get("p90_ns") <= get("p99_ns"));
-            assert!(get("p99_ns") <= get("max_ns"));
-        }
-        let out_count =
-            pct.get("output_latency").and_then(|s| s.get("count")).and_then(Json::as_f64);
-        let outputs = record.get("netlist").and_then(|n| n.get("outputs")).and_then(Json::as_f64);
-        assert_eq!(out_count, outputs, "per-output latency has one sample per PLA output");
         // v2: the mem section adds up and the peak bounds the total.
         let mem = record.get("mem").expect("mem");
         let get = |k: &str| mem.get(k).and_then(Json::as_f64).expect("numeric");
@@ -132,7 +93,7 @@ fn report_document_matches_the_v5_schema() {
             "mem components must sum to the total"
         );
         assert!(get("peak_bytes") >= get("total_bytes"));
-        // v3: analytics and the time series carry real measurements.
+        // v3: analytics carry real measurements.
         let analytics = record.get("analytics").expect("analytics");
         let entries = analytics
             .get("unique_table")
@@ -145,9 +106,6 @@ fn report_document_matches_the_v5_schema() {
             ops.iter().any(|o| o.get("lookups").and_then(Json::as_f64).unwrap_or(0.0) > 0.0),
             "computed cache saw traffic"
         );
-        let samples =
-            record.get("timeseries").and_then(|t| t.get("samples")).and_then(Json::as_arr);
-        assert!(!samples.expect("samples array").is_empty(), "sampler fired during the run");
         // Spot-check semantics, not just shape.
         assert_eq!(record.get("verified").and_then(Json::as_bool), Some(true));
         let decomp = record.get("decomp").expect("decomp");

@@ -5,33 +5,36 @@
 //! sides across candidates through the crate-internal `theorem1`,
 //! `quantify_b`, `theorem2_blocked` and `theorem2`.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use bdd::{Bdd, Func, VarId, VarSet};
 
 use crate::Isf;
 
-/// Process-global count of theorem checks evaluated (Theorem 1 and its
-/// AND dual, Theorem 2 pairs, weak-usefulness tests). A Theorem 2 pair
-/// counts one check when it is answered, also when a blocked set built
-/// earlier answers it with no BDD work; a grouping search that the bound
-/// of `grouping::best_grouping` stops counts nothing for the candidates it
-/// never tests. Monotonic; cost
-/// attribution reads *deltas* around each recursive call, so the absolute
-/// value (shared across tests in one process) never matters. Follows the
-/// same process-global pattern as the mutation switch below — the check
-/// functions only see a `&mut Bdd`, so there is nowhere per-run to hang
-/// the counter without widening every grouping-loop signature.
-static THEOREM_CHECKS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's count of theorem checks evaluated (Theorem 1 and its
+    /// AND dual, Theorem 2 pairs, weak-usefulness tests). A Theorem 2 pair
+    /// counts one check when it is answered, also when a blocked set built
+    /// earlier answers it with no BDD work; a grouping search that the
+    /// bound of `grouping::best_grouping` stops counts nothing for the
+    /// candidates it never tests. Monotonic; cost attribution reads
+    /// *deltas* around each recursive call. Per thread, so a decomposition
+    /// running on another thread never moves this thread's deltas. A
+    /// counter rather than a decomposer field because the check functions
+    /// only see a `&mut Bdd`, and there is nowhere per-run to hang it
+    /// without widening every grouping-loop signature.
+    static THEOREM_CHECKS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total theorem checks evaluated by this process so far.
+/// Total theorem checks evaluated on the calling thread so far.
 pub fn theorem_checks() -> u64 {
-    THEOREM_CHECKS.load(Ordering::Relaxed)
+    THEOREM_CHECKS.with(Cell::get)
 }
 
 #[inline]
 fn note_check() {
-    THEOREM_CHECKS.fetch_add(1, Ordering::Relaxed);
+    THEOREM_CHECKS.with(|c| c.set(c.get() + 1));
 }
 
 /// Deliberate-fault switch used by the differential fuzz harness to prove
@@ -187,6 +190,21 @@ mod tests {
         let xa_bad = VarSet::from_iter([0u32, 2]);
         let xb_bad = VarSet::from_iter([1u32, 3]);
         assert!(!or_decomposable(&mut mgr, &isf, &xa_bad, &xb_bad));
+    }
+
+    #[test]
+    fn theorem_checks_on_another_thread_leave_this_threads_count_alone() {
+        let before = theorem_checks();
+        let counted_there = std::thread::spawn(|| {
+            let pla: pla::Pla = ".i 4\n.o 1\n11-- 1\n--11 1\n.e\n".parse().expect("valid");
+            let outcome = crate::decompose_pla(&pla, &crate::Options::default());
+            assert!(outcome.verified);
+            theorem_checks()
+        })
+        .join()
+        .expect("decomposition thread");
+        assert!(counted_there > 0, "the spawned decomposition ran theorem checks");
+        assert_eq!(theorem_checks(), before, "another thread's checks moved this count");
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The decomposition *doctor*: a pure analysis pass over a finished
 //! [`DecompOutcome`] that flags anomalies worth a human look — computed
 //! caches that thrash, Shannon-fallback storms, systematically unbalanced
-//! variable groupings, reorder churn, memory cliffs and unproductive GC.
+//! variable groupings and unproductive GC.
 //!
-//! The doctor never re-runs anything: every detector reads the forensic
-//! data the run already produced (trace costs, [`bdd::Analytics`], the
-//! resource time series). Detectors that need telemetry simply stay
-//! silent when the run was executed without it.
+//! The doctor never re-runs anything: every detector reads counters the
+//! run already produced ([`Stats`], [`OpStats`], [`bdd::Analytics`], the
+//! trace). Detectors that need telemetry simply stay silent when the run
+//! was executed without it.
 //!
 //! Findings carry a severity, a human-readable message and machine-usable
 //! evidence; [`DoctorReport::to_json`] serializes the whole report under
@@ -14,7 +14,6 @@
 
 use bdd::{Analytics, OpStats};
 use obs::json::Json;
-use obs::TimeSeries;
 
 use crate::trace::{Step, TraceEvent};
 use crate::{DecompOutcome, Options, Stats};
@@ -74,7 +73,8 @@ impl Finding {
 pub struct DoctorConfig {
     /// Minimum per-op computed-cache lookups before hit rates are judged.
     pub cache_min_lookups: u64,
-    /// Per-op hit rate below this (with enough traffic) is cache thrash.
+    /// Per-op hit rate below this (with enough traffic, and with live
+    /// entries evicted) is cache thrash.
     pub cache_thrash_hit_rate: f64,
     /// Minimum recursive calls before the Shannon fraction is judged.
     pub shannon_min_calls: usize,
@@ -90,12 +90,6 @@ pub struct DoctorConfig {
     pub unbalanced_ratio: usize,
     /// Fraction of unbalanced strong steps at or above this warns.
     pub unbalanced_fraction: f64,
-    /// Variable reorders at or above this count are churn.
-    pub reorder_churn_runs: u64,
-    /// Consecutive-sample memory growth factor that counts as a cliff.
-    pub memory_cliff_factor: f64,
-    /// Ignore cliffs smaller than this many bytes of absolute growth.
-    pub memory_cliff_min_bytes: u64,
     /// Minimum GC runs before reclaim efficacy is judged.
     pub gc_thrash_runs: u64,
     /// Mean reclaim fraction below this (with enough runs) is GC thrash.
@@ -113,9 +107,6 @@ impl Default for DoctorConfig {
             unbalanced_min_strong: 4,
             unbalanced_ratio: 8,
             unbalanced_fraction: 0.5,
-            reorder_churn_runs: 3,
-            memory_cliff_factor: 2.0,
-            memory_cliff_min_bytes: 1 << 20,
             gc_thrash_runs: 4,
             gc_thrash_reclaim: 0.10,
         }
@@ -184,8 +175,6 @@ pub fn diagnose(outcome: &DecompOutcome, cfg: &DoctorConfig) -> DoctorReport {
     check_cache_thrash(outcome.analytics.as_ref(), &outcome.op_stats, cfg, &mut findings);
     check_shannon_storm(&outcome.stats, cfg, &mut findings);
     check_unbalanced_grouping(&outcome.trace, cfg, &mut findings);
-    check_reorder_churn(outcome.analytics.as_ref(), cfg, &mut findings);
-    check_memory_cliff(&outcome.timeseries, cfg, &mut findings);
     check_gc_thrash(outcome.analytics.as_ref(), cfg, &mut findings);
     findings.sort_by_key(|f| std::cmp::Reverse(f.severity));
     DoctorReport { findings }
@@ -222,22 +211,30 @@ fn check_cache_thrash(
     out: &mut Vec<Finding>,
 ) {
     let Some(analytics) = analytics else { return };
+    // Misses with no evictions are compulsory: the cache never had to drop
+    // a live entry, so it is not what is slowing the run.
+    if ops.cache_evictions == 0 {
+        return;
+    }
     for op in &analytics.cache_by_op {
         if op.lookups >= cfg.cache_min_lookups && op.hit_rate() < cfg.cache_thrash_hit_rate {
             out.push(Finding {
                 kind: "cache-thrash",
                 severity: Severity::Warning,
                 message: format!(
-                    "computed cache is thrashing on `{}`: {:.2}% hits over {} lookups",
+                    "computed cache is thrashing on `{}`: {:.2}% hits over {} lookups, \
+                     {} evictions",
                     op.op,
                     op.hit_rate() * 100.0,
-                    op.lookups
+                    op.lookups,
+                    ops.cache_evictions
                 ),
                 evidence: Json::obj()
                     .field("op", op.op)
                     .field("lookups", op.lookups)
                     .field("hits", op.hits)
-                    .field("hit_rate", op.hit_rate()),
+                    .field("hit_rate", op.hit_rate())
+                    .field("evictions", ops.cache_evictions),
             });
         }
     }
@@ -248,15 +245,18 @@ fn check_cache_thrash(
             kind: "cache-thrash",
             severity: Severity::Warning,
             message: format!(
-                "computed cache is thrashing overall: {:.2}% hits over {} lookups",
+                "computed cache is thrashing overall: {:.2}% hits over {} lookups, \
+                 {} evictions",
                 overall_rate * 100.0,
-                ops.cache_lookups
+                ops.cache_lookups,
+                ops.cache_evictions
             ),
             evidence: Json::obj()
                 .field("op", "all")
                 .field("lookups", ops.cache_lookups)
                 .field("hits", ops.cache_hits)
-                .field("hit_rate", overall_rate),
+                .field("hit_rate", overall_rate)
+                .field("evictions", ops.cache_evictions),
         });
     }
 }
@@ -328,50 +328,6 @@ fn check_unbalanced_grouping(trace: &[TraceEvent], cfg: &DoctorConfig, out: &mut
     });
 }
 
-fn check_reorder_churn(analytics: Option<&Analytics>, cfg: &DoctorConfig, out: &mut Vec<Finding>) {
-    let Some(analytics) = analytics else { return };
-    if analytics.reorders >= cfg.reorder_churn_runs {
-        out.push(Finding {
-            kind: "reorder-churn",
-            severity: Severity::Warning,
-            message: format!(
-                "variable order was rebuilt {} times in one run — ordering is churning",
-                analytics.reorders
-            ),
-            evidence: Json::obj().field("reorders", analytics.reorders),
-        });
-    }
-}
-
-fn check_memory_cliff(timeseries: &TimeSeries, cfg: &DoctorConfig, out: &mut Vec<Finding>) {
-    let samples: Vec<_> = timeseries.samples().collect();
-    for pair in samples.windows(2) {
-        let (before, after) = (pair[0], pair[1]);
-        let (from, to) = (before.total_bytes(), after.total_bytes());
-        let growth = to.saturating_sub(from);
-        if growth >= cfg.memory_cliff_min_bytes
-            && to as f64 >= from.max(1) as f64 * cfg.memory_cliff_factor
-        {
-            out.push(Finding {
-                kind: "memory-cliff",
-                severity: Severity::Warning,
-                message: format!(
-                    "resident BDD memory jumped {from} → {to} bytes between the \
-                     `{}` sample at t={:.3}s and the `{}` sample at t={:.3}s",
-                    before.label, before.t_s, after.label, after.t_s
-                ),
-                evidence: Json::obj()
-                    .field("from_bytes", from)
-                    .field("to_bytes", to)
-                    .field("from_t_s", before.t_s)
-                    .field("to_t_s", after.t_s)
-                    .field("from_label", before.label)
-                    .field("to_label", after.label),
-            });
-        }
-    }
-}
-
 fn check_gc_thrash(analytics: Option<&Analytics>, cfg: &DoctorConfig, out: &mut Vec<Finding>) {
     let Some(analytics) = analytics else { return };
     let gc = &analytics.gc;
@@ -397,7 +353,6 @@ fn check_gc_thrash(analytics: Option<&Analytics>, cfg: &DoctorConfig, out: &mut 
 mod tests {
     use super::*;
     use bdd::{GcAnalytics, GcSample, OpCacheStats, ProbeStats, VarSet};
-    use obs::timeseries::TimeSeries;
 
     fn analytics() -> Analytics {
         Analytics {
@@ -417,7 +372,6 @@ mod tests {
                 samples: Vec::new(),
                 truncated: 0,
             },
-            reorders: 0,
         }
     }
 
@@ -426,13 +380,14 @@ mod tests {
         let cfg = DoctorConfig::default();
         let mut a = analytics();
         a.cache_by_op.push(OpCacheStats { op: "and", lookups: 10_000, hits: 50 });
-        let ops = OpStats::default();
+        let ops = OpStats { cache_evictions: 700, ..OpStats::default() };
         let mut findings = Vec::new();
         check_cache_thrash(Some(&a), &ops, &cfg, &mut findings);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].kind, "cache-thrash");
         assert_eq!(findings[0].severity, Severity::Warning);
         assert_eq!(findings[0].evidence.get("op").and_then(Json::as_str), Some("and"));
+        assert_eq!(findings[0].evidence.get("evictions").and_then(Json::as_f64), Some(700.0));
         // Healthy hit rate on the same traffic: silent.
         a.cache_by_op[0].hits = 5_000;
         findings.clear();
@@ -443,6 +398,23 @@ mod tests {
         findings.clear();
         check_cache_thrash(Some(&a), &ops, &cfg, &mut findings);
         assert!(findings.is_empty());
+    }
+
+    #[test]
+    fn cache_misses_without_evictions_are_not_thrash() {
+        let cfg = DoctorConfig::default();
+        let mut a = analytics();
+        // e64's profile: well over the traffic floor, almost no hits, but
+        // the cache never dropped a live entry — every miss is compulsory.
+        a.cache_by_op.push(OpCacheStats { op: "and", lookups: 1_506, hits: 8 });
+        let ops = OpStats { cache_lookups: 4_000, cache_hits: 10, ..OpStats::default() };
+        let mut findings = Vec::new();
+        check_cache_thrash(Some(&a), &ops, &cfg, &mut findings);
+        assert!(findings.is_empty(), "{findings:?}");
+        // The same traffic with one eviction is judged.
+        let ops = OpStats { cache_evictions: 1, ..ops };
+        check_cache_thrash(Some(&a), &ops, &cfg, &mut findings);
+        assert_eq!(findings.len(), 2, "per-op and overall");
     }
 
     #[test]
@@ -500,56 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn reorder_churn_counts_rebuilds() {
-        let cfg = DoctorConfig::default();
-        let mut a = analytics();
-        a.reorders = 2;
-        let mut findings = Vec::new();
-        check_reorder_churn(Some(&a), &cfg, &mut findings);
-        assert!(findings.is_empty());
-        a.reorders = 3;
-        check_reorder_churn(Some(&a), &cfg, &mut findings);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].kind, "reorder-churn");
-        // No analytics (telemetry off): silent.
-        findings.clear();
-        check_reorder_churn(None, &cfg, &mut findings);
-        assert!(findings.is_empty());
-    }
-
-    #[test]
-    fn memory_cliff_requires_both_factor_and_absolute_growth() {
-        let cfg = DoctorConfig::default();
-        let mut ts = TimeSeries::new(16);
-        let mib = 1u64 << 20;
-        ts.record(0.1, "output", 100, mib, 0, mib, 0);
-        ts.record(0.2, "output", 100, 8 * mib, 0, 8 * mib, 0);
-        let mut findings = Vec::new();
-        check_memory_cliff(&ts, &cfg, &mut findings);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].kind, "memory-cliff");
-        assert_eq!(
-            findings[0].evidence.get("to_bytes").and_then(Json::as_f64),
-            Some((16 * mib) as f64)
-        );
-        // A 4x jump on tiny absolute numbers is not a cliff.
-        let mut ts = TimeSeries::new(16);
-        ts.record(0.1, "output", 100, 1000, 0, 1000, 0);
-        ts.record(0.2, "output", 100, 4000, 0, 4000, 0);
-        findings.clear();
-        check_memory_cliff(&ts, &cfg, &mut findings);
-        assert!(findings.is_empty());
-        // Large absolute growth below the factor is steady growth, not a
-        // cliff.
-        let mut ts = TimeSeries::new(16);
-        ts.record(0.1, "output", 100, 8 * mib, 0, 8 * mib, 0);
-        ts.record(0.2, "output", 100, 10 * mib, 0, 10 * mib, 0);
-        findings.clear();
-        check_memory_cliff(&ts, &cfg, &mut findings);
-        assert!(findings.is_empty());
-    }
-
-    #[test]
     fn gc_thrash_needs_many_unproductive_runs() {
         let cfg = DoctorConfig::default();
         let mut a = analytics();
@@ -557,12 +479,7 @@ mod tests {
             runs: 6,
             nodes_reclaimed: 30,
             mean_reclaim_fraction: 0.005,
-            samples: vec![GcSample {
-                nodes_before: 1000,
-                freed: 5,
-                cache_entries_dropped: 0,
-                elapsed_ns: 100,
-            }],
+            samples: vec![GcSample { nodes_before: 1000, freed: 5, cache_entries_dropped: 0 }],
             truncated: 0,
         };
         let mut findings = Vec::new();

@@ -10,8 +10,7 @@ use std::time::{Duration, Instant};
 
 use bdd::{reorder, Analytics, Bdd, Func, MemReport, OpStats};
 use netlist::Netlist;
-use obs::json::Json;
-use obs::{Histogram, Recorder, TimeSeries};
+use obs::Recorder;
 use pla::{OutputValue, Pla};
 
 use crate::decompose::ComponentCacheStats;
@@ -29,18 +28,6 @@ pub struct PhaseTimes {
     pub decompose: Duration,
     /// BDD-based verification of the result.
     pub verify: Duration,
-}
-
-impl PhaseTimes {
-    /// The phase times as a JSON object of seconds (the shape embedded in
-    /// run reports).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("ordering_s", self.ordering.as_secs_f64())
-            .field("bdd_build_s", self.bdd_build.as_secs_f64())
-            .field("decompose_s", self.decompose.as_secs_f64())
-            .field("verify_s", self.verify.as_secs_f64())
-    }
 }
 
 /// Result of decomposing a PLA.
@@ -70,14 +57,6 @@ pub struct DecompOutcome {
     /// The decomposition trace (one event per recursive call). Empty
     /// unless [`Options::trace`] is on.
     pub trace: Vec<crate::trace::TraceEvent>,
-    /// Latency distribution of the per-output `decompose` calls (one
-    /// sample per PLA output; always populated, it costs one clock read
-    /// per output).
-    pub output_latency: Histogram,
-    /// Per-BDD-operation latency distribution. `None` unless
-    /// [`Options::telemetry`] is on or a recorder was attached (timing
-    /// every operator call is not free).
-    pub op_latency: Option<Histogram>,
     /// BDD manager heap footprint: per-table byte estimates and the peak
     /// sampled across the run (at every GC, after every output, and at
     /// the end).
@@ -89,10 +68,6 @@ pub struct DecompOutcome {
     /// Component-cache reuse statistics (§6). Always populated; costs one
     /// pass over the bucket lengths.
     pub component_cache: ComponentCacheStats,
-    /// Resource time-series sampled after each output, after each
-    /// driver-initiated GC and at the end of the run. Empty unless
-    /// [`Options::telemetry`] is on or a recorder was attached.
-    pub timeseries: TimeSeries,
 }
 
 /// Builds the specification ISFs of every PLA output inside `mgr`.
@@ -168,12 +143,7 @@ pub fn decompose_pla_with_recorder(
         dec.set_recorder(rec.clone());
     }
     let instrumented = options.telemetry || recorder.is_some();
-    if instrumented {
-        dec.manager().enable_op_timing();
-    }
     let mut phases = PhaseTimes::default();
-    let mut output_latency = Histogram::new();
-    let mut timeseries = TimeSeries::new(obs::timeseries::DEFAULT_CAPACITY);
 
     let t = Instant::now();
     {
@@ -206,16 +176,11 @@ pub fn decompose_pla_with_recorder(
             }
             let _out_span =
                 recorder.as_ref().map(|r| r.span(format!("output.{}", output_names[k])));
-            let out_start = Instant::now();
             let comp = dec.decompose(*isf);
-            output_latency.record(out_start.elapsed());
             dec.add_output(output_names[k].clone(), comp);
             components.push(comp);
             peak_nodes = peak_nodes.max(dec.manager().total_nodes());
             dec.manager().sample_mem();
-            if instrumented {
-                sample_resources(&mut timeseries, dec.manager(), start, "output");
-            }
             if dec.manager().total_nodes() > options.gc_threshold {
                 // Keep the remaining specifications and finished components.
                 let mut roots: Vec<Func> = components.iter().map(|c| c.func).collect();
@@ -228,9 +193,6 @@ pub fn decompose_pla_with_recorder(
                     roots.push(isf.r);
                 }
                 dec.gc(&roots);
-                if instrumented {
-                    sample_resources(&mut timeseries, dec.manager(), start, "gc");
-                }
             }
         }
     }
@@ -255,9 +217,6 @@ pub fn decompose_pla_with_recorder(
 
     peak_nodes = peak_nodes.max(mgr.total_nodes());
     mgr.sample_mem();
-    if instrumented {
-        sample_resources(&mut timeseries, &mgr, start, "end");
-    }
     mgr.emit_gauges();
     drop(run_span);
     if let Some(rec) = &recorder {
@@ -273,30 +232,10 @@ pub fn decompose_pla_with_recorder(
         op_stats: mgr.op_stats(),
         depth_histogram,
         trace,
-        output_latency,
-        op_latency: mgr.op_latency().cloned(),
         mem: mgr.mem_report(),
         analytics: instrumented.then(|| mgr.analytics()),
         component_cache,
-        timeseries,
     }
-}
-
-/// Pushes one resource sample from the manager's tables onto the run's
-/// time series (the sampling hooks: after each output, after each
-/// driver-initiated GC, at the end of the run).
-fn sample_resources(ts: &mut TimeSeries, mgr: &Bdd, run_start: Instant, label: &'static str) {
-    let mem = mgr.mem_report();
-    let ops = mgr.op_stats();
-    ts.record(
-        run_start.elapsed().as_secs_f64(),
-        label,
-        mgr.total_nodes() as u64,
-        mem.unique_table_bytes as u64,
-        mem.computed_cache_bytes as u64,
-        mem.node_slab_bytes as u64,
-        ops.apply_steps,
-    );
 }
 
 #[cfg(test)]
@@ -447,14 +386,10 @@ mod tests {
     }
 
     #[test]
-    fn latency_and_mem_fields_are_populated() {
+    fn mem_fields_are_populated() {
         let pla: Pla = ".i 3\n.o 2\n111 10\n-11 01\n.e\n".parse().expect("valid");
         let outcome = decompose_pla(&pla, &Options::default());
-        // One latency sample per PLA output, unconditionally.
-        assert_eq!(outcome.output_latency.count(), 2);
-        assert!(outcome.output_latency.max_ns() <= outcome.elapsed.as_nanos() as u64);
-        // Memory accounting is always on; per-op timing is the telemetry
-        // opt-in.
+        // Memory accounting is always on.
         assert!(outcome.mem.total_bytes > 0);
         assert!(outcome.mem.peak_bytes >= outcome.mem.total_bytes);
         assert_eq!(
@@ -463,20 +398,14 @@ mod tests {
                 + outcome.mem.computed_cache_bytes
                 + outcome.mem.node_slab_bytes
         );
-        assert!(outcome.op_latency.is_none());
-        let outcome = decompose_pla(&pla, &Options { telemetry: true, ..Options::default() });
-        let ops = outcome.op_latency.as_ref().expect("telemetry enables op timing");
-        assert!(ops.count() > 0, "manager operators must have recorded samples");
-        assert!(ops.p50_ns() <= ops.p99_ns() && ops.p99_ns() <= ops.max_ns());
     }
 
     #[test]
     fn forensics_fields_follow_the_telemetry_opt_in() {
         let pla: Pla = ".i 3\n.o 2\n111 10\n-11 01\n.e\n".parse().expect("valid");
         let plain = decompose_pla(&pla, &Options::default());
-        // Without telemetry the sampler never fires and analytics stay off…
+        // Without telemetry analytics stay off…
         assert!(plain.analytics.is_none());
-        assert!(plain.timeseries.is_empty());
         // …while component-cache stats are plain bookkeeping, always on.
         assert!(plain.component_cache.components >= plain.component_cache.support_sets);
         let rich = decompose_pla(&pla, &Options { telemetry: true, ..Options::default() });
@@ -486,13 +415,6 @@ mod tests {
             analytics.cache_by_op.iter().any(|op| op.lookups > 0),
             "the decomposition exercises the computed cache"
         );
-        // One "output" sample per PLA output plus the final "end" sample.
-        assert!(rich.timeseries.len() >= 3);
-        let last = rich.timeseries.latest().expect("non-empty series");
-        assert_eq!(last.label, "end");
-        assert!(last.live_nodes >= 2);
-        assert!(last.total_bytes() > 0);
-        assert_eq!(rich.timeseries.samples().filter(|s| s.label == "output").count(), 2);
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! * [`trace`] / [`trace::tree`] — cost-attributed decomposition traces
 //!   and tree reconstruction with inclusive/exclusive rollups.
 //! * [`doctor`] — anomaly detection over a finished run (cache thrash,
-//!   Shannon storms, memory cliffs, …).
+//!   Shannon storms, unbalanced groupings, GC thrash).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

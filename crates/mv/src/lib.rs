@@ -2,8 +2,8 @@
 //!
 //! The DAC 2001 paper closes with: "The future work includes …
 //! generalization of the algorithm for multi-valued logic with potential
-//! applications in datamining [16]". This crate implements that
-//! generalization in the direction of reference [16]
+//! applications in datamining \[16\]". This crate implements that
+//! generalization in the direction of reference \[16\]
 //! (Steinbach–Perkowski–Lang, *Bi-Decomposition of Multi-Valued Functions
 //! for Circuit Design and Data Mining Applications*, ISMVL 1999):
 //!

@@ -10,17 +10,18 @@
 //!   [`MemorySink`] captures events for tests.
 //! * [`json`] — a hand-rolled JSON value (writer *and* parser) used for
 //!   the machine-readable `BENCH_*.json` run reports.
-//! * [`Histogram`] — a log-bucketed latency histogram (`record_ns`,
-//!   p50/p90/p99/max) embedded in run reports.
 //! * [`profile`] — span-tree exporters: Chrome `trace_event` JSON and
 //!   collapsed-stack flamegraph text.
-//! * [`TimeSeries`] — a bounded ring buffer of resource samples (nodes,
-//!   table/cache/slab bytes, op rate) serialized into run reports.
 //! * [`report`] — the shared rate/percentage formatting helpers.
-//! * [`bench`] — a small micro-benchmark harness (criterion substitute).
+//! * [`bench`](mod@bench) — a small micro-benchmark harness (criterion substitute).
 //!
 //! Telemetry is strictly opt-in: a layer holding `Option<Recorder>` pays
 //! one branch per event when disabled and allocates nothing.
+//!
+//! Run reports are built from counters, which repeat exactly from run to
+//! run; the crate keeps no latency histograms or sampled time series.
+//! The only clocks are span durations, read once per span. End-to-end
+//! wall time is measured by the `bdbench` harness, with telemetry off.
 //!
 //! ```
 //! use obs::{JsonlSink, Recorder, SharedBuf};
@@ -43,18 +44,14 @@
 #![warn(missing_docs)]
 
 pub mod bench;
-mod hist;
 pub mod json;
 pub mod profile;
 mod recorder;
 pub mod report;
 mod sink;
-pub mod timeseries;
 
-pub use hist::Histogram;
 pub use recorder::{Recorder, Span};
 pub use sink::{Event, JsonlSink, MemorySink, SharedBuf, Sink, TextSink, WriteErrors};
-pub use timeseries::TimeSeries;
 
 #[cfg(test)]
 mod tests {
