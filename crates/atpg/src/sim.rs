@@ -5,7 +5,6 @@ use std::time::{Duration, Instant};
 use netlist::Netlist;
 use obs::json::Json;
 use obs::report::per_second;
-use obs::Recorder;
 
 use crate::fault::{inject, Fault};
 
@@ -73,15 +72,6 @@ impl FaultSimReport {
             .field("elapsed_s", self.elapsed.as_secs_f64())
             .field("faults_per_sec", self.faults_per_sec())
             .field("patterns_per_sec", self.patterns_per_sec())
-    }
-
-    /// Publishes the report on a recorder: throughput gauges plus one
-    /// `atpg.fault_sim` point carrying the full record.
-    pub fn emit(&self, rec: &Recorder) {
-        rec.gauge("atpg.coverage", self.coverage);
-        rec.gauge("atpg.faults_per_sec", self.faults_per_sec());
-        rec.gauge("atpg.patterns_per_sec", self.patterns_per_sec());
-        rec.point("atpg.fault_sim", self.to_json());
     }
 }
 
@@ -206,7 +196,7 @@ mod tests {
     }
 
     #[test]
-    fn report_carries_throughput_and_emits_to_a_recorder() {
+    fn report_carries_throughput() {
         let nl = and_circuit();
         let faults = collapse(&nl, &enumerate_faults(&nl));
         let tests: Vec<Vec<bool>> = (0..4u32).map(|m| vec![m & 1 != 0, m & 2 != 0]).collect();
@@ -220,9 +210,5 @@ mod tests {
         let json = report.to_json();
         assert_eq!(json.get("coverage").and_then(Json::as_f64), Some(1.0));
         assert_eq!(json.get("patterns").and_then(Json::as_f64), Some(4.0));
-        let rec = Recorder::new();
-        report.emit(&rec);
-        assert_eq!(rec.gauge_value("atpg.coverage"), Some(1.0));
-        assert!(rec.gauge_value("atpg.faults_per_sec").unwrap() > 0.0);
     }
 }

@@ -2,10 +2,8 @@
 //! collection.
 
 use std::fmt;
-use std::time::Instant;
 
 use obs::json::Json;
-use obs::Recorder;
 
 use crate::hash::{self, FxHashMap};
 use crate::varset::MAX_VARS;
@@ -180,11 +178,9 @@ pub(crate) struct CacheKey {
     pub c: u32,
 }
 
-/// Operation counters of a manager (see [`Bdd::op_stats`]).
-///
-/// Everything here resets with [`Bdd::reset_op_stats`] — including the GC
-/// counters, which makes per-phase deltas easy. The manager's *lifetime*
-/// GC count stays available through [`Bdd::gc_runs`].
+/// Operation counters of a manager (see [`Bdd::op_stats`]), accumulated
+/// over the manager's lifetime. Subtract two snapshots for a per-phase
+/// delta.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct OpStats {
     /// `mk` invocations (node constructions requested).
@@ -194,9 +190,10 @@ pub struct OpStats {
     /// Fresh unique-table insertions (new nodes). `mk` calls that are
     /// neither hits nor insertions were reductions (`low == high`).
     pub inserts: u64,
-    /// Computed-cache lookups across all operators.
+    /// Computed-cache lookups across all operators: the sum of the
+    /// per-operator counts in [`Analytics::cache_by_op`](crate::Analytics).
     pub cache_lookups: u64,
-    /// Computed-cache hits.
+    /// Computed-cache hits, summed the same way.
     pub cache_hits: u64,
     /// Live computed-cache entries dropped by an insert into a full
     /// bucket.
@@ -430,9 +427,9 @@ pub struct Bdd {
     level2var: Vec<u32>,
     protected: FxHashMap<u32, u32>,
     free: Vec<u32>,
-    gc_runs: usize,
+    /// Kernel counters except the cache lookups and hits, which live per
+    /// operator in `analytics` (see [`Bdd::op_stats`]).
     op_stats: OpStats,
-    recorder: Option<Recorder>,
     /// Largest sampled heap footprint (see [`Bdd::sample_mem`]).
     peak_mem_bytes: usize,
     /// Always-on analytics counters (per-op cache traffic, GC samples);
@@ -458,9 +455,7 @@ impl Bdd {
             level2var: (0..num_vars as u32).collect(),
             protected: FxHashMap::default(),
             free: Vec::new(),
-            gc_runs: 0,
             op_stats: OpStats::default(),
-            recorder: None,
             peak_mem_bytes: 0,
             analytics: crate::analytics::AnalyticsState::default(),
         };
@@ -711,13 +706,11 @@ impl Bdd {
     /// invalid; the computed cache is cleared. Never call while holding
     /// unprotected intermediates you still need.
     pub fn gc(&mut self) -> usize {
-        let start = Instant::now();
         let nodes_before = self.total_nodes();
         let cache_entries = self.cache.len;
         // GC entry is the moment of maximum table pressure: sample memory
         // here so `peak_bytes` captures it.
-        let mem_before = self.sample_mem();
-        self.gc_runs += 1;
+        self.sample_mem();
         let mut marked = vec![false; self.nodes.len()];
         marked[0] = true;
         marked[1] = true;
@@ -745,7 +738,6 @@ impl Bdd {
         self.unique_entries -= freed;
         self.relink_unique((self.unique_entries * 2).next_power_of_two().max(MIN_BUCKETS));
         self.cache.clear();
-        let elapsed = start.elapsed();
         self.op_stats.gc_runs += 1;
         self.op_stats.gc_nodes_reclaimed += freed as u64;
         self.analytics.note_gc(crate::analytics::GcSample {
@@ -753,27 +745,7 @@ impl Bdd {
             freed: freed as u64,
             cache_entries_dropped: cache_entries as u64,
         });
-        if let Some(rec) = &self.recorder {
-            rec.count("bdd.gc.runs", 1);
-            rec.count("bdd.gc.nodes_reclaimed", freed as u64);
-            rec.point(
-                "bdd.gc",
-                Json::obj()
-                    .field("nodes_before", nodes_before)
-                    .field("nodes_after", nodes_before - freed)
-                    .field("freed", freed)
-                    .field("cache_entries_dropped", cache_entries)
-                    .field("mem_bytes_before", mem_before)
-                    .field("elapsed_s", elapsed.as_secs_f64()),
-            );
-            self.emit_mem_gauges(rec);
-        }
         freed
-    }
-
-    /// Number of completed [`gc`](Bdd::gc) runs (diagnostics).
-    pub fn gc_runs(&self) -> usize {
-        self.gc_runs
     }
 
     /// Clears the computed cache in O(1), by bumping its epoch: between
@@ -814,11 +786,7 @@ impl Bdd {
 
     #[inline]
     pub(crate) fn cache_get(&mut self, key: &CacheKey) -> Option<Func> {
-        self.op_stats.cache_lookups += 1;
         let hit = self.cache.get(key);
-        if hit.is_some() {
-            self.op_stats.cache_hits += 1;
-        }
         self.analytics.note_lookup(key.op, hit.is_some());
         hit.map(Func)
     }
@@ -830,36 +798,21 @@ impl Bdd {
         }
     }
 
-    /// Operation counters accumulated since construction (or the last
-    /// [`reset_op_stats`](Bdd::reset_op_stats)).
+    /// Operation counters accumulated since construction. The cache
+    /// lookup and hit totals are the sums of the per-operator counts.
     pub fn op_stats(&self) -> OpStats {
-        self.op_stats
-    }
-
-    /// Resets the operation counters (the lifetime [`gc_runs`](Bdd::gc_runs)
-    /// count is not affected).
-    pub fn reset_op_stats(&mut self) {
-        self.op_stats = OpStats::default();
-    }
-
-    /// Attaches a telemetry recorder; GC events stream to it and
-    /// [`emit_gauges`](Bdd::emit_gauges) publishes table gauges. Pass `None`
-    /// to detach. Without a recorder the manager emits nothing.
-    pub fn set_recorder(&mut self, recorder: Option<Recorder>) {
-        self.recorder = recorder;
-    }
-
-    /// The attached telemetry recorder, if any.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
+        let mut stats = self.op_stats;
+        for [lookups, hits] in self.analytics.cache_by_op {
+            stats.cache_lookups += lookups;
+            stats.cache_hits += hits;
+        }
+        stats
     }
 
     /// Adopts the instrumentation state of `old` after a rebuild: the
-    /// attached recorder and the accumulated operation/GC counters survive
-    /// [`reorder`](Bdd::reorder) even though the node store does not.
+    /// accumulated operation/GC counters survive [`reorder`](Bdd::reorder)
+    /// even though the node store does not.
     pub(crate) fn carry_instrumentation_from(&mut self, old: &Bdd) {
-        self.recorder = old.recorder.clone();
-        self.gc_runs += old.gc_runs;
         self.peak_mem_bytes = self.peak_mem_bytes.max(old.peak_mem_bytes);
         let fresh = std::mem::take(&mut self.op_stats);
         self.op_stats = old.op_stats;
@@ -922,39 +875,6 @@ impl Bdd {
             total_bytes,
             peak_bytes: self.peak_mem_bytes.max(total_bytes),
         }
-    }
-
-    fn emit_mem_gauges(&self, rec: &Recorder) {
-        let mem = self.mem_report();
-        rec.gauge("bdd.mem.unique_table_bytes", mem.unique_table_bytes as f64);
-        rec.gauge("bdd.mem.computed_cache_bytes", mem.computed_cache_bytes as f64);
-        rec.gauge("bdd.mem.node_slab_bytes", mem.node_slab_bytes as f64);
-        rec.gauge("bdd.mem.total_bytes", mem.total_bytes as f64);
-        rec.gauge("bdd.mem.peak_bytes", mem.peak_bytes as f64);
-    }
-
-    /// Unique-table load factor: entries over bucket count, in `[0, 1]`
-    /// in steady state (grows are triggered at 3/4).
-    pub fn unique_load_factor(&self) -> f64 {
-        if self.unique_entries == 0 {
-            0.0
-        } else {
-            self.unique_entries as f64 / self.heads.len() as f64
-        }
-    }
-
-    /// Publishes the manager's table sizes and cache counters as gauges on
-    /// the attached recorder (no-op without one).
-    pub fn emit_gauges(&self) {
-        let Some(rec) = &self.recorder else { return };
-        rec.gauge("bdd.total_nodes", self.total_nodes() as f64);
-        rec.gauge("bdd.free_nodes", self.free.len() as f64);
-        rec.gauge("bdd.unique.entries", self.unique_entries as f64);
-        rec.gauge("bdd.unique.load_factor", self.unique_load_factor());
-        rec.gauge("bdd.cache.entries", self.cache.len as f64);
-        rec.gauge("bdd.cache.hit_rate", self.op_stats.cache_hit_rate());
-        rec.gauge("bdd.cache.evictions", self.op_stats.cache_evictions as f64);
-        self.emit_mem_gauges(rec);
     }
 }
 
@@ -1085,13 +1005,15 @@ mod tests {
         assert!(stats.cache_lookups > lookups_before);
         assert!(stats.cache_hits >= 1);
         assert!(stats.cache_hit_rate() > 0.0);
-        mgr.reset_op_stats();
-        assert_eq!(mgr.op_stats(), OpStats::default());
+        // The totals are the per-operator counts, summed.
+        let by_op = mgr.analytics().cache_by_op;
+        assert_eq!(stats.cache_lookups, by_op.iter().map(|op| op.lookups).sum::<u64>());
+        assert_eq!(stats.cache_hits, by_op.iter().map(|op| op.hits).sum::<u64>());
         assert_eq!(OpStats::default().cache_hit_rate(), 0.0);
     }
 
     #[test]
-    fn gc_counters_accumulate_and_reset_independently_of_lifetime_count() {
+    fn gc_counters_accumulate() {
         let mut mgr = Bdd::new(4);
         let a = mgr.var(0);
         let b = mgr.var(1);
@@ -1105,73 +1027,12 @@ mod tests {
         let stats = mgr.op_stats();
         assert_eq!(stats.gc_runs, 1);
         assert_eq!(stats.gc_nodes_reclaimed, freed as u64);
-        assert_eq!(mgr.gc_runs(), 1);
-        // reset_op_stats clears the per-phase GC counters…
-        mgr.reset_op_stats();
+        // A second collection finds nothing new to free.
+        assert_eq!(mgr.gc(), 0);
         let stats = mgr.op_stats();
-        assert_eq!(stats.gc_runs, 0);
-        assert_eq!(stats.gc_nodes_reclaimed, 0);
-        // …but the lifetime count survives, and the next GC starts a fresh
-        // delta.
-        assert_eq!(mgr.gc_runs(), 1);
-        mgr.gc();
-        assert_eq!(mgr.op_stats().gc_runs, 1);
-        assert_eq!(mgr.gc_runs(), 2);
+        assert_eq!(stats.gc_runs, 2);
+        assert_eq!(stats.gc_nodes_reclaimed, freed as u64);
         mgr.unprotect(keep);
-    }
-
-    #[test]
-    fn gc_streams_events_to_the_recorder() {
-        let mut mgr = Bdd::new(4);
-        let rec = Recorder::new();
-        let sink = obs::MemorySink::new();
-        rec.add_sink(Box::new(sink.clone()));
-        mgr.set_recorder(Some(rec.clone()));
-        assert!(mgr.recorder().is_some());
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let keep = mgr.and(a, b);
-        let c = mgr.var(2);
-        let d = mgr.var(3);
-        let _scratch = mgr.or(c, d);
-        mgr.protect(keep);
-        let freed = mgr.gc();
-        assert_eq!(rec.counter("bdd.gc.runs"), 1);
-        assert_eq!(rec.counter("bdd.gc.nodes_reclaimed"), freed as u64);
-        let point = sink
-            .events()
-            .into_iter()
-            .find_map(|e| match e {
-                obs::Event::Point { name, fields } if name == "bdd.gc" => Some(fields),
-                _ => None,
-            })
-            .expect("a bdd.gc point event");
-        let before = point.get("nodes_before").and_then(Json::as_f64).unwrap();
-        let after = point.get("nodes_after").and_then(Json::as_f64).unwrap();
-        assert_eq!(before - after, freed as f64);
-        mgr.unprotect(keep);
-    }
-
-    #[test]
-    fn gauges_reflect_tables() {
-        let mut mgr = Bdd::new(3);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let _f = mgr.and(a, b);
-        assert_eq!(mgr.free.len(), 0);
-        assert!(mgr.unique_entries >= 3);
-        assert!(mgr.unique_load_factor() > 0.0 && mgr.unique_load_factor() <= 1.0);
-        assert!(mgr.cache.len >= 1);
-        let rec = Recorder::new();
-        mgr.set_recorder(Some(rec.clone()));
-        mgr.emit_gauges();
-        assert_eq!(rec.gauge_value("bdd.total_nodes"), Some(mgr.total_nodes() as f64));
-        assert_eq!(rec.gauge_value("bdd.free_nodes"), Some(0.0));
-        assert_eq!(rec.gauge_value("bdd.unique.entries"), Some(mgr.unique_entries as f64));
-        assert_eq!(rec.gauge_value("bdd.unique.load_factor"), Some(mgr.unique_load_factor()));
-        assert_eq!(rec.gauge_value("bdd.cache.entries"), Some(mgr.cache.len as f64));
-        // Fresh managers report a zero load factor, not NaN.
-        assert_eq!(Bdd::new(1).unique_load_factor(), 0.0);
     }
 
     #[test]
@@ -1203,24 +1064,6 @@ mod tests {
             "mem JSON must mirror the struct"
         );
         mgr.unprotect(f);
-    }
-
-    #[test]
-    fn mem_gauges_are_published_with_the_table_gauges() {
-        let mut mgr = Bdd::new(3);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let _f = mgr.and(a, b);
-        let rec = Recorder::new();
-        mgr.set_recorder(Some(rec.clone()));
-        mgr.emit_gauges();
-        let mem = mgr.mem_report();
-        assert_eq!(rec.gauge_value("bdd.mem.total_bytes"), Some(mem.total_bytes as f64));
-        assert_eq!(rec.gauge_value("bdd.mem.peak_bytes"), Some(mem.peak_bytes as f64));
-        assert_eq!(
-            rec.gauge_value("bdd.mem.unique_table_bytes"),
-            Some(mem.unique_table_bytes as f64)
-        );
     }
 
     #[test]
@@ -1279,7 +1122,7 @@ mod tests {
         );
         let probe = mgr.unique_probe_stats();
         assert_eq!(probe.entries, mgr.unique_entries, "chains cover every entry exactly once");
-        let lf = mgr.unique_load_factor();
+        let lf = probe.entries as f64 / probe.buckets as f64;
         assert!(lf > 0.0 && lf <= 1.0, "load factor bounded by the grow policy, got {lf}");
     }
 

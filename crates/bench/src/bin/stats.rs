@@ -77,6 +77,12 @@ fn parse_args() -> Args {
     args
 }
 
+/// Reports an unusable input on stderr and exits with status 1.
+fn exit_with(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
+}
+
 fn write_file(path: &str, contents: &str) {
     std::fs::write(path, contents).unwrap_or_else(|e| exit_cannot_write(path, e));
     eprintln!("wrote {path}");
@@ -110,9 +116,9 @@ fn main() {
 
     let suite: Vec<(String, Pla)> = match &args.pla {
         Some(path) => {
-            let text =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            let pla: Pla = text.parse().unwrap_or_else(|e| panic!("{path}: {e}"));
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| exit_with(&format!("cannot read {path}: {e}")));
+            let pla: Pla = text.parse().unwrap_or_else(|e| exit_with(&format!("{path}: {e}")));
             let name = std::path::Path::new(path)
                 .file_stem()
                 .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());

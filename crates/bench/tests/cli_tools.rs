@@ -70,12 +70,10 @@ fn stats_chrome_trace_and_flame_match_the_span_tree() {
     for e in events {
         let name = e.get("name").and_then(Json::as_str).expect("name");
         let ph = e.get("ph").and_then(Json::as_str).expect("ph");
-        assert!(matches!(ph, "X" | "i"), "only complete and instant events, got {ph}");
+        assert_eq!(ph, "X", "spans only: every event is a complete event");
         assert!(e.get("ts").and_then(Json::as_f64).expect("ts") >= 0.0);
-        if ph == "X" {
-            assert!(e.get("dur").and_then(Json::as_f64).expect("dur") >= 0.0);
-            names.push(name.to_owned());
-        }
+        assert!(e.get("dur").and_then(Json::as_f64).expect("dur") >= 0.0);
+        names.push(name.to_owned());
         assert_eq!(e.get("pid").and_then(Json::as_f64), Some(1.0));
         assert_eq!(e.get("tid").and_then(Json::as_f64), Some(1.0));
     }
@@ -131,6 +129,28 @@ fn unwritable_output_paths_exit_1_without_a_panic() {
             "{name}: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+}
+
+#[test]
+fn unreadable_or_malformed_pla_exits_1_without_a_panic() {
+    let scratch = Scratch::new("badpla");
+    let missing = scratch.path("no-such.pla");
+    let malformed = scratch.path("malformed.pla");
+    fs::write(&malformed, ".i 2\n.o 1\n1z 1\n.e\n").expect("write pla");
+    for (path, expected) in [
+        (&missing, format!("cannot read {}: ", missing.display())),
+        (&malformed, format!("{}: ", malformed.display())),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_stats"))
+            .arg("--pla")
+            .arg(path)
+            .output()
+            .expect("stats runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{}: {stderr}", path.display());
+        assert!(stderr.starts_with(&expected), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
     }
 }
 

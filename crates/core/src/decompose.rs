@@ -5,7 +5,6 @@ use std::collections::HashMap;
 
 use bdd::{Bdd, Func, VarId, VarSet};
 use netlist::{Gate2, Netlist, SignalId};
-use obs::Recorder;
 
 use crate::grouping::{self, Grouping};
 use crate::trace::{Step, TraceEvent};
@@ -88,7 +87,9 @@ pub struct Decomposer {
     stats: Stats,
     options: Options,
     trace: Option<Vec<TraceEvent>>,
-    telemetry: Option<Telemetry>,
+    /// Run telemetry, `Some` when [`Options::telemetry`] is on: `[d]` =
+    /// recursive calls entered at depth `d`.
+    depth_hist: Option<Vec<u64>>,
     depth: usize,
 }
 
@@ -98,20 +99,9 @@ impl std::fmt::Debug for Decomposer {
             .field("mgr", &self.mgr)
             .field("stats", &self.stats)
             .field("options", &self.options)
-            .field("telemetry", &self.telemetry.is_some())
+            .field("telemetry", &self.depth_hist.is_some())
             .finish_non_exhaustive()
     }
-}
-
-/// Run telemetry collected when [`Options::telemetry`] is on: the recursion
-/// shape and memory pressure of the decomposition, plus the recorder the
-/// events stream to.
-struct Telemetry {
-    recorder: Recorder,
-    /// `depth_hist[d]` = recursive calls entered at depth `d`.
-    depth_hist: Vec<u64>,
-    /// Largest live-node count sampled at any recursion entry.
-    peak_live_nodes: usize,
 }
 
 impl Decomposer {
@@ -152,62 +142,21 @@ impl Decomposer {
             stats: Stats::default(),
             options,
             trace: options.trace.then(Vec::new),
-            telemetry: options.telemetry.then(|| Telemetry {
-                recorder: Recorder::new(),
-                depth_hist: Vec::new(),
-                peak_live_nodes: 0,
-            }),
+            depth_hist: options.telemetry.then(Vec::new),
             depth: 0,
         }
     }
 
-    /// Attaches a telemetry recorder (and enables collection even if
-    /// [`Options::telemetry`] was off). The recorder is shared with the
-    /// BDD manager, so GC events stream through the same sinks.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.mgr.set_recorder(Some(recorder.clone()));
-        match &mut self.telemetry {
-            Some(t) => t.recorder = recorder,
-            None => {
-                self.telemetry =
-                    Some(Telemetry { recorder, depth_hist: Vec::new(), peak_live_nodes: 0 });
-            }
-        }
-    }
-
-    /// The telemetry recorder, if collection is enabled.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.telemetry.as_ref().map(|t| &t.recorder)
-    }
-
     /// Recursive calls per depth (`[d]` = calls entered at depth `d`).
-    /// Empty unless telemetry is enabled.
+    /// Empty unless [`Options::telemetry`] is on.
     pub fn depth_histogram(&self) -> &[u64] {
-        self.telemetry.as_ref().map_or(&[], |t| &t.depth_hist)
+        self.depth_hist.as_deref().unwrap_or(&[])
     }
 
     /// Deepest recursion level reached (0 when telemetry is off or no
     /// decomposition has run).
     pub fn max_depth(&self) -> usize {
         self.depth_histogram().len()
-    }
-
-    /// Largest live BDD node count sampled at a recursion entry (0 unless
-    /// telemetry is enabled).
-    pub fn peak_live_nodes(&self) -> usize {
-        self.telemetry.as_ref().map_or(0, |t| t.peak_live_nodes)
-    }
-
-    /// Publishes the recursion telemetry (depth histogram, max depth, peak
-    /// live nodes) on the recorder. No-op when telemetry is off.
-    pub fn emit_recursion_telemetry(&self) {
-        let Some(t) = &self.telemetry else { return };
-        t.recorder.gauge("decomp.max_depth", t.depth_hist.len() as f64);
-        t.recorder.gauge("decomp.peak_live_nodes", t.peak_live_nodes as f64);
-        let hist =
-            obs::json::Json::Arr(t.depth_hist.iter().map(|&c| obs::json::Json::from(c)).collect());
-        t.recorder
-            .point("decomp.depth_histogram", obs::json::Json::obj().field("calls_by_depth", hist));
     }
 
     fn record(&mut self, step: Step) {
@@ -311,18 +260,17 @@ impl Decomposer {
     fn bidecompose(&mut self, isf_in: Isf) -> Component {
         self.stats.calls += 1;
         self.depth += 1;
-        if let Some(t) = &mut self.telemetry {
-            if t.depth_hist.len() < self.depth {
-                t.depth_hist.resize(self.depth, 0);
+        if let Some(hist) = &mut self.depth_hist {
+            if hist.len() < self.depth {
+                hist.resize(self.depth, 0);
             }
-            t.depth_hist[self.depth - 1] += 1;
-            t.peak_live_nodes = t.peak_live_nodes.max(self.mgr.total_nodes());
+            hist[self.depth - 1] += 1;
         }
         // Cost attribution: only when *both* tracing (somewhere to put
         // the cost) and telemetry (the opt-in for measurement overhead)
         // are on; the disabled path pays these two `Option` tests and
         // nothing else.
-        let probe = match (&self.trace, &self.telemetry) {
+        let probe = match (&self.trace, &self.depth_hist) {
             (Some(trace), Some(_)) => Some((
                 trace.len(),
                 std::time::Instant::now(),
@@ -906,16 +854,6 @@ mod tests {
             dec.stats().calls as u64,
             "every recursive call lands in exactly one bucket"
         );
-        assert!(dec.peak_live_nodes() >= 2);
-        // The histogram is publishable on the recorder.
-        let rec = dec.recorder().expect("telemetry implies a recorder").clone();
-        let sink = obs::MemorySink::new();
-        rec.add_sink(Box::new(sink.clone()));
-        dec.emit_recursion_telemetry();
-        assert_eq!(rec.gauge_value("decomp.max_depth"), Some(dec.max_depth() as f64));
-        assert!(sink.events().iter().any(
-            |e| matches!(e, obs::Event::Point { name, .. } if name == "decomp.depth_histogram")
-        ));
     }
 
     #[test]
@@ -927,27 +865,8 @@ mod tests {
             mgr.and(a, b)
         });
         let _ = dec.decompose(isf);
-        assert!(dec.recorder().is_none());
         assert!(dec.depth_histogram().is_empty());
-        assert_eq!(dec.peak_live_nodes(), 0);
-        dec.emit_recursion_telemetry(); // no-op, must not panic
-    }
-
-    #[test]
-    fn set_recorder_enables_collection_and_reaches_the_manager() {
-        let mut dec = Decomposer::new(3, None);
-        let rec = Recorder::new();
-        dec.set_recorder(rec.clone());
-        let isf = csf_isf(&mut dec, |mgr| {
-            let a = mgr.var(0);
-            let b = mgr.var(1);
-            mgr.or(a, b)
-        });
-        let _ = dec.decompose(isf);
-        assert!(!dec.depth_histogram().is_empty());
-        // The manager shares the recorder: a GC shows up as a counter.
-        dec.gc(&[]);
-        assert_eq!(rec.counter("bdd.gc.runs"), 1);
+        assert_eq!(dec.max_depth(), 0);
     }
 
     #[test]

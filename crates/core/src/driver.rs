@@ -44,7 +44,10 @@ pub struct DecompOutcome {
     /// includes BDD construction and netlist assembly; as in the paper,
     /// input file reading is not included).
     pub elapsed: Duration,
-    /// Peak live BDD node count observed.
+    /// Peak live BDD node count, sampled after the specification build,
+    /// after every output and after verification. Live nodes only grow
+    /// between collections, and collections run only after the sample
+    /// that follows an output, so no peak is missed.
     pub bdd_nodes: usize,
     /// Per-phase wall-clock breakdown (always populated; cheap).
     pub phases: PhaseTimes,
@@ -52,7 +55,7 @@ pub struct DecompOutcome {
     /// (mk/apply/cache plus the GC counters).
     pub op_stats: OpStats,
     /// Recursive calls per depth. Empty unless [`Options::telemetry`] is
-    /// on or a recorder was attached.
+    /// on.
     pub depth_histogram: Vec<u64>,
     /// The decomposition trace (one event per recursive call). Empty
     /// unless [`Options::trace`] is on.
@@ -62,8 +65,8 @@ pub struct DecompOutcome {
     /// the end).
     pub mem: MemReport,
     /// Structured cache/GC analytics from the BDD manager. `None` unless
-    /// [`Options::telemetry`] is on or a recorder was attached (building
-    /// it walks the unique table once).
+    /// [`Options::telemetry`] is on (building it walks the unique table
+    /// once).
     pub analytics: Option<Analytics>,
     /// Component-cache reuse statistics (§6). Always populated; costs one
     /// pass over the bucket lengths.
@@ -117,11 +120,10 @@ pub fn decompose_pla(pla: &Pla, options: &Options) -> DecompOutcome {
     decompose_pla_with_recorder(pla, options, None)
 }
 
-/// [`decompose_pla`] with a telemetry [`Recorder`] attached: every phase
-/// and every output runs under a hierarchical span, GC events and table
-/// gauges stream from the BDD manager, and the recursion-depth histogram
-/// is published at the end. Attaching a recorder implies
-/// [`Options::telemetry`].
+/// [`decompose_pla`] with a telemetry [`Recorder`] attached: the run, every
+/// phase and every output run under a hierarchical span. The recorder
+/// carries spans only; every count is in the returned [`DecompOutcome`],
+/// and what is collected follows [`Options::telemetry`] alone.
 pub fn decompose_pla_with_recorder(
     pla: &Pla,
     options: &Options,
@@ -139,10 +141,6 @@ pub fn decompose_pla_with_recorder(
         None => (0..pla.num_outputs()).map(|k| format!("y{k}")).collect(),
     };
     let mut dec = Decomposer::with_options(n, Some(&input_names), *options);
-    if let Some(rec) = &recorder {
-        dec.set_recorder(rec.clone());
-    }
-    let instrumented = options.telemetry || recorder.is_some();
     let mut phases = PhaseTimes::default();
 
     let t = Instant::now();
@@ -199,8 +197,6 @@ pub fn decompose_pla_with_recorder(
     phases.decompose = t.elapsed();
     let elapsed = start.elapsed();
 
-    dec.emit_recursion_telemetry();
-    peak_nodes = peak_nodes.max(dec.peak_live_nodes());
     let depth_histogram = dec.depth_histogram().to_vec();
     let trace = dec.take_trace();
     let component_cache = dec.component_cache_stats();
@@ -217,7 +213,6 @@ pub fn decompose_pla_with_recorder(
 
     peak_nodes = peak_nodes.max(mgr.total_nodes());
     mgr.sample_mem();
-    mgr.emit_gauges();
     drop(run_span);
     if let Some(rec) = &recorder {
         rec.flush();
@@ -233,7 +228,7 @@ pub fn decompose_pla_with_recorder(
         depth_histogram,
         trace,
         mem: mgr.mem_report(),
-        analytics: instrumented.then(|| mgr.analytics()),
+        analytics: options.telemetry.then(|| mgr.analytics()),
         component_cache,
     }
 }
@@ -455,10 +450,11 @@ mod tests {
         // Every span closed (balanced start/end).
         let ends = events.iter().filter(|e| matches!(e, Event::SpanEnd { .. })).count();
         assert_eq!(starts.len(), ends);
-        // Manager gauges were published at the end of the run.
-        assert!(rec.gauge_value("bdd.total_nodes").is_some());
-        assert_eq!(rec.gauge_value("decomp.max_depth"), Some(outcome.depth_histogram.len() as f64));
-        // The histogram rides along even though Options::telemetry was off.
-        assert!(!outcome.depth_histogram.is_empty());
+        // Spans and nothing else: no point events reach the sinks.
+        assert_eq!(events.len(), starts.len() + ends);
+        // A recorder does not turn telemetry on; Options::telemetry alone
+        // decides.
+        assert!(outcome.depth_histogram.is_empty());
+        assert!(outcome.analytics.is_none());
     }
 }

@@ -55,11 +55,12 @@ pub struct Options {
     /// Record a [`crate::trace::TraceEvent`] per recursive call
     /// (retrieved with [`crate::Decomposer::take_trace`]).
     pub trace: bool,
-    /// Collect run telemetry: recursion-depth histogram, peak-live-node
-    /// sampling, per-phase timing spans and BDD/GC counters (streamed to
-    /// an [`obs::Recorder`] when one is attached). Off by default — the
-    /// hot recursion then pays only an `Option` branch and allocates
-    /// nothing.
+    /// Collect run telemetry: the recursion-depth histogram, the BDD
+    /// manager's [`bdd::Analytics`] and, with [`trace`](Options::trace),
+    /// the measured cost of every recursive call. This flag alone decides
+    /// what is collected; attaching an [`obs::Recorder`] adds spans only.
+    /// Off by default — the hot recursion then pays only an `Option`
+    /// branch and allocates nothing.
     pub telemetry: bool,
     /// Trigger a garbage collection between outputs when the manager
     /// exceeds this many live nodes.

@@ -2,16 +2,12 @@
 //!
 //! Each case runs the operator-level differentials ([`crate::oracle`])
 //! and the end-to-end pipeline check ([`crate::e2e`]); any failure is
-//! delta-debugged down to a minimal PLA ([`crate::shrink`]). Progress is
-//! published through an optional [`obs::Recorder`] (`fuzz.cases`,
-//! `fuzz.failures`, `fuzz.checks`, `fuzz.shrink.checks` counters under a
-//! `fuzz.run` span), so fuzz runs appear in the same telemetry reports as
-//! everything else.
+//! delta-debugged down to a minimal PLA ([`crate::shrink`]). Every count
+//! of the run is a field of the returned [`FuzzReport`].
 
 use std::time::{Duration, Instant};
 
 use benchmarks::SplitMix64;
-use obs::Recorder;
 use pla::Pla;
 
 use crate::{e2e, gen, oracle, shrink, Failure};
@@ -38,8 +34,6 @@ pub struct FuzzConfig {
     pub max_failures: usize,
     /// Pre-seeded mutation pool, typically the replay corpus.
     pub pool: Vec<Pla>,
-    /// Telemetry sink for counters and spans.
-    pub recorder: Option<Recorder>,
     /// Run every passing case past the decomposition doctor
     /// ([`bidecomp::doctor`]) and accumulate finding counts — fuzzing
     /// doubles as a hunt for pathological-but-correct inputs.
@@ -56,7 +50,6 @@ impl Default for FuzzConfig {
             atpg_node_budget: 120,
             max_failures: 5,
             pool: Vec::new(),
-            recorder: None,
             doctor: false,
         }
     }
@@ -116,15 +109,9 @@ pub fn check_case(pla: &Pla, case_seed: u64, atpg_node_budget: usize) -> Result<
     Ok(checks)
 }
 
-fn record_count(recorder: &Option<Recorder>, name: &str, delta: u64) {
-    if let Some(rec) = recorder {
-        rec.count(name, delta);
-    }
-}
-
 /// Diagnoses one passing case and folds the finding counts into the
-/// report (and the `fuzz.doctor.findings` counter).
-fn note_doctor(cfg: &FuzzConfig, report: &mut FuzzReport, pla: &Pla) {
+/// report.
+fn note_doctor(report: &mut FuzzReport, pla: &Pla) {
     use bidecomp::doctor::{diagnose_pla, DoctorConfig};
     let (_, doc) = diagnose_pla(pla, &bidecomp::Options::default(), &DoctorConfig::default());
     let (info, warning, error) = doc.counts();
@@ -132,7 +119,6 @@ fn note_doctor(cfg: &FuzzConfig, report: &mut FuzzReport, pla: &Pla) {
     counts.0 += info as u64;
     counts.1 += warning as u64;
     counts.2 += error as u64;
-    record_count(&cfg.recorder, "fuzz.doctor.findings", (info + warning + error) as u64);
 }
 
 /// Handles one failing case: shrink it (unless the config's shrink
@@ -146,9 +132,7 @@ fn handle_failure(
     case_seed: u64,
     failure: Failure,
 ) {
-    record_count(&cfg.recorder, "fuzz.failures", 1);
     let (minimized, used) = if cfg.shrink_checks > 0 {
-        let _span = cfg.recorder.as_ref().map(|r| r.span("fuzz.shrink"));
         let mut still_fails =
             |candidate: &Pla| check_case(candidate, case_seed, cfg.atpg_node_budget).is_err();
         let outcome = shrink::shrink(pla, &mut still_fails, cfg.shrink_checks);
@@ -156,7 +140,6 @@ fn handle_failure(
     } else {
         (pla.clone(), 0)
     };
-    record_count(&cfg.recorder, "fuzz.shrink.checks", used as u64);
     report.failures.push(CaseFailure {
         case_index,
         mode,
@@ -171,7 +154,6 @@ fn handle_failure(
 /// Runs a seeded fuzz session.
 pub fn run(cfg: &FuzzConfig) -> FuzzReport {
     let start = Instant::now();
-    let _span = cfg.recorder.as_ref().map(|r| r.span("fuzz.run"));
     let mut rng = SplitMix64::new(cfg.seed);
     let mut pool = cfg.pool.clone();
     pool.retain(|p| p.num_inputs() <= gen::MAX_INPUTS && !p.cubes().is_empty());
@@ -187,13 +169,11 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
         let case = gen::generate(&mut rng, &pool);
         let case_seed = rng.next_u64();
         report.cases += 1;
-        record_count(&cfg.recorder, "fuzz.cases", 1);
         match check_case(&case.pla, case_seed, cfg.atpg_node_budget) {
             Ok(checks) => {
                 report.operator_checks += checks;
-                record_count(&cfg.recorder, "fuzz.checks", checks);
                 if cfg.doctor {
-                    note_doctor(cfg, &mut report, &case.pla);
+                    note_doctor(&mut report, &case.pla);
                 }
                 // Passing cases feed the mutation generator.
                 if pool.len() < MUTATION_POOL_CAP {
@@ -228,7 +208,6 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
 /// regardless of corpus order.
 pub fn replay(cases: &[(String, Pla)], cfg: &FuzzConfig) -> FuzzReport {
     let start = Instant::now();
-    let _span = cfg.recorder.as_ref().map(|r| r.span("fuzz.replay"));
     // Corpus cases are already minimal: disable shrinking on replay.
     let cfg = FuzzConfig { shrink_checks: 0, ..cfg.clone() };
     let mut report = FuzzReport::default();
@@ -237,13 +216,11 @@ pub fn replay(cases: &[(String, Pla)], cfg: &FuzzConfig) -> FuzzReport {
     }
     for (i, (name, pla)) in cases.iter().enumerate() {
         report.cases += 1;
-        record_count(&cfg.recorder, "fuzz.cases", 1);
         match check_case(pla, cfg.seed, cfg.atpg_node_budget) {
             Ok(checks) => {
                 report.operator_checks += checks;
-                record_count(&cfg.recorder, "fuzz.checks", checks);
                 if cfg.doctor {
-                    note_doctor(&cfg, &mut report, pla);
+                    note_doctor(&mut report, pla);
                 }
             }
             Err(failure) => {
@@ -258,7 +235,6 @@ pub fn replay(cases: &[(String, Pla)], cfg: &FuzzConfig) -> FuzzReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::MemorySink;
 
     #[test]
     fn clean_run_is_deterministic() {
@@ -271,26 +247,13 @@ mod tests {
     }
 
     #[test]
-    fn counters_reach_the_recorder() {
-        let rec = Recorder::new();
-        rec.add_sink(Box::new(MemorySink::new()));
-        let cfg = FuzzConfig { iters: 5, recorder: Some(rec.clone()), ..FuzzConfig::default() };
-        let report = run(&cfg);
-        assert_eq!(rec.counter("fuzz.cases"), report.cases);
-        assert_eq!(rec.counter("fuzz.checks"), report.operator_checks);
-    }
-
-    #[test]
     fn doctor_counts_are_opt_in() {
         let cfg = FuzzConfig { iters: 5, ..FuzzConfig::default() };
         assert_eq!(run(&cfg).doctor_findings, None, "off by default");
-        let rec = Recorder::new();
-        rec.add_sink(Box::new(MemorySink::new()));
-        let cfg = FuzzConfig { doctor: true, recorder: Some(rec.clone()), ..cfg };
+        let cfg = FuzzConfig { doctor: true, ..cfg };
         let report = run(&cfg);
-        let (info, warning, error) = report.doctor_findings.expect("doctor was on");
+        let (_, _, error) = report.doctor_findings.expect("doctor was on");
         assert_eq!(error, 0, "tiny correct cases must not be pathological");
-        assert_eq!(rec.counter("fuzz.doctor.findings"), info + warning + error);
     }
 
     #[test]

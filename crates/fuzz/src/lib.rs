@@ -21,8 +21,8 @@
 //! * [`shrink`] — delta-debugging minimizer (cube removal, output and
 //!   variable projection, literal widening, don't-care promotion).
 //! * [`corpus`] — hashed PLA filenames, round-trip-checked save/load.
-//! * [`driver`] — the seeded fuzz loop and corpus replay, with
-//!   obs-integrated counters and spans.
+//! * [`driver`] — the seeded fuzz loop and corpus replay; every count
+//!   is a field of the returned report.
 //!
 //! The harness proves it can catch real bugs via the deliberate Theorem 1
 //! mutation in `bidecomp::check` (see

@@ -8,10 +8,6 @@
 //! eliminates inverter cells on internal edges.
 
 use std::collections::HashMap;
-use std::time::Instant;
-
-use obs::json::Json;
-use obs::Recorder;
 
 use crate::graph::{Gate, Netlist, SignalId};
 
@@ -32,18 +28,6 @@ impl Netlist {
     /// gate — the classic standard-cell win, since the inverter is a real
     /// cell there).
     pub fn fold_inverters(&self) -> Netlist {
-        self.fold_inverters_with_recorder(None)
-    }
-
-    /// [`fold_inverters`](Netlist::fold_inverters) with pass telemetry:
-    /// when a recorder is attached the rewrite runs inside a
-    /// `netlist.fold_inverters` span, counts folded inverters on
-    /// `netlist.inverters_folded`, and emits one `netlist.fold_inverters`
-    /// point with before/after gate and inverter counts.
-    pub fn fold_inverters_with_recorder(&self, recorder: Option<&Recorder>) -> Netlist {
-        let span = recorder.map(|r| r.span("netlist.fold_inverters"));
-        let start = Instant::now();
-        let mut folded_count: u64 = 0;
         let mut out = Netlist::new();
         let mut map: HashMap<SignalId, SignalId> = HashMap::new();
         for (idx, gate) in self.nodes().iter().enumerate() {
@@ -59,10 +43,7 @@ impl Netlist {
                     let fa = map[a];
                     // Fold into the driving gate when it is binary.
                     match *out.gate(fa) {
-                        Gate::Binary(op, x, y) => {
-                            folded_count += 1;
-                            out.add_gate(op.complement(), x, y)
-                        }
+                        Gate::Binary(op, x, y) => out.add_gate(op.complement(), x, y),
                         _ => out.add_not(fa),
                     }
                 }
@@ -72,22 +53,6 @@ impl Netlist {
         for (name, s) in self.outputs() {
             out.add_output(name.clone(), map[s]);
         }
-        if let Some(rec) = recorder {
-            let before = self.stats();
-            let after = out.stats();
-            rec.count("netlist.inverters_folded", folded_count);
-            rec.point(
-                "netlist.fold_inverters",
-                Json::obj()
-                    .field("gates_before", before.gates as u64)
-                    .field("gates_after", after.gates as u64)
-                    .field("inverters_before", before.inverters as u64)
-                    .field("inverters_after", after.inverters as u64)
-                    .field("folded", folded_count)
-                    .field("elapsed_s", start.elapsed().as_secs_f64()),
-            );
-        }
-        drop(span);
         out
     }
 }
@@ -174,38 +139,6 @@ mod tests {
         assert!(equivalent(&nl, &folded));
         assert_eq!(folded.stats().inverters, 0);
         assert_eq!(folded.stats().gates, 2, "AND and NAND both live");
-    }
-
-    #[test]
-    fn folding_reports_pass_telemetry() {
-        let mut nl = Netlist::new();
-        let a = nl.add_input("a");
-        let b = nl.add_input("b");
-        let g = nl.add_gate(Gate2::And, a, b);
-        let ng = nl.add_not(g);
-        nl.add_output("f", ng);
-        let rec = Recorder::new();
-        let sink = obs::MemorySink::new();
-        rec.add_sink(Box::new(sink.clone()));
-        let folded = nl.fold_inverters_with_recorder(Some(&rec));
-        assert!(equivalent(&nl, &folded));
-        assert_eq!(rec.counter("netlist.inverters_folded"), 1);
-        let events = sink.events();
-        assert!(events.iter().any(
-            |e| matches!(e, obs::Event::SpanEnd { name, .. } if name == "netlist.fold_inverters")
-        ));
-        let point = events
-            .iter()
-            .find_map(|e| match e {
-                obs::Event::Point { name, fields } if name == "netlist.fold_inverters" => {
-                    Some(fields)
-                }
-                _ => None,
-            })
-            .expect("pass summary point");
-        assert_eq!(point.get("inverters_before").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(point.get("inverters_after").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(point.get("folded").and_then(Json::as_f64), Some(1.0));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Every layer of the system (BDD manager, decomposer, netlist passes,
 //! ATPG, bench harness) reports into this crate:
 //!
-//! * [`Recorder`] — a cheap-to-clone handle aggregating named counters
-//!   and gauges, with RAII hierarchical timing [`Span`]s.
+//! * [`Recorder`] — a cheap-to-clone handle that opens RAII hierarchical
+//!   timing [`Span`]s and forwards them to sinks. It carries spans only:
+//!   every count lives in a typed stats struct of its layer.
 //! * [`Sink`] — where events go: [`TextSink`] renders an indented
 //!   human-readable log, [`JsonlSink`] writes one JSON object per line,
 //!   [`MemorySink`] captures events for tests.
@@ -16,7 +17,7 @@
 //! * [`bench`](mod@bench) — a small micro-benchmark harness (criterion substitute).
 //!
 //! Telemetry is strictly opt-in: a layer holding `Option<Recorder>` pays
-//! one branch per event when disabled and allocates nothing.
+//! one branch per span when disabled and allocates nothing.
 //!
 //! Run reports are built from counters, which repeat exactly from run to
 //! run; the crate keeps no latency histograms or sampled time series.
@@ -32,10 +33,9 @@
 //! {
 //!     let _outer = rec.span("decompose");
 //!     let _inner = rec.span("decompose.output");
-//!     rec.count("calls", 17);
 //! }
 //! let lines: Vec<String> = buf.contents().lines().map(String::from).collect();
-//! assert_eq!(lines.len(), 5); // 2 starts, 1 counter, 2 ends
+//! assert_eq!(lines.len(), 4); // 2 starts, 2 ends
 //! let first = obs::json::Json::parse(&lines[0]).unwrap();
 //! assert_eq!(first.get("type").unwrap().as_str(), Some("span_start"));
 //! ```
@@ -59,24 +59,14 @@ mod tests {
     use json::Json;
 
     #[test]
-    fn counters_and_gauges_aggregate() {
+    fn clones_share_depth_and_sinks() {
         let rec = Recorder::new();
-        rec.count("a", 2);
-        rec.count("a", 3);
-        rec.gauge("load", 0.5);
-        assert_eq!(rec.counter("a"), 5);
-        assert_eq!(rec.counter("missing"), 0);
-        assert_eq!(rec.gauge_value("load"), Some(0.5));
-        assert_eq!(rec.counters().len(), 1);
-        assert_eq!(rec.gauges().len(), 1);
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let rec = Recorder::new();
+        let sink = MemorySink::new();
+        rec.add_sink(Box::new(sink.clone()));
         let other = rec.clone();
-        other.count("shared", 1);
-        assert_eq!(rec.counter("shared"), 1);
+        let _outer = rec.span("outer");
+        let _inner = other.span("inner");
+        assert_eq!(sink.events()[1], Event::SpanStart { name: "inner".into(), depth: 1 });
     }
 
     #[test]
@@ -130,21 +120,20 @@ mod tests {
         rec.add_sink(Box::new(JsonlSink::new(buf.clone())));
         {
             let _outer = rec.span("outer");
-            rec.count("n", 1);
             let _inner = rec.span("inner");
         }
         let text = buf.contents();
         let records: Vec<Json> =
             text.lines().map(|l| Json::parse(l).expect("valid jsonl")).collect();
-        assert_eq!(records.len(), 5);
+        assert_eq!(records.len(), 4);
         let kinds: Vec<&str> =
             records.iter().map(|r| r.get("type").unwrap().as_str().unwrap()).collect();
         // Inner spans close before outer ones (RAII order).
-        assert_eq!(kinds, ["span_start", "counter", "span_start", "span_end", "span_end"]);
+        assert_eq!(kinds, ["span_start", "span_start", "span_end", "span_end"]);
+        assert_eq!(records[1].get("name").unwrap().as_str(), Some("inner"));
         assert_eq!(records[2].get("name").unwrap().as_str(), Some("inner"));
-        assert_eq!(records[3].get("name").unwrap().as_str(), Some("inner"));
-        assert_eq!(records[4].get("name").unwrap().as_str(), Some("outer"));
-        assert!(records[4].get("elapsed_s").unwrap().as_f64().unwrap() >= 0.0);
+        assert_eq!(records[3].get("name").unwrap().as_str(), Some("outer"));
+        assert!(records[3].get("elapsed_s").unwrap().as_f64().unwrap() >= 0.0);
     }
 
     #[test]
@@ -153,10 +142,10 @@ mod tests {
         let buf = SharedBuf::new();
         rec.add_sink(Box::new(JsonlSink::new(buf.clone())));
         let hostile = "bench \"quoted\"\\path\nwith\tcontrol\u{1}chars";
-        rec.count(hostile, 7);
+        drop(rec.span(hostile));
         let text = buf.contents();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 1, "escaping must keep one record per line");
+        assert_eq!(lines.len(), 2, "escaping must keep one record per line");
         let parsed = Json::parse(lines[0]).expect("escaped record parses");
         assert_eq!(parsed.get("name").unwrap().as_str(), Some(hostile));
     }
@@ -169,23 +158,23 @@ mod tests {
             let rec = Recorder::new();
             let writer = BufWriter::with_capacity(1 << 16, buf.clone());
             rec.add_sink(Box::new(JsonlSink::new(writer)));
-            rec.count("n", 1);
+            drop(rec.span("n"));
             // The record is still sitting in the BufWriter.
             assert_eq!(buf.contents(), "");
             // `rec` (and with it the sink) drops here without an explicit
             // flush — as a process exiting mid-run would.
         }
         let text = buf.contents();
-        assert!(text.contains("counter"), "JsonlSink must flush on drop, got {text:?}");
+        assert!(text.contains("span_end"), "JsonlSink must flush on drop, got {text:?}");
         assert!(json::Json::parse(text.lines().next().unwrap()).is_ok());
 
         let buf = SharedBuf::new();
         {
             let rec = Recorder::new();
             rec.add_sink(Box::new(TextSink::new(BufWriter::with_capacity(1 << 16, buf.clone()))));
-            rec.count("n", 2);
+            drop(rec.span("n"));
         }
-        assert!(buf.contents().contains("n += 2"), "TextSink must flush on drop");
+        assert!(buf.contents().contains("◂ n"), "TextSink must flush on drop");
     }
 
     #[test]
@@ -208,19 +197,18 @@ mod tests {
         let errors = sink.write_errors();
         rec.add_sink(Box::new(sink));
         assert_eq!(errors.get(), 0);
-        rec.count("a", 1);
-        rec.count("b", 1);
-        rec.count("c", 1);
+        drop(rec.span("a"));
+        drop(rec.span("b"));
         // Every line fails and is counted — the handle outlives our
         // access to the sink itself.
-        assert_eq!(errors.get(), 3, "failed lines must be counted, not swallowed");
+        assert_eq!(errors.get(), 4, "failed lines must be counted, not swallowed");
 
         // A healthy sink stays at zero.
         let healthy = JsonlSink::new(SharedBuf::new());
         let clean = healthy.write_errors();
         let rec2 = Recorder::new();
         rec2.add_sink(Box::new(healthy));
-        rec2.count("ok", 1);
+        drop(rec2.span("ok"));
         assert_eq!(clean.get(), 0);
     }
 

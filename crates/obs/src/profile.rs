@@ -7,8 +7,7 @@
 //! into the span tree. Two exporters consume the tree:
 //!
 //! * [`Profile::chrome_trace`] — an array of complete (`"ph": "X"`)
-//!   `trace_event` objects loadable in `chrome://tracing` or Perfetto,
-//!   with [`Event::Point`]s as instant (`"ph": "i"`) markers.
+//!   `trace_event` objects loadable in `chrome://tracing` or Perfetto.
 //! * [`Profile::collapsed_stacks`] — `root;child;leaf self_us` lines in
 //!   the format `flamegraph.pl` and speedscope accept (values are
 //!   *self*-time in microseconds, so stack totals reconstruct exactly).
@@ -121,13 +120,11 @@ impl SpanNode {
     }
 }
 
-/// A reconstructed profile: the span forest plus instant markers.
+/// A reconstructed profile: the span forest.
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
     /// Top-level spans in start order.
     pub roots: Vec<SpanNode>,
-    /// `(offset, name)` of every [`Event::Point`] in the stream.
-    pub instants: Vec<(Duration, String)>,
 }
 
 impl Profile {
@@ -136,7 +133,8 @@ impl Profile {
     /// Span starts and ends pair up by nesting order (the recorder emits
     /// them strictly nested). A stream with unclosed spans — e.g. a
     /// process that exited mid-run — still produces a tree: open spans
-    /// are closed at their deepest captured timestamp.
+    /// are closed at their deepest captured timestamp. [`Event::Point`]s
+    /// carry no span and are skipped.
     pub fn from_events(events: &[TimedEvent]) -> Profile {
         struct Open {
             node: SpanNode,
@@ -166,8 +164,7 @@ impl Profile {
                         attach(&mut stack, &mut profile, open.node);
                     }
                 }
-                Event::Point { name, .. } => profile.instants.push((te.at, name.clone())),
-                Event::Counter { .. } | Event::Gauge { .. } => {}
+                Event::Point { .. } => {}
             }
         }
         // Close any spans left open (truncated stream): give them the span
@@ -188,9 +185,8 @@ impl Profile {
     }
 
     /// The profile as a Chrome `trace_event` JSON array: one complete
-    /// (`"ph": "X"`) event per span with microsecond `ts`/`dur`, plus one
-    /// instant (`"ph": "i"`) event per point marker. The array form is
-    /// accepted directly by `chrome://tracing` and Perfetto.
+    /// (`"ph": "X"`) event per span with microsecond `ts`/`dur`. The array
+    /// form is accepted directly by `chrome://tracing` and Perfetto.
     pub fn chrome_trace(&self) -> Json {
         fn us(d: Duration) -> f64 {
             d.as_secs_f64() * 1e6
@@ -213,18 +209,6 @@ impl Profile {
         let mut events = Vec::new();
         for root in &self.roots {
             emit(root, &mut events);
-        }
-        for (at, name) in &self.instants {
-            events.push(
-                Json::obj()
-                    .field("name", name.as_str())
-                    .field("cat", "point")
-                    .field("ph", "i")
-                    .field("ts", us(*at))
-                    .field("s", "t")
-                    .field("pid", 1u64)
-                    .field("tid", 1u64),
-            );
         }
         Json::Arr(events)
     }
@@ -275,7 +259,6 @@ mod tests {
                 let _a = rec.span("build");
                 std::thread::sleep(Duration::from_millis(1));
             }
-            rec.point("gc", Json::obj().field("freed", 3u64));
             {
                 let _b = rec.span("decompose");
                 let _c = rec.span("output.y0");
@@ -288,7 +271,7 @@ mod tests {
     fn tree_matches_nesting() {
         let (profile, sink) = sample_profile();
         assert!(!sink.is_empty());
-        assert_eq!(sink.len(), 9, "4 starts, 4 ends, 1 point");
+        assert_eq!(sink.len(), 8, "4 starts, 4 ends");
         assert_eq!(profile.roots.len(), 1);
         let run = &profile.roots[0];
         assert_eq!(run.name, "run");
@@ -296,7 +279,6 @@ mod tests {
         assert_eq!(run.children[0].name, "build");
         assert_eq!(run.children[1].children[0].name, "output.y0");
         assert_eq!(profile.span_count(), 4);
-        assert_eq!(profile.instants.len(), 1);
         assert!(run.duration >= run.children[0].duration);
         assert!(run.children[0].duration >= Duration::from_millis(1));
         // Children start within the parent span.
@@ -311,26 +293,15 @@ mod tests {
         // Round-trip through the serializer: what we write must parse.
         let parsed = Json::parse(&trace.render()).expect("trace JSON parses");
         let events = parsed.as_arr().expect("top level is an array");
-        assert_eq!(events.len(), 4 + 1, "4 spans + 1 instant");
-        let mut saw_instant = false;
+        assert_eq!(events.len(), 4, "one complete event per span");
         for e in events {
-            let ph = e.get("ph").and_then(Json::as_str).expect("ph");
+            assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
             assert!(e.get("name").and_then(Json::as_str).is_some());
             let ts = e.get("ts").and_then(Json::as_f64).expect("ts");
             assert!(ts >= 0.0);
-            match ph {
-                "X" => {
-                    assert!(e.get("dur").and_then(Json::as_f64).expect("dur") >= 0.0);
-                }
-                "i" => {
-                    saw_instant = true;
-                    assert_eq!(e.get("s").and_then(Json::as_str), Some("t"));
-                }
-                other => panic!("unexpected phase {other}"),
-            }
+            assert!(e.get("dur").and_then(Json::as_f64).expect("dur") >= 0.0);
             assert_eq!(e.get("pid").and_then(Json::as_f64), Some(1.0));
         }
-        assert!(saw_instant);
     }
 
     #[test]
@@ -338,18 +309,16 @@ mod tests {
         let (profile, _) = sample_profile();
         let trace = profile.chrome_trace();
         let events = trace.as_arr().unwrap();
-        // The first event is the root and spans every other X event.
+        // The first event is the root and spans every other event.
         let root_ts = events[0].get("ts").and_then(Json::as_f64).unwrap();
         let root_end = root_ts + events[0].get("dur").and_then(Json::as_f64).unwrap();
         for e in &events[1..] {
-            if e.get("ph").and_then(Json::as_str) == Some("X") {
-                let ts = e.get("ts").and_then(Json::as_f64).unwrap();
-                let dur = e.get("dur").and_then(Json::as_f64).unwrap();
-                assert!(ts >= root_ts);
-                // Timestamps are stamped by the sink while durations are
-                // measured inside the span; allow scheduling slack.
-                assert!(ts + dur <= root_end + 500.0, "child escapes the root span");
-            }
+            let ts = e.get("ts").and_then(Json::as_f64).unwrap();
+            let dur = e.get("dur").and_then(Json::as_f64).unwrap();
+            assert!(ts >= root_ts);
+            // Timestamps are stamped by the sink while durations are
+            // measured inside the span; allow scheduling slack.
+            assert!(ts + dur <= root_end + 500.0, "child escapes the root span");
         }
     }
 

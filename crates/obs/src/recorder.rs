@@ -1,26 +1,22 @@
-//! The recorder: shared aggregation point for counters, gauges and spans.
+//! The recorder: hierarchical timing spans, forwarded to sinks.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::time::Instant;
 
-use crate::json::Json;
 use crate::sink::{Event, Sink};
 
 struct Inner {
     depth: usize,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     sinks: Vec<Box<dyn Sink>>,
 }
 
 /// A cheap-to-clone handle to one telemetry session.
 ///
-/// All clones share the same counters and sinks; layers hold a `Recorder`
-/// (or an `Option<Recorder>`) and emit into it. Counters and gauges are
-/// aggregated in memory *and* forwarded to every attached sink, so a run
-/// can be inspected both as a stream (JSONL) and as totals.
+/// All clones share the same span depth and sinks; layers hold an
+/// `Option<Recorder>` and open [`Span`]s on it. Every span start and end
+/// is forwarded to each attached sink. The recorder carries no numbers
+/// of its own: counts live in the typed stats structs of each layer.
 ///
 /// ```
 /// use obs::{MemorySink, Recorder};
@@ -30,10 +26,9 @@ struct Inner {
 /// rec.add_sink(Box::new(sink.clone()));
 /// {
 ///     let _span = rec.span("phase.work");
-///     rec.count("items", 3);
+///     let _inner = rec.span("phase.work.step");
 /// }
-/// assert_eq!(rec.counter("items"), 3);
-/// assert_eq!(sink.len(), 3); // span start, counter, span end
+/// assert_eq!(sink.len(), 4); // two span starts, two span ends
 /// ```
 #[derive(Clone)]
 pub struct Recorder {
@@ -47,16 +42,9 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// Creates a recorder with no sinks (counters still aggregate).
+    /// Creates a recorder with no sinks.
     pub fn new() -> Self {
-        Recorder {
-            inner: Rc::new(RefCell::new(Inner {
-                depth: 0,
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                sinks: Vec::new(),
-            })),
-        }
+        Recorder { inner: Rc::new(RefCell::new(Inner { depth: 0, sinks: Vec::new() })) }
     }
 
     /// Attaches a sink; every subsequent event is forwarded to it.
@@ -82,49 +70,6 @@ impl Recorder {
         };
         self.emit(Event::SpanStart { name: name.clone(), depth });
         Span { recorder: self.clone(), name, depth, start: Instant::now() }
-    }
-
-    /// Adds `delta` to the named counter.
-    pub fn count(&self, name: &str, delta: u64) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            *inner.counters.entry(name.to_owned()).or_insert(0) += delta;
-        }
-        self.emit(Event::Counter { name: name.to_owned(), delta });
-    }
-
-    /// Sets the named gauge.
-    pub fn gauge(&self, name: &str, value: f64) {
-        {
-            let mut inner = self.inner.borrow_mut();
-            inner.gauges.insert(name.to_owned(), value);
-        }
-        self.emit(Event::Gauge { name: name.to_owned(), value });
-    }
-
-    /// Emits a free-form structured event.
-    pub fn point(&self, name: &str, fields: Json) {
-        self.emit(Event::Point { name: name.to_owned(), fields });
-    }
-
-    /// Current value of a counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.inner.borrow().counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Current value of a gauge, if ever set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.inner.borrow().gauges.get(name).copied()
-    }
-
-    /// Snapshot of all counters.
-    pub fn counters(&self) -> BTreeMap<String, u64> {
-        self.inner.borrow().counters.clone()
-    }
-
-    /// Snapshot of all gauges.
-    pub fn gauges(&self) -> BTreeMap<String, f64> {
-        self.inner.borrow().gauges.clone()
     }
 
     /// Flushes every attached sink.

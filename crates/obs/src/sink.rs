@@ -1,7 +1,8 @@
 //! Event sinks: where telemetry events go.
 //!
-//! The [`Recorder`](crate::Recorder) aggregates counters in memory and
-//! forwards every [`Event`] to any number of sinks. Two sinks ship with
+//! The [`Recorder`](crate::Recorder) forwards every span [`Event`] to any
+//! number of sinks; callers may also hand a sink [`Event::Point`]s
+//! directly (the `stats --trace-out` JSONL stream). Two sinks ship with
 //! the crate: a human-readable indented text sink and a JSON-lines sink
 //! for machine consumption; [`MemorySink`] captures events for tests.
 
@@ -18,7 +19,7 @@ use crate::json::Json;
 /// into control flow — but swallowing them *silently* hides a truncated
 /// trace file. [`JsonlSink`] counts every failed line here instead; keep
 /// a clone of the handle (see [`JsonlSink::write_errors`]) and surface
-/// the count in the run report or an `obs.sink.write_errors` counter.
+/// the count in the run report.
 #[derive(Clone, Default, Debug)]
 pub struct WriteErrors {
     errors: Rc<Cell<u64>>,
@@ -60,21 +61,8 @@ pub enum Event {
         /// Wall-clock duration of the span.
         duration: Duration,
     },
-    /// A named counter was incremented.
-    Counter {
-        /// Counter name.
-        name: String,
-        /// Increment applied (the recorder keeps the running total).
-        delta: u64,
-    },
-    /// A named gauge was set.
-    Gauge {
-        /// Gauge name.
-        name: String,
-        /// New value.
-        value: f64,
-    },
-    /// A free-form structured event (e.g. one GC run).
+    /// A free-form structured event (e.g. one decomposition trace step),
+    /// handed to a sink directly rather than through a recorder.
     Point {
         /// Event name.
         name: String,
@@ -96,14 +84,6 @@ impl Event {
                 .field("name", name.as_str())
                 .field("depth", *depth)
                 .field("elapsed_s", duration.as_secs_f64()),
-            Event::Counter { name, delta } => Json::obj()
-                .field("type", "counter")
-                .field("name", name.as_str())
-                .field("delta", *delta),
-            Event::Gauge { name, value } => Json::obj()
-                .field("type", "gauge")
-                .field("name", name.as_str())
-                .field("value", *value),
             Event::Point { name, fields } => Json::obj()
                 .field("type", "point")
                 .field("name", name.as_str())
@@ -159,8 +139,6 @@ impl<W: Write> Sink for TextSink<W> {
                     indent = depth * 2
                 )
             }
-            Event::Counter { name, delta } => format!("  + {name} += {delta}"),
-            Event::Gauge { name, value } => format!("  = {name} = {value}"),
             Event::Point { name, fields } => format!("  • {name} {}", fields.render()),
         };
         let _ = writeln!(self.out, "{line}");

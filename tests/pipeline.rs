@@ -125,6 +125,21 @@ fn gc_threshold_does_not_change_results() {
 }
 
 #[test]
+fn peak_nodes_do_not_depend_on_telemetry() {
+    // The peak is sampled after every output, before any GC. Live nodes
+    // only grow between collections, so no per-call sampling inside the
+    // recursion can see a larger count: the peak is the same with
+    // telemetry on and off, also when GC runs between outputs.
+    let b = benchmarks::by_name("cps").expect("known");
+    let tight = Options { gc_threshold: 500, ..Options::default() };
+    let off = decompose_pla(&b.pla, &tight);
+    let on = decompose_pla(&b.pla, &Options { telemetry: true, ..tight });
+    assert!(off.op_stats.gc_runs > 0, "the tight threshold must trigger GC");
+    assert_eq!(on.bdd_nodes, off.bdd_nodes);
+    assert_eq!(on.op_stats, off.op_stats);
+}
+
+#[test]
 fn suite_sanity_cross_system() {
     // On a slice of the suite: every system implements a function
     // compatible with the specification (don't-cares may differ).
