@@ -26,8 +26,10 @@ const NIL: u32 = u32::MAX;
 /// Smallest unique-table bucket array; always a power of two.
 const MIN_BUCKETS: usize = 256;
 
-/// Default size of the lossy computed cache, in entries.
-pub const DEFAULT_CACHE_ENTRIES: usize = 1 << 16;
+/// Default size of the lossy computed cache, in entries (16-byte slots, so
+/// 256 KiB). Larger caches barely raise the hit rate and slow every probe
+/// once they crowd a 2 MiB L2 (EXPERIMENTS.md, "Kernel tuning").
+pub const DEFAULT_CACHE_ENTRIES: usize = 1 << 14;
 
 /// Most nodes (terminals included) one manager can hold. Node indices
 /// stay below `1 << TAG_SHIFT`, which leaves the top four bits of a
@@ -748,9 +750,9 @@ impl Bdd {
         freed
     }
 
-    /// Clears the computed cache in O(1), by bumping its epoch: between
-    /// decomposition outputs, and in benchmarks to measure cold-cache
-    /// performance. Results never depend on the cache's contents.
+    /// Clears the computed cache in O(1), by bumping its epoch; benchmarks
+    /// use it to measure cold-cache performance. Results never depend on
+    /// the cache's contents.
     pub fn clear_computed_cache(&mut self) {
         self.cache.clear();
     }
@@ -1205,6 +1207,18 @@ mod tests {
         for &op in &CacheOp::ALL {
             assert_eq!(mgr.cache_get(&key(op, a, 5, a)), None);
         }
+    }
+
+    #[test]
+    fn default_computed_cache_is_256_kib() {
+        // Sized to the hit-rate plateau of the EXPERIMENTS "Kernel tuning"
+        // sweep; a larger cache only adds L2 misses.
+        let mut mgr = Bdd::new(4);
+        assert_eq!(mgr.mem_report().computed_cache_bytes, 0, "allocated on first insert");
+        let a = mgr.var(0);
+        let b = mgr.var(1);
+        let _ = mgr.and(a, b);
+        assert_eq!(mgr.mem_report().computed_cache_bytes, 256 * 1024);
     }
 
     #[test]

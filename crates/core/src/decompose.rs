@@ -132,10 +132,8 @@ impl Decomposer {
                 None => netlist.add_input(format!("x{k}")),
             })
             .collect();
-        let mut mgr = Bdd::new(num_vars);
-        mgr.set_cache_capacity(options.cache_entries);
         Decomposer {
-            mgr,
+            mgr: Bdd::new(num_vars),
             netlist,
             inputs,
             cache: HashMap::new(),

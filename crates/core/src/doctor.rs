@@ -404,8 +404,8 @@ mod tests {
     fn cache_misses_without_evictions_are_not_thrash() {
         let cfg = DoctorConfig::default();
         let mut a = analytics();
-        // e64's profile: well over the traffic floor, almost no hits, but
-        // the cache never dropped a live entry — every miss is compulsory.
+        // Well over the traffic floor, almost no hits, but the cache never
+        // dropped a live entry — every miss is compulsory.
         a.cache_by_op.push(OpCacheStats { op: "and", lookups: 1_506, hits: 8 });
         let ops = OpStats { cache_lookups: 4_000, cache_hits: 10, ..OpStats::default() };
         let mut findings = Vec::new();

@@ -166,12 +166,6 @@ pub fn decompose_pla_with_recorder(
         let _span = recorder.as_ref().map(|r| r.span("decompose"));
         let mut components = Vec::with_capacity(isfs.len());
         for (k, isf) in isfs.iter().enumerate() {
-            if k > 0 {
-                // Cannot change results. The epoch clear is O(1); skipping it
-                // measured deep -5%, wide and random-dc within 1% (bdbench,
-                // shared 2-vCPU VM).
-                dec.manager().clear_computed_cache();
-            }
             let _out_span =
                 recorder.as_ref().map(|r| r.span(format!("output.{}", output_names[k])));
             let comp = dec.decompose(*isf);

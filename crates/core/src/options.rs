@@ -65,10 +65,6 @@ pub struct Options {
     /// Trigger a garbage collection between outputs when the manager
     /// exceeds this many live nodes.
     pub gc_threshold: usize,
-    /// Capacity (in entries, rounded up to a power of two) of the BDD
-    /// manager's lossy computed cache. Larger caches trade memory for hit
-    /// rate; results are identical at any size.
-    pub cache_entries: usize,
 }
 
 impl Default for Options {
@@ -83,7 +79,6 @@ impl Default for Options {
             trace: false,
             telemetry: false,
             gc_threshold: 2_000_000,
-            cache_entries: bdd::DEFAULT_CACHE_ENTRIES,
         }
     }
 }
@@ -110,7 +105,6 @@ mod tests {
         let o = Options::default();
         assert!(o.use_exor && o.use_cache && o.use_strong);
         assert!(!o.telemetry, "telemetry is opt-in");
-        assert_eq!(o.cache_entries, bdd::DEFAULT_CACHE_ENTRIES);
         assert_eq!(Options::paper(), o);
         assert!(!Options::weak_only().use_strong);
     }

@@ -108,7 +108,8 @@ fn unique_table_stays_canonical_under_interleaved_mk_gc_reorder() {
 }
 
 /// Replays one seeded operator script on managers that differ only in
-/// computed-cache configuration and asserts bit-identical handles.
+/// computed-cache configuration, or that clear the cache after every step,
+/// and asserts bit-identical handles.
 ///
 /// Handle identity (not just semantic equality) is the strong form: a
 /// cache that influenced *allocation order* would renumber nodes even if
@@ -123,7 +124,8 @@ fn computed_cache_size_never_changes_results() {
         let mut default = Bdd::new(n);
         let mut huge = Bdd::new(n);
         huge.set_cache_capacity(1 << 20); // large enough never to evict
-        let mut managers = [&mut tiny, &mut default, &mut huge];
+        let mut cleared = Bdd::new(n); // default size, cleared after every step
+        let mut managers = [&mut tiny, &mut default, &mut huge, &mut cleared];
 
         let mut pool: Vec<Func> = Vec::new();
         for _ in 0..3 {
@@ -147,19 +149,21 @@ fn computed_cache_size_never_changes_results() {
             };
             assert!(
                 handles.windows(2).all(|w| w[0] == w[1]),
-                "case {case} step {step}: cache size changed a result handle \
-                 (tiny={:?} default={:?} huge={:?})",
+                "case {case} step {step}: cache size or clearing changed a result \
+                 handle (tiny={:?} default={:?} huge={:?} cleared={:?})",
                 handles[0],
                 handles[1],
-                handles[2]
+                handles[2],
+                handles[3]
             );
             pool.push(handles[0]);
+            managers[3].clear_computed_cache();
         }
         // Same script, same allocations: the node stores must agree too.
         let nodes: Vec<usize> = managers.iter().map(|m| m.total_nodes()).collect();
         assert!(
             nodes.windows(2).all(|w| w[0] == w[1]),
-            "case {case}: node counts diverge across cache sizes: {nodes:?}"
+            "case {case}: node counts diverge across cache configurations: {nodes:?}"
         );
         // The one-bucket cache must actually have been under pressure, or
         // this test proves nothing.
