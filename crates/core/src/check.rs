@@ -105,21 +105,28 @@ pub(crate) fn quantify_b(mgr: &mut Bdd, r: Func, cube: Func) -> Func {
 /// iff `xb` is inessential in `[Q_D, ¬R_D]`, which one
 /// [`Bdd::essential_vars`] query decides.
 pub fn exor_decomposable_pair(mgr: &mut Bdd, isf: &Isf, xa: VarId, xb: VarId) -> bool {
-    let blocked = theorem2_blocked(mgr, isf, xa, &VarSet::singleton(xb));
+    let care = isf.care(mgr);
+    let blocked = theorem2_blocked(mgr, isf, care, xa, &VarSet::singleton(xb));
     theorem2(&blocked, xb)
 }
 
 /// Theorem 2 for every partner of `xa` at once: the variables `y` of
 /// `within` for which the ISF is *not* EXOR-bi-decomposable with
-/// `({xa}, {y})`.
+/// `({xa}, {y})`. `care` is the ISF's care set `Q + R`.
 ///
-/// With the derivative `(Q_D, R_D)` of `xa` ([`derivative`]), the pair is
-/// decomposable iff `Q_D · ∃y R_D = 0`. Since `Q_D · R_D = 0`, that holds iff
-/// `∃y Q_D · ∃y R_D = 0`, i.e. iff `y` is inessential in `[Q_D, ¬R_D]` —
-/// so one [`Bdd::essential_vars`] query answers all of `within`. The
+/// With the derivative `(Q_D, R_D)` of `xa` ([`care_derivative`]), the pair
+/// is decomposable iff `Q_D · ∃y R_D = 0`. Since `Q_D · R_D = 0`, that holds
+/// iff `∃y Q_D · ∃y R_D = 0`, i.e. iff `y` is inessential in `[Q_D, ¬R_D]`
+/// — so one [`Bdd::essential_vars`] query answers all of `within`. The
 /// condition is exact, so it is symmetric in `xa` and `y`.
-pub(crate) fn theorem2_blocked(mgr: &mut Bdd, isf: &Isf, xa: VarId, within: &VarSet) -> VarSet {
-    let (qd, rd) = derivative(mgr, isf, xa);
+pub(crate) fn theorem2_blocked(
+    mgr: &mut Bdd,
+    isf: &Isf,
+    care: Func,
+    xa: VarId,
+    within: &VarSet,
+) -> VarSet {
+    let (qd, rd) = care_derivative(mgr, isf, care, xa);
     mgr.essential_vars(qd, rd, within)
 }
 
@@ -143,6 +150,20 @@ pub fn derivative(mgr: &mut Bdd, isf: &Isf, v: VarId) -> (Func, Func) {
     let aq = mgr.forall(isf.q, cube);
     let ar = mgr.forall(isf.r, cube);
     let rd = mgr.or(aq, ar);
+    (qd, rd)
+}
+
+/// [`derivative`] from the care set `care = Q + R`, with one `∀` instead
+/// of two: `R_D = ∀v(Q + R) · ¬Q_D`. Both `v`-cofactors are cared for and
+/// they do not disagree, so (as `Q · R = 0`) both lie in `Q` or both in
+/// `R`, which is `∀v Q + ∀v R`. Same handles as [`derivative`].
+pub(crate) fn care_derivative(mgr: &mut Bdd, isf: &Isf, care: Func, v: VarId) -> (Func, Func) {
+    let cube = mgr.cube(&VarSet::singleton(v));
+    let eq = mgr.exists(isf.q, cube);
+    let er = mgr.exists(isf.r, cube);
+    let qd = mgr.and(eq, er);
+    let cared = mgr.forall(care, cube);
+    let rd = mgr.diff(cared, qd);
     (qd, rd)
 }
 
@@ -273,6 +294,35 @@ mod tests {
     }
 
     #[test]
+    fn care_set_derivative_is_the_derivative() {
+        use boolfn::TruthTable;
+        let n = 6;
+        for seed in 0..40u64 {
+            let f = TruthTable::random(n, 0.5, seed);
+            // Completely specified, all don't-care, and densities between.
+            let care = match seed % 4 {
+                0 => TruthTable::ones(n),
+                1 => TruthTable::zeros(n),
+                _ => TruthTable::random(n, 0.2 + 0.2 * (seed % 4) as f64, seed ^ 0xca4e),
+            };
+            let mut mgr = Bdd::new(n);
+            let q = f.and(&care).to_bdd(&mut mgr);
+            let r = f.complement().and(&care).to_bdd(&mut mgr);
+            let isf = Isf::new(&mut mgr, q, r);
+            let care = isf.care(&mut mgr);
+            match seed % 4 {
+                0 => assert!(care.is_one(), "seed {seed}: completely specified"),
+                1 => assert!(care.is_zero(), "seed {seed}: all don't-care"),
+                _ => {}
+            }
+            for v in 0..n as VarId {
+                let want = derivative(&mut mgr, &isf, v);
+                assert_eq!(care_derivative(&mut mgr, &isf, care, v), want, "seed {seed} var {v}");
+            }
+        }
+    }
+
+    #[test]
     fn blocked_sets_match_the_exists_disjoint_pair_formula() {
         use boolfn::TruthTable;
         let n = 6;
@@ -290,12 +340,13 @@ mod tests {
             let r = f.complement().and(&care).to_bdd(&mut mgr);
             let isf = Isf::new(&mut mgr, q, r);
             let support = isf.support(&mgr);
+            let care = isf.care(&mut mgr);
             for x in support.iter() {
                 let (qd, rd) = derivative(&mut mgr, &isf, x);
                 assert!(mgr.disjoint(qd, rd), "seed {seed}: Q_D · R_D = 0");
                 let mut others = support;
                 others.remove(x);
-                let blocked = theorem2_blocked(&mut mgr, &isf, x, &others);
+                let blocked = theorem2_blocked(&mut mgr, &isf, care, x, &others);
                 for y in others.iter() {
                     // The pair test `Q_D · ∃y R_D = 0`, built in full.
                     let cube = mgr.cube(&VarSet::singleton(y));

@@ -12,14 +12,17 @@
 //!   candidate, so a candidate `z` costs one `∃z` of one side plus a
 //!   non-allocating Theorem 1 test.
 //! - EXOR answers all Theorem 2 pairs of a variable from one blocked set
-//!   (one [`Bdd::essential_vars`] query on its derivative), and skips the
-//!   Fig. 4 propagation when a pair test already rules the candidate out:
-//!   EXOR decomposability with `(X_A ∪ {z}, X_B)` implies it for every
-//!   pair `({z}, {y})`, `y ∈ X_B`.
+//!   (one [`Bdd::essential_vars`] query on its derivative), and a pair
+//!   from either of its variables' sets, since Theorem 2 is symmetric. It
+//!   skips the Fig. 4 propagation when a pair test already rules the
+//!   candidate out: EXOR decomposability with `(X_A ∪ {z}, X_B)` implies
+//!   it for every pair `({z}, {y})`, `y ∈ X_B`. On a completely specified
+//!   function the pair tests decide alone.
 //!
 //! [`best_grouping`] runs the three searches of Fig. 7 with a bound: a
 //! search stops once the variables it can still add cannot make its
-//! grouping beat the one an earlier search found.
+//! grouping beat the one an earlier search found, in the Fig. 5 pair scan
+//! as in the Fig. 6 growth.
 
 use bdd::{Bdd, Func, VarId, VarSet};
 
@@ -75,11 +78,11 @@ pub fn find_initial_grouping(
     let vars: Vec<VarId> = support.iter().collect();
     match gate {
         GateChoice::Exor => {
-            let mut pairs = PairTests::new(&vars);
-            let (i, j) = pairs.first_pair(mgr, isf, &vars)?;
+            let mut pairs = PairTests::new(mgr, isf, &vars);
+            let (i, j) = pairs.first_pair(mgr, isf, &vars, None)?;
             Some(Grouping::pair(vars[i], vars[j]))
         }
-        _ => theorem1_initial(mgr, &theorem1_isf(isf, gate), &vars).map(|(g, _, _)| g),
+        _ => theorem1_initial(mgr, &theorem1_isf(isf, gate), &vars, None).map(|(g, _, _)| g),
     }
 }
 
@@ -153,6 +156,11 @@ fn search(
 /// in [`find_best_grouping`]? Later gates win only with a strictly larger
 /// total, or the same total and a strictly smaller imbalance — and no
 /// grouping of `t` variables is more balanced than `t % 2`.
+///
+/// At row `i` of a Fig. 5 pair scan, `reachable` is `n − i`: the rows
+/// before `i` found no partner, and no grouping holds a variable without
+/// one. Theorem 1 is monotone in the sets, and Fig. 6 adds an EXOR
+/// candidate only after its Theorem 2 pair tests pass.
 fn can_win(incumbent: Option<&Grouping>, reachable: usize) -> bool {
     incumbent.is_none_or(|b| {
         reachable > b.total() || (reachable == b.total() && b.imbalance() > reachable % 2)
@@ -166,13 +174,23 @@ fn a_first(grouping: &Grouping) -> bool {
 }
 
 /// Fig. 5 for Theorem 1: the first pair `(x, y)` with
-/// `Q · ∃x R · ∃y R = 0`, with both quantified sides.
-fn theorem1_initial(mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Option<(Grouping, Func, Func)> {
+/// `Q · ∃x R · ∃y R = 0`, with both quantified sides. With an
+/// `incumbent`, gives up at the first row that cannot beat it
+/// ([`can_win`]).
+fn theorem1_initial(
+    mgr: &mut Bdd,
+    isf: &Isf,
+    vars: &[VarId],
+    incumbent: Option<&Grouping>,
+) -> Option<(Grouping, Func, Func)> {
     // Each variable's sides, built when the pair loop first reaches it.
     // The checks are symmetric in (X_A, X_B), so unordered pairs suffice
     // (the paper's double loop tests both orders; same outcome).
     let mut sides: Vec<(Func, Func)> = Vec::with_capacity(vars.len());
     for i in 0..vars.len() {
+        if !can_win(incumbent, vars.len() - i) {
+            return None;
+        }
         for j in i + 1..vars.len() {
             while sides.len() <= j {
                 let cube = mgr.cube(&VarSet::singleton(vars[sides.len()]));
@@ -196,7 +214,7 @@ fn group_theorem1(
     vars: &[VarId],
     incumbent: Option<&Grouping>,
 ) -> Option<Grouping> {
-    let (mut grouping, mut ra, mut rb) = theorem1_initial(mgr, isf, vars)?;
+    let (mut grouping, mut ra, mut rb) = theorem1_initial(mgr, isf, vars, incumbent)?;
     let initial = grouping.xa.union(&grouping.xb);
     let mut rejected = 0;
     for &z in vars.iter().filter(|&&z| !initial.contains(z)) {
@@ -232,37 +250,60 @@ fn group_theorem1(
 
 /// Theorem 2 pair tests over one support. Each variable's blocked set —
 /// the partners it fails Theorem 2 with — is built at most once, by one
-/// [`check::theorem2_blocked`] query over the rest of the support.
+/// [`check::theorem2_blocked`] query over the rest of the support, from
+/// the care set `Q + R` built once here.
 struct PairTests {
     support: VarSet,
+    care: Func,
     blocked: Vec<Option<VarSet>>,
 }
 
 impl PairTests {
-    fn new(vars: &[VarId]) -> Self {
-        PairTests { support: vars.iter().copied().collect(), blocked: vec![None; vars.len()] }
+    fn new(mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Self {
+        PairTests {
+            support: vars.iter().copied().collect(),
+            care: isf.care(mgr),
+            blocked: vec![None; vars.len()],
+        }
     }
 
-    /// Is the ISF EXOR-decomposable with `({vars[i]}, {y})`?
-    fn test(&mut self, mgr: &mut Bdd, isf: &Isf, vars: &[VarId], i: usize, y: VarId) -> bool {
-        let blocked = match self.blocked[i] {
+    /// Is the ISF EXOR-decomposable with `({vars[k]}, {vars[m]})`?
+    ///
+    /// Theorem 2 is exact, so the test is symmetric: it reads whichever of
+    /// the two blocked sets exists, and builds the one of `vars[k]` only
+    /// when neither does.
+    fn test(&mut self, mgr: &mut Bdd, isf: &Isf, vars: &[VarId], k: usize, m: usize) -> bool {
+        let (k, m) =
+            if self.blocked[k].is_none() && self.blocked[m].is_some() { (m, k) } else { (k, m) };
+        let blocked = match self.blocked[k] {
             Some(b) => b,
             None => {
                 let mut others = self.support;
-                others.remove(vars[i]);
-                let b = check::theorem2_blocked(mgr, isf, vars[i], &others);
-                self.blocked[i] = Some(b);
+                others.remove(vars[k]);
+                let b = check::theorem2_blocked(mgr, isf, self.care, vars[k], &others);
+                self.blocked[k] = Some(b);
                 b
             }
         };
-        check::theorem2(&blocked, y)
+        check::theorem2(&blocked, vars[m])
     }
 
     /// Fig. 5 for EXOR: the positions of the first decomposable pair.
-    fn first_pair(&mut self, mgr: &mut Bdd, isf: &Isf, vars: &[VarId]) -> Option<(usize, usize)> {
+    /// With an `incumbent`, gives up at the first row that cannot beat it
+    /// ([`can_win`]).
+    fn first_pair(
+        &mut self,
+        mgr: &mut Bdd,
+        isf: &Isf,
+        vars: &[VarId],
+        incumbent: Option<&Grouping>,
+    ) -> Option<(usize, usize)> {
         for i in 0..vars.len() {
+            if !can_win(incumbent, vars.len() - i) {
+                return None;
+            }
             for j in i + 1..vars.len() {
-                if self.test(mgr, isf, vars, i, vars[j]) {
+                if self.test(mgr, isf, vars, i, j) {
                     return Some((i, j));
                 }
             }
@@ -273,14 +314,23 @@ impl PairTests {
 
 /// Fig. 6 for EXOR: each candidate runs the Fig. 4 check only after the
 /// necessary Theorem 2 pair tests against the other set pass.
+///
+/// A pair test reads the member's blocked set unless the candidate's
+/// already exists (a Fig. 5 row), so every later candidate reuses it.
+/// On a completely specified function (`Q + R = 1`) the pair tests are
+/// the whole check: every cross pair passing means all mixed second
+/// derivatives `∂²f/∂a∂b` vanish, which is `f = A(X_A, X_C) ⊕ B(X_B, X_C)`.
+/// With don't-cares the pairs can each pass while Fig. 4 still rejects.
 fn group_exor(
     mgr: &mut Bdd,
     isf: &Isf,
     vars: &[VarId],
     incumbent: Option<&Grouping>,
 ) -> Option<Grouping> {
-    let mut pairs = PairTests::new(vars);
-    let (i, j) = pairs.first_pair(mgr, isf, vars)?;
+    let mut pairs = PairTests::new(mgr, isf, vars);
+    let (i, j) = pairs.first_pair(mgr, isf, vars, incumbent)?;
+    let completely_specified = pairs.care.is_one();
+    let position = |y: VarId| vars.binary_search(&y).expect("members come from vars");
     let mut grouping = Grouping::pair(vars[i], vars[j]);
     let mut rejected = 0;
     for k in (0..vars.len()).filter(|&k| k != i && k != j) {
@@ -293,8 +343,8 @@ fn group_exor(
             } else {
                 (grouping.xa, grouping.xb.union(&zs), grouping.xa)
             };
-            if other.iter().all(|y| pairs.test(mgr, isf, vars, k, y))
-                && exor::exor_decomposable(mgr, isf, &xa, &xb)
+            if other.iter().all(|y| pairs.test(mgr, isf, vars, position(y), k))
+                && (completely_specified || exor::exor_decomposable(mgr, isf, &xa, &xb))
             {
                 grouping = Grouping { xa, xb };
                 break;
@@ -551,10 +601,11 @@ mod tests {
         use boolfn::TruthTable;
         let n = 7;
         let (mut found, mut grown) = (0, 0);
-        for seed in 0..90u64 {
+        for seed in 0..120u64 {
             // Halves combined with the gate under test make strong
             // decompositions (and their growth) common; seed % 4 == 3 is
-            // an unstructured function.
+            // an unstructured function. From seed 90 on the functions are
+            // completely specified, where the EXOR growth skips Fig. 4.
             let left = TruthTable::random(n, 0.5, seed).exists(0b1110000);
             let right = TruthTable::random(n, 0.5, seed ^ 0x5eed).exists(0b0001111);
             let f = match seed % 4 {
@@ -563,7 +614,10 @@ mod tests {
                 2 => left.xor(&right),
                 _ => TruthTable::random(n, 0.5, seed ^ 0xf),
             };
-            let care = TruthTable::random(n, 0.5 + 0.1 * (seed % 5) as f64, seed ^ 0xca4e);
+            let care = match seed {
+                0..90 => TruthTable::random(n, 0.5 + 0.1 * (seed % 5) as f64, seed ^ 0xca4e),
+                _ => TruthTable::ones(n),
+            };
             let mut mgr = Bdd::new(n);
             let q = f.and(&care).to_bdd(&mut mgr);
             let r = f.complement().and(&care).to_bdd(&mut mgr);
@@ -591,6 +645,64 @@ mod tests {
             assert_eq!(best_grouping(&mut mgr, &isf, &support, false), want, "seed {seed} no EXOR");
         }
         assert!(found >= 60 && grown >= 40, "sweep too easy: {found} found, {grown} grown");
+    }
+
+    /// The EXOR growth's shortcut: on a completely specified function,
+    /// every cross pair passing Theorem 2 is the whole Fig. 4 verdict.
+    #[test]
+    fn cross_pairs_decide_exor_exactly_without_dont_cares() {
+        use boolfn::{oracle, TruthTable};
+        let n = 6;
+        let (mut decomposable, mut not_decomposable, mut pairs_only) = (0, 0, 0);
+        for seed in 0..200u64 {
+            // Each variable lands in X_A, X_B or X_C, drawn from the seed.
+            let draw = (seed ^ 0x5eed).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20;
+            let side = |v: u32| draw >> (2 * v) & 3;
+            let xam = (0..n as u32).filter(|&v| side(v) == 0).fold(0, |m, v| m | 1 << v);
+            let xbm = (0..n as u32).filter(|&v| side(v) == 1).fold(0, |m, v| m | 1 << v);
+            if xam == 0 || xbm == 0 {
+                continue;
+            }
+            let f = if seed % 2 == 0 {
+                // A(X_A, X_C) ⊕ B(X_B, X_C), so that decompositions are common.
+                let a = TruthTable::random(n, 0.5, seed).exists(xbm);
+                let b = TruthTable::random(n, 0.5, seed ^ 0xb).exists(xam);
+                a.xor(&b)
+            } else {
+                TruthTable::random(n, 0.5, seed)
+            };
+            let mask_set =
+                |m: u32| -> VarSet { (0..n as u32).filter(|v| m & (1 << v) != 0).collect() };
+            let (xa, xb) = (mask_set(xam), mask_set(xbm));
+            // Completely specified first, then with don't-cares.
+            for care in [
+                TruthTable::ones(n),
+                TruthTable::random(n, 0.3 + 0.1 * (seed % 5) as f64, seed ^ 0xca4e),
+            ] {
+                let (qt, rt) = (f.and(&care), f.complement().and(&care));
+                let mut mgr = Bdd::new(n);
+                let q = qt.to_bdd(&mut mgr);
+                let r = rt.to_bdd(&mut mgr);
+                let isf = Isf::new(&mut mgr, q, r);
+                let pairs_pass = xa.iter().all(|a| {
+                    xb.iter().all(|b| check::exor_decomposable_pair(&mut mgr, &isf, a, b))
+                });
+                let fig4 = exor::exor_decomposable(&mut mgr, &isf, &xa, &xb);
+                let want = oracle::exor_bidecomposable(&qt, &rt, xam, xbm);
+                let what = format!("seed {seed} sets {xam:b}/{xbm:b}");
+                assert_eq!(fig4, want, "Fig. 4, {what}");
+                if care.is_one() {
+                    assert_eq!(pairs_pass, want, "cross pairs, {what}");
+                    decomposable += usize::from(want);
+                    not_decomposable += usize::from(!want);
+                } else {
+                    assert!(pairs_pass || !want, "a decomposition passes its pairs, {what}");
+                    pairs_only += usize::from(pairs_pass && !want);
+                }
+            }
+        }
+        assert!(decomposable >= 20 && not_decomposable >= 20, "{decomposable}/{not_decomposable}");
+        assert!(pairs_only >= 1, "no ISF passed every cross pair yet failed Fig. 4");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! The bounded `FindBestVariableGrouping` against the unbounded one, with
 //! exact theorem-check counts.
 //!
-//! The check counter is process-global, so this file holds a single test:
-//! no other test of the same process counts checks while it measures.
+//! The check counter is per thread and each test runs on a thread of its
+//! own, so a test's deltas count only its own checks, even while the
+//! other tests of this file run in parallel.
 
-use bdd::Bdd;
+use bdd::{Bdd, VarSet};
 use bidecomp::check::theorem_checks;
 use bidecomp::grouping::{best_grouping, find_best_grouping, group_variables};
 use bidecomp::{GateChoice, Isf};
@@ -69,4 +70,43 @@ fn bounded_search_picks_the_unbounded_choice_with_fewer_checks() {
     }
     assert!(pruned >= 40, "the bound pruned only {pruned} of 330 cases ({saved} checks)");
     assert!(balance_wins >= 10, "only {balance_wins} choices won on balance");
+}
+
+#[test]
+fn the_pair_scans_stop_at_the_first_row_that_cannot_win() {
+    // f = maj(x0, x1, x4) + maj(x2, x3, x4): OR splits {x0, x1} / {x2, x3}
+    // around the shared x4, a balanced 4 of the 5 variables. x0 has no AND
+    // or EXOR partner, so after row 0 the AND and EXOR scans have at most 4
+    // variables left, and 4 balanced variables cannot beat OR's grouping.
+    let n = 5;
+    let x = |v| TruthTable::var(n, v);
+    let maj = |a: usize, b: usize, c: usize| {
+        let (a, b, c) = (x(a), x(b), x(c));
+        a.and(&b).or(&a.and(&c)).or(&b.and(&c))
+    };
+    let f = maj(0, 1, 4).or(&maj(2, 3, 4));
+    let mut mgr = Bdd::new(n);
+    let q = f.to_bdd(&mut mgr);
+    let r = f.complement().to_bdd(&mut mgr);
+    let isf = Isf::new(&mut mgr, q, r);
+    let support = isf.support(&mgr);
+
+    let before = theorem_checks();
+    let or = group_variables(&mut mgr, &isf, &support, GateChoice::Or);
+    let or_checks = theorem_checks() - before;
+    let or = or.expect("OR-decomposable");
+    assert_eq!((or.xa, or.xb), (VarSet::from_iter([0u32, 1]), VarSet::from_iter([2u32, 3])));
+    let before = theorem_checks();
+    let unbounded = [GateChoice::Or, GateChoice::And, GateChoice::Exor]
+        .map(|gate| (gate, group_variables(&mut mgr, &isf, &support, gate)));
+    let unbounded_checks = theorem_checks() - before;
+    assert!(unbounded[1].1.is_none() && unbounded[2].1.is_none(), "{unbounded:?}");
+
+    let before = theorem_checks();
+    let got = best_grouping(&mut mgr, &isf, &support, true);
+    let bounded_checks = theorem_checks() - before;
+    assert_eq!(got, find_best_grouping(unbounded));
+    assert!(bounded_checks < unbounded_checks, "{bounded_checks} of {unbounded_checks} checks");
+    // The AND and EXOR scans each test row 0's four pairs, then stop.
+    assert_eq!(bounded_checks, or_checks + 2 * 4);
 }
