@@ -1,11 +1,11 @@
 //! Post-run analytics over the manager's tables and counters.
 //!
-//! Everything here is *analysis*, not instrumentation: the manager keeps a
-//! handful of cheap always-on counters (per-op-kind cache counts, one
-//! sample per GC run) and this module turns them — plus
-//! a one-shot walk of the unique table — into the structured `analytics`
-//! section of run reports. Building an [`Analytics`] costs one pass over
-//! the unique table; nothing here runs on the operator hot path.
+//! Everything here is *analysis*, not instrumentation: the manager keeps
+//! cheap always-on per-op-kind cache counts, and this module turns them —
+//! plus a one-shot walk of the unique table — into the structured
+//! `analytics` section of run reports. Building an [`Analytics`] costs
+//! one pass over the unique table; nothing here runs on the operator hot
+//! path.
 
 use obs::json::Json;
 
@@ -85,68 +85,9 @@ impl OpCacheStats {
     }
 }
 
-/// One garbage-collection run, as sampled by [`Bdd::gc`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct GcSample {
-    /// Live nodes when the collection started.
-    pub nodes_before: u64,
-    /// Nodes reclaimed.
-    pub freed: u64,
-    /// Computed-cache entries dropped (the cache is cleared on GC).
-    pub cache_entries_dropped: u64,
-}
-
-impl GcSample {
-    /// Fraction of the pre-GC nodes this run reclaimed, in `[0, 1]`.
-    pub fn reclaim_fraction(&self) -> f64 {
-        if self.nodes_before == 0 {
-            0.0
-        } else {
-            self.freed as f64 / self.nodes_before as f64
-        }
-    }
-
-    /// The sample as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("nodes_before", self.nodes_before)
-            .field("freed", self.freed)
-            .field("cache_entries_dropped", self.cache_entries_dropped)
-            .field("reclaim_fraction", self.reclaim_fraction())
-    }
-}
-
-/// GC reclaim efficacy across the manager's lifetime.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct GcAnalytics {
-    /// Collections run.
-    pub runs: u64,
-    /// Total nodes reclaimed.
-    pub nodes_reclaimed: u64,
-    /// Mean per-run [`GcSample::reclaim_fraction`] (0 with no runs).
-    pub mean_reclaim_fraction: f64,
-    /// Per-run samples, oldest first (capped; see `truncated`).
-    pub samples: Vec<GcSample>,
-    /// Samples dropped once the retention cap was hit.
-    pub truncated: u64,
-}
-
-impl GcAnalytics {
-    /// The GC analytics as a JSON object.
-    pub fn to_json(&self) -> Json {
-        let samples: Vec<Json> = self.samples.iter().map(GcSample::to_json).collect();
-        Json::obj()
-            .field("runs", self.runs)
-            .field("nodes_reclaimed", self.nodes_reclaimed)
-            .field("mean_reclaim_fraction", self.mean_reclaim_fraction)
-            .field("samples_truncated", self.truncated)
-            .field("samples", samples)
-    }
-}
-
-/// The structured `analytics` section: unique-table probe distribution,
-/// computed-cache hit rate by operation kind, and GC reclaim efficacy.
-/// Built on demand by [`Bdd::analytics`].
+/// The structured `analytics` section: unique-table probe distribution
+/// and computed-cache hit rate by operation kind. Built on demand by
+/// [`Bdd::analytics`].
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Analytics {
     /// Unique-table probe-length distribution (estimated; see
@@ -155,18 +96,13 @@ pub struct Analytics {
     /// Computed-cache traffic per operation kind, ops with traffic only,
     /// worst hit rate first.
     pub cache_by_op: Vec<OpCacheStats>,
-    /// GC reclaim efficacy.
-    pub gc: GcAnalytics,
 }
 
 impl Analytics {
     /// The full section as a JSON object (embedded in run reports).
     pub fn to_json(&self) -> Json {
         let by_op: Vec<Json> = self.cache_by_op.iter().map(OpCacheStats::to_json).collect();
-        Json::obj()
-            .field("unique_table", self.probe.to_json())
-            .field("computed_cache_by_op", by_op)
-            .field("gc", self.gc.to_json())
+        Json::obj().field("unique_table", self.probe.to_json()).field("computed_cache_by_op", by_op)
     }
 }
 
@@ -204,20 +140,13 @@ pub(crate) fn probe_stats_from_occupancy(occupancy: &[u32]) -> ProbeStats {
 }
 
 /// Always-on analytics state carried inside the manager: per-op cache
-/// counters and the GC sample log. Cheap enough to
-/// maintain unconditionally (two array increments per cache lookup, one
-/// push per GC run).
+/// counters. Cheap enough to maintain unconditionally (two array
+/// increments per cache lookup).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AnalyticsState {
     /// `[op][0]` = lookups, `[op][1]` = hits, indexed by [`CacheOp`].
     pub(crate) cache_by_op: [[u64; 2]; CacheOp::COUNT],
-    pub(crate) gc_samples: Vec<GcSample>,
-    pub(crate) gc_samples_truncated: u64,
 }
-
-/// GC samples retained before the log starts dropping (the counters keep
-/// counting; only per-run detail is capped).
-const GC_SAMPLE_CAP: usize = 256;
 
 impl AnalyticsState {
     #[inline]
@@ -227,29 +156,12 @@ impl AnalyticsState {
         slot[1] += u64::from(hit);
     }
 
-    pub(crate) fn note_gc(&mut self, sample: GcSample) {
-        if self.gc_samples.len() < GC_SAMPLE_CAP {
-            self.gc_samples.push(sample);
-        } else {
-            self.gc_samples_truncated += 1;
-        }
-    }
-
     /// Merges `old` into `self` after a reorder-by-rebuild.
     pub(crate) fn absorb(&mut self, old: &AnalyticsState) {
         for (mine, theirs) in self.cache_by_op.iter_mut().zip(&old.cache_by_op) {
             mine[0] += theirs[0];
             mine[1] += theirs[1];
         }
-        // The old samples predate this manager's: keep chronology.
-        let mut samples = old.gc_samples.clone();
-        samples.append(&mut self.gc_samples);
-        if samples.len() > GC_SAMPLE_CAP {
-            self.gc_samples_truncated += (samples.len() - GC_SAMPLE_CAP) as u64;
-            samples.truncate(GC_SAMPLE_CAP);
-        }
-        self.gc_samples = samples;
-        self.gc_samples_truncated += old.gc_samples_truncated;
     }
 }
 
@@ -268,24 +180,7 @@ impl Bdd {
         cache_by_op.sort_by(|a, b| {
             a.hit_rate().partial_cmp(&b.hit_rate()).unwrap_or(std::cmp::Ordering::Equal)
         });
-        let op = self.op_stats();
-        let mean_reclaim_fraction = if state.gc_samples.is_empty() {
-            0.0
-        } else {
-            state.gc_samples.iter().map(GcSample::reclaim_fraction).sum::<f64>()
-                / state.gc_samples.len() as f64
-        };
-        Analytics {
-            probe: self.unique_probe_stats(),
-            cache_by_op,
-            gc: GcAnalytics {
-                runs: op.gc_runs,
-                nodes_reclaimed: op.gc_nodes_reclaimed,
-                mean_reclaim_fraction,
-                samples: state.gc_samples.clone(),
-                truncated: state.gc_samples_truncated,
-            },
-        }
+        Analytics { probe: self.unique_probe_stats(), cache_by_op }
     }
 }
 
@@ -344,11 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn manager_analytics_sees_cache_traffic_and_gc() {
+    fn manager_analytics_sees_cache_traffic() {
         let mut mgr = Bdd::new(6);
         let a = mgr.var(0);
         let b = mgr.var(1);
-        let f = mgr.and(a, b);
+        let _ = mgr.and(a, b);
         let _ = mgr.and(a, b); // cache hit
         let _ = mgr.xor(a, b);
         let analytics = mgr.analytics();
@@ -362,18 +257,11 @@ mod tests {
         for pair in analytics.cache_by_op.windows(2) {
             assert!(pair[0].hit_rate() <= pair[1].hit_rate() + 1e-12);
         }
-        assert_eq!(analytics.gc.runs, 0);
-        mgr.protect(f);
-        let freed = mgr.gc();
-        let analytics = mgr.analytics();
-        assert_eq!(analytics.gc.runs, 1);
-        assert_eq!(analytics.gc.samples.len(), 1);
-        assert_eq!(analytics.gc.samples[0].freed, freed as u64);
-        assert!(analytics.gc.mean_reclaim_fraction > 0.0);
         let json = analytics.to_json();
-        assert!(json.get("unique_table").is_some());
+        assert_eq!(json.keys(), ["unique_table", "computed_cache_by_op"]);
         assert!(json.get("computed_cache_by_op").and_then(Json::as_arr).is_some());
-        mgr.unprotect(f);
+        let hits: u64 = analytics.cache_by_op.iter().map(|s| s.hits).sum();
+        assert_eq!(mgr.op_stats().cache_hits, hits, "the total is the per-op sum");
     }
 
     #[test]
@@ -393,15 +281,5 @@ mod tests {
         let after_lookups =
             after.cache_by_op.iter().find(|s| s.op == "and").map_or(0, |s| s.lookups);
         assert!(after_lookups >= and_lookups, "per-op counters survive the rebuild");
-    }
-
-    #[test]
-    fn gc_sample_log_caps_but_keeps_counting() {
-        let mut state = AnalyticsState::default();
-        for i in 0..(GC_SAMPLE_CAP + 10) {
-            state.note_gc(GcSample { nodes_before: i as u64 + 1, freed: 1, ..GcSample::default() });
-        }
-        assert_eq!(state.gc_samples.len(), GC_SAMPLE_CAP);
-        assert_eq!(state.gc_samples_truncated, 10);
     }
 }

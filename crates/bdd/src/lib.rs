@@ -33,8 +33,8 @@
 //!   [`Bdd::protect`]ed roots.
 //! * Variable reordering by rebuild ([`Bdd::reorder`]) plus static ordering
 //!   heuristics ([`reorder::order_by_frequency`]).
-//! * Post-run table/cache/GC analytics ([`Bdd::analytics`]): probe-length
-//!   distribution, per-op cache hit rates, GC reclaim efficacy.
+//! * Post-run table and cache analytics ([`Bdd::analytics`]): probe-length
+//!   distribution and per-op cache hit rates.
 //! * Graphviz DOT export for debugging ([`Bdd::to_dot`]).
 
 #![forbid(unsafe_code)]
@@ -53,7 +53,7 @@ mod sat;
 mod support;
 mod varset;
 
-pub use analytics::{Analytics, GcAnalytics, GcSample, OpCacheStats, ProbeStats};
+pub use analytics::{Analytics, OpCacheStats, ProbeStats};
 pub use isop::IsopCube;
 pub use manager::{Bdd, Func, MemReport, OpStats, VarId, DEFAULT_CACHE_ENTRIES, MAX_NODES};
 pub use ops::BinOp;

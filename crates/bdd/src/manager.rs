@@ -206,6 +206,10 @@ pub struct OpStats {
     pub gc_runs: u64,
     /// Nodes reclaimed by those collections.
     pub gc_nodes_reclaimed: u64,
+    /// Live nodes at the start of each collection, summed over the
+    /// collections: `gc_nodes_reclaimed / gc_nodes_before` is the share
+    /// they reclaimed.
+    pub gc_nodes_before: u64,
 }
 
 impl OpStats {
@@ -235,6 +239,7 @@ impl OpStats {
         self.apply_steps += other.apply_steps;
         self.gc_runs += other.gc_runs;
         self.gc_nodes_reclaimed += other.gc_nodes_reclaimed;
+        self.gc_nodes_before += other.gc_nodes_before;
     }
 }
 
@@ -709,7 +714,6 @@ impl Bdd {
     /// unprotected intermediates you still need.
     pub fn gc(&mut self) -> usize {
         let nodes_before = self.total_nodes();
-        let cache_entries = self.cache.len;
         // GC entry is the moment of maximum table pressure: sample memory
         // here so `peak_bytes` captures it.
         self.sample_mem();
@@ -742,11 +746,7 @@ impl Bdd {
         self.cache.clear();
         self.op_stats.gc_runs += 1;
         self.op_stats.gc_nodes_reclaimed += freed as u64;
-        self.analytics.note_gc(crate::analytics::GcSample {
-            nodes_before: nodes_before as u64,
-            freed: freed as u64,
-            cache_entries_dropped: cache_entries as u64,
-        });
+        self.op_stats.gc_nodes_before += nodes_before as u64;
         freed
     }
 
@@ -822,8 +822,7 @@ impl Bdd {
         self.analytics.absorb(&old.analytics);
     }
 
-    /// The always-on analytics counters (per-op cache traffic, GC sample
-    /// log).
+    /// The always-on per-op cache counters.
     pub(crate) fn analytics_state(&self) -> &crate::analytics::AnalyticsState {
         &self.analytics
     }
@@ -968,6 +967,9 @@ mod tests {
         let freed = mgr.gc();
         assert!(freed > 0, "scratch nodes must be collected");
         assert!(mgr.total_nodes() < before);
+        let ops = mgr.op_stats();
+        assert_eq!((ops.gc_runs, ops.gc_nodes_reclaimed), (1, freed as u64));
+        assert_eq!(ops.gc_nodes_before, before as u64, "the live nodes it started with");
         // The protected function still works.
         assert!(mgr.eval(keep, &[true, true, false, false]));
         assert!(!mgr.eval(keep, &[true, false, false, false]));
@@ -1281,6 +1283,7 @@ mod tests {
             apply_steps: 6,
             gc_runs: 7,
             gc_nodes_reclaimed: 8,
+            gc_nodes_before: 9,
         };
         let b = a;
         a.merge(&b);

@@ -1,6 +1,6 @@
 //! Runs the benchmark suite and writes `BENCH_bidecomp.json`: one record
 //! per benchmark with the Table 2 netlist columns, BDD op/GC counters,
-//! memory footprint, cache/GC analytics and the §7 rates — counters only,
+//! memory footprint, cache analytics and the §7 rates — counters only,
 //! no wall time. Each benchmark is also run past the doctor; findings are
 //! echoed to stderr so a slow report run explains itself.
 //!
@@ -13,7 +13,7 @@ use std::io::BufWriter;
 
 use bench::exit_cannot_write;
 use bench::report::{record_from_outcome, report_document, write_report};
-use bidecomp::doctor::{diagnose, DoctorConfig};
+use bidecomp::doctor::diagnose;
 use bidecomp::Options;
 
 fn main() {
@@ -33,7 +33,6 @@ fn main() {
     // Open the output first, so an unwritable path fails before the run.
     let file = File::create(&path).unwrap_or_else(|e| exit_cannot_write(&path, e));
     let suite = if small { benchmarks::small() } else { benchmarks::all() };
-    let doctor_cfg = DoctorConfig::default();
     let mut records = Vec::new();
     for b in suite {
         // Telemetry on, as bench_record does: records carry the depth
@@ -41,14 +40,8 @@ fn main() {
         let options = Options { telemetry: true, ..Options::default() };
         let outcome = bidecomp::decompose_pla(&b.pla, &options);
         let record = record_from_outcome(b.name, &outcome);
-        for finding in &diagnose(&outcome, &doctor_cfg).findings {
-            eprintln!(
-                "{}: [{}] {}: {}",
-                b.name,
-                finding.severity.name(),
-                finding.kind,
-                finding.message
-            );
+        for finding in &diagnose(&outcome).findings {
+            eprintln!("{}: {}: {}", b.name, finding.kind, finding.message);
         }
         println!(
             "{:8} {:>6} gates {:>9} nodes allocated",

@@ -12,19 +12,21 @@
 //!   JSON — load it in `chrome://tracing` or Perfetto.
 //! * `--flame` writes the span tree as collapsed stacks for
 //!   `flamegraph.pl` / speedscope.
-//! * `--doctor` runs the anomaly detectors over every benchmark and
-//!   writes one `bidecomp-doctor/v1` findings document; the process
-//!   exits 1 when any finding has `error` severity (the CI gate).
+//! * `--doctor` runs the doctor over every benchmark and writes one
+//!   `bidecomp-doctor/v2` findings document.
 //! * `--tree-dot` writes every benchmark's cost-annotated decomposition
 //!   tree as Graphviz DOT (one cluster per benchmark).
 //! * `--small` runs the quick subset (`benchmarks::small()`).
 //! * `--pla` runs a single PLA file instead of the built-in suite.
+//!
+//! The process exits 1 when any netlist fails verification (the CI
+//! gate).
 
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 
 use bench::exit_cannot_write;
-use bidecomp::doctor::{diagnose, DoctorConfig, DOCTOR_SCHEMA};
+use bidecomp::doctor::{diagnose, DOCTOR_SCHEMA};
 use bidecomp::trace::tree::{render_dot_clusters, DecompTree};
 use bidecomp::{Options, Stats};
 use obs::json::Json;
@@ -95,12 +97,10 @@ fn main() {
         JsonlSink::new(BufWriter::new(file))
     });
     let sink_errors = trace_sink.as_ref().map(|sink| sink.write_errors());
-    // The forensics outputs need the trace (tree, doctor's grouping
-    // detector) and telemetry (costs, analytics).
-    let forensics = args.doctor.is_some() || args.tree_dot.is_some();
+    // The cost-annotated tree needs the trace and telemetry (costs).
     let options = Options {
-        trace: args.trace_out.is_some() || forensics,
-        telemetry: forensics,
+        trace: args.trace_out.is_some() || args.tree_dot.is_some(),
+        telemetry: args.tree_dot.is_some(),
         ..Options::default()
     };
 
@@ -136,9 +136,8 @@ fn main() {
         "name", "calls", "weak%", "cache%", "inessent.%", "shannon"
     );
     let mut merged = Stats::default();
-    let doctor_cfg = DoctorConfig::default();
     let mut doctor_records: Vec<Json> = Vec::new();
-    let mut doctor_errors = 0usize;
+    let mut unverified = 0usize;
     let mut trees: Vec<(String, DecompTree)> = Vec::new();
     for (name, pla) in &suite {
         let outcome = bidecomp::decompose_pla_with_recorder(pla, &options, recorder.clone());
@@ -153,6 +152,10 @@ fn main() {
             s.shannon
         );
         merged.merge(&s);
+        if !outcome.verified {
+            eprintln!("{name}: the netlist does not match its specification");
+            unverified += 1;
+        }
         if let Some(sink) = &mut trace_sink {
             sink.accept(&Event::Point {
                 name: "benchmark".to_owned(),
@@ -163,16 +166,10 @@ fn main() {
             }
         }
         if args.doctor.is_some() {
-            let report = diagnose(&outcome, &doctor_cfg);
+            let report = diagnose(&outcome);
             for finding in &report.findings {
-                eprintln!(
-                    "{name}: [{}] {}: {}",
-                    finding.severity.name(),
-                    finding.kind,
-                    finding.message
-                );
+                eprintln!("{name}: {}: {}", finding.kind, finding.message);
             }
-            doctor_errors += report.counts().2;
             doctor_records
                 .push(Json::obj().field("name", name.as_str()).field("report", report.to_json()));
         }
@@ -212,8 +209,8 @@ fn main() {
     println!();
     println!("Paper's claims: weak in 20-30% of calls; up to 20% component reuse;");
     println!("inessential variables in <1% of calls.");
-    if doctor_errors > 0 {
-        eprintln!("doctor: {doctor_errors} error-severity finding(s) — failing");
+    if unverified > 0 {
+        eprintln!("{unverified} netlist(s) failed verification — failing");
         std::process::exit(1);
     }
 }

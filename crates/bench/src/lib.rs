@@ -12,8 +12,10 @@
 //! * `diff` — compares two report documents and exits non-zero on
 //!   regression (see [`diff`]): the CI regression gate.
 //!
-//! The benches under `benches/` time the same computations with the
-//! dependency-free [`obs::bench`] harness.
+//! Wall time is bdbench's job and the time columns of `table2`, `table3`
+//! and `ablation`; the one bench under `benches/`, `bdd_ops`, times the
+//! BDD kernel's operators with the dependency-free [`obs::bench`]
+//! harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 //! The `report` binary runs the benchmark suite and writes one JSON
 //! document with a record per benchmark — the Table 2 netlist columns plus
 //! the counters the text tables do not show: BDD operation and GC
-//! counters, the manager's memory footprint, cache/GC analytics, and the
+//! counters, the manager's memory footprint, cache analytics, and the
 //! §7 rates (weak decomposition, component reuse, inessential variables).
 //! Records carry no clock: every number is deterministic for a given
 //! input, so two reports diff exactly (wall time is bdbench's job). The
@@ -28,8 +28,11 @@ use pla::Pla;
 /// the kernel-grade manager (and a per-record `threads` field). v5 drops
 /// `threads`: decomposition is always serial. v6 drops every clock:
 /// `time_s`, `phases`, `bdd.gc_time_s`, `percentiles`, `timeseries`,
-/// `analytics.reorders` and the GC samples' `elapsed_ns`.
-pub const REPORT_SCHEMA: &str = "bidecomp-bench/v6";
+/// `analytics.reorders` and the GC samples' `elapsed_ns`. v7 drops the GC
+/// sample log (`analytics.gc`), the always-zero top-level `obs` section
+/// and the component cache's copies of the `decomp` hit counts, and adds
+/// `bdd.gc_nodes_before`.
+pub const REPORT_SCHEMA: &str = "bidecomp-bench/v7";
 
 /// Runs BI-DECOMP on one benchmark (with telemetry on, so the
 /// recursion-depth histogram is populated) and builds its report record.
@@ -61,7 +64,8 @@ pub fn record_from_outcome(name: &str, outcome: &DecompOutcome) -> Json {
                 .field("cache_hit_rate", op.cache_hit_rate())
                 .field("cache_evictions", op.cache_evictions)
                 .field("gc_runs", op.gc_runs)
-                .field("gc_nodes_reclaimed", op.gc_nodes_reclaimed),
+                .field("gc_nodes_reclaimed", op.gc_nodes_reclaimed)
+                .field("gc_nodes_before", op.gc_nodes_before),
         )
         .field("mem", outcome.mem.to_json())
         .field(
@@ -90,21 +94,9 @@ pub fn record_from_outcome(name: &str, outcome: &DecompOutcome) -> Json {
         )
 }
 
-/// Wraps records into the versioned report document. The observability
-/// health section reports zero sink write errors (no trace sink ran);
-/// use [`report_document_with_obs`] to surface a real count.
+/// Wraps records into the versioned report document.
 pub fn report_document(records: Vec<Json>) -> Json {
-    report_document_with_obs(records, 0)
-}
-
-/// Wraps records into the versioned report document, surfacing the
-/// `obs.sink.write_errors` counter (dropped trace/event lines) in the
-/// top-level `obs` section.
-pub fn report_document_with_obs(records: Vec<Json>, sink_write_errors: u64) -> Json {
-    Json::obj()
-        .field("schema", REPORT_SCHEMA)
-        .field("obs", Json::obj().field("sink_write_errors", sink_write_errors))
-        .field("records", records)
+    Json::obj().field("schema", REPORT_SCHEMA).field("records", records)
 }
 
 /// Writes the report document as pretty-enough JSON (one record per line,
@@ -121,9 +113,6 @@ pub fn write_report<W: Write>(document: &Json, mut out: W) -> io::Result<()> {
     let schema =
         document.get("schema").and_then(Json::as_str).expect("report documents carry a schema tag");
     writeln!(out, "{{\"schema\": {},", Json::from(schema).render())?;
-    if let Some(obs) = document.get("obs") {
-        writeln!(out, " \"obs\": {},", obs.render())?;
-    }
     writeln!(out, " \"records\": [")?;
     for (k, record) in records.iter().enumerate() {
         let comma = if k + 1 == records.len() { "" } else { "," };
@@ -172,27 +161,6 @@ mod tests {
             assert!(record.get(key).is_none(), "v6 records carry no `{key}`");
         }
         assert!(bdd.get("gc_time_s").is_none());
-    }
-
-    #[test]
-    fn documents_carry_the_obs_health_section() {
-        let doc = report_document_with_obs(Vec::new(), 7);
-        assert_eq!(
-            doc.get("obs").and_then(|o| o.get("sink_write_errors")).and_then(Json::as_f64),
-            Some(7.0)
-        );
-        let clean = report_document(Vec::new());
-        assert_eq!(
-            clean.get("obs").and_then(|o| o.get("sink_write_errors")).and_then(Json::as_f64),
-            Some(0.0)
-        );
-        let mut bytes = Vec::new();
-        write_report(&doc, &mut bytes).expect("in-memory write");
-        let parsed = Json::parse(&String::from_utf8(bytes).expect("utf-8")).expect("parses");
-        assert_eq!(
-            parsed.get("obs").and_then(|o| o.get("sink_write_errors")).and_then(Json::as_f64),
-            Some(7.0)
-        );
     }
 
     #[test]

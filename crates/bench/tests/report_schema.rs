@@ -1,6 +1,6 @@
 //! Golden test for the `BENCH_bidecomp.json` schema: the document the
 //! `report` binary writes must parse with the workspace JSON parser and
-//! keep the `bidecomp-bench/v6` record shape stable.
+//! keep the `bidecomp-bench/v7` record shape stable.
 
 use bench::report::{bench_record, report_document, write_report, REPORT_SCHEMA};
 use bidecomp::Options;
@@ -10,7 +10,7 @@ use obs::json::Json;
 const RECORD_KEYS: [&str; 7] = ["name", "verified", "netlist", "bdd", "mem", "analytics", "decomp"];
 const NETLIST_KEYS: [&str; 8] =
     ["inputs", "outputs", "gates", "exors", "inverters", "cascades", "area", "delay"];
-const BDD_KEYS: [&str; 11] = [
+const BDD_KEYS: [&str; 12] = [
     "peak_nodes",
     "mk_calls",
     "unique_hits",
@@ -22,10 +22,12 @@ const BDD_KEYS: [&str; 11] = [
     "cache_evictions",
     "gc_runs",
     "gc_nodes_reclaimed",
+    "gc_nodes_before",
 ];
 const MEM_KEYS: [&str; 5] =
     ["unique_table_bytes", "computed_cache_bytes", "node_slab_bytes", "total_bytes", "peak_bytes"];
-const ANALYTICS_KEYS: [&str; 4] = ["unique_table", "computed_cache_by_op", "gc", "component_cache"];
+const ANALYTICS_KEYS: [&str; 3] = ["unique_table", "computed_cache_by_op", "component_cache"];
+const COMPONENT_CACHE_KEYS: [&str; 3] = ["support_sets", "components", "max_bucket"];
 const DECOMP_KEYS: [&str; 13] = [
     "calls",
     "cache_hits",
@@ -54,7 +56,7 @@ fn suite_document() -> Json {
 }
 
 #[test]
-fn report_document_matches_the_v6_schema() {
+fn report_document_matches_the_v7_schema() {
     let document = suite_document();
     let mut bytes = Vec::new();
     write_report(&document, &mut bytes).expect("in-memory write");
@@ -62,17 +64,14 @@ fn report_document_matches_the_v6_schema() {
     let parsed = Json::parse(&text).expect("document must parse with the workspace parser");
 
     assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(REPORT_SCHEMA));
-    // v3: the top-level obs health section survives the hand-rolled
-    // writer.
-    assert_eq!(
-        parsed.get("obs").and_then(|o| o.get("sink_write_errors")).and_then(Json::as_f64),
-        Some(0.0),
-        "no trace sink runs during report generation"
-    );
+    assert_eq!(REPORT_SCHEMA, "bidecomp-bench/v7");
+    // v7: no top-level `obs` section.
+    assert_eq!(parsed.keys(), ["schema", "records"]);
     let records = parsed.get("records").and_then(Json::as_arr).expect("records array");
     assert_eq!(records.len(), 2);
     for record in records {
-        // v6: exactly these sections, in this order — no clock anywhere.
+        // v7: exactly these sections, in this order — no clock anywhere,
+        // no GC sample log.
         assert_eq!(record.keys(), RECORD_KEYS, "record keys drifted");
         for (section, wanted) in [
             ("netlist", &NETLIST_KEYS[..]),
@@ -95,6 +94,8 @@ fn report_document_matches_the_v6_schema() {
         assert!(get("peak_bytes") >= get("total_bytes"));
         // v3: analytics carry real measurements.
         let analytics = record.get("analytics").expect("analytics");
+        let component_cache = analytics.get("component_cache").expect("component cache");
+        assert_eq!(component_cache.keys(), COMPONENT_CACHE_KEYS, "component_cache keys drifted");
         let entries = analytics
             .get("unique_table")
             .and_then(|t| t.get("entries"))

@@ -20,8 +20,9 @@ pub struct Component {
     pub signal: SignalId,
 }
 
-/// Reuse statistics of the §6 component cache (one bucket of candidate
-/// components per support set).
+/// Occupancy of the §6 component cache (one bucket of candidate
+/// components per support set). Its hits are counted once, in
+/// [`Stats::cache_hits`] and [`Stats::cache_hits_complement`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ComponentCacheStats {
     /// Distinct support sets with at least one cached component.
@@ -30,19 +31,9 @@ pub struct ComponentCacheStats {
     pub components: usize,
     /// Largest bucket (components sharing one support set).
     pub max_bucket: usize,
-    /// Lookups resolved by a cached component as-is.
-    pub hits: usize,
-    /// Lookups resolved by a cached component complemented (Theorem 6's
-    /// free inverter).
-    pub complement_hits: usize,
 }
 
 impl ComponentCacheStats {
-    /// Hits of either polarity.
-    pub fn total_hits(&self) -> usize {
-        self.hits + self.complement_hits
-    }
-
     /// The stats as a JSON object (the `component_cache` part of the
     /// report's `analytics` section).
     pub fn to_json(&self) -> obs::json::Json {
@@ -50,8 +41,6 @@ impl ComponentCacheStats {
             .field("support_sets", self.support_sets)
             .field("components", self.components)
             .field("max_bucket", self.max_bucket)
-            .field("hits", self.hits)
-            .field("complement_hits", self.complement_hits)
     }
 }
 
@@ -199,15 +188,13 @@ impl Decomposer {
         &self.stats
     }
 
-    /// Reuse statistics of the component cache (cheap: one pass over the
+    /// Occupancy of the component cache (cheap: one pass over the
     /// bucket lengths).
     pub fn component_cache_stats(&self) -> ComponentCacheStats {
         ComponentCacheStats {
             support_sets: self.cache.len(),
             components: self.cache.values().map(Vec::len).sum(),
             max_bucket: self.cache.values().map(Vec::len).max().unwrap_or(0),
-            hits: self.stats.cache_hits,
-            complement_hits: self.stats.cache_hits_complement,
         }
     }
 

@@ -64,12 +64,12 @@ pub struct DecompOutcome {
     /// sampled across the run (at every GC, after every output, and at
     /// the end).
     pub mem: MemReport,
-    /// Structured cache/GC analytics from the BDD manager. `None` unless
-    /// [`Options::telemetry`] is on (building it walks the unique table
-    /// once).
+    /// Structured unique-table and computed-cache analytics from the BDD
+    /// manager. `None` unless [`Options::telemetry`] is on (building it
+    /// walks the unique table once).
     pub analytics: Option<Analytics>,
-    /// Component-cache reuse statistics (§6). Always populated; costs one
-    /// pass over the bucket lengths.
+    /// Component-cache occupancy (§6). Always populated; costs one pass
+    /// over the bucket lengths.
     pub component_cache: ComponentCacheStats,
 }
 

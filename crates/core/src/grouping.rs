@@ -82,7 +82,8 @@ pub fn find_initial_grouping(
             let (i, j) = pairs.first_pair(mgr, isf, &vars, None)?;
             Some(Grouping::pair(vars[i], vars[j]))
         }
-        _ => theorem1_initial(mgr, &theorem1_isf(isf, gate), &vars, None).map(|(g, _, _)| g),
+        _ => theorem1_initial(mgr, &theorem1_isf(isf, gate), &vars, None)
+            .map(|(i, j, _, _)| Grouping::pair(vars[i], vars[j])),
     }
 }
 
@@ -173,7 +174,7 @@ fn a_first(grouping: &Grouping) -> bool {
     grouping.xa.len() <= grouping.xb.len()
 }
 
-/// Fig. 5 for Theorem 1: the first pair `(x, y)` with
+/// Fig. 5 for Theorem 1: the positions `(i, j)` of the first pair with
 /// `Q · ∃x R · ∃y R = 0`, with both quantified sides. With an
 /// `incumbent`, gives up at the first row that cannot beat it
 /// ([`can_win`]).
@@ -182,7 +183,7 @@ fn theorem1_initial(
     isf: &Isf,
     vars: &[VarId],
     incumbent: Option<&Grouping>,
-) -> Option<(Grouping, Func, Func)> {
+) -> Option<(usize, usize, Func, Func)> {
     // Each variable's sides, built when the pair loop first reaches it.
     // The checks are symmetric in (X_A, X_B), so unordered pairs suffice
     // (the paper's double loop tests both orders; same outcome).
@@ -200,7 +201,7 @@ fn theorem1_initial(
             }
             let (ra, rb) = (sides[i].0, sides[j].1);
             if check::theorem1(mgr, isf.q, ra, rb) {
-                return Some((Grouping::pair(vars[i], vars[j]), ra, rb));
+                return Some((i, j, ra, rb));
             }
         }
     }
@@ -208,16 +209,20 @@ fn theorem1_initial(
 }
 
 /// Fig. 6 for Theorem 1, carrying `∃X_A R` and `∃X_B R` across candidates.
+///
+/// The growth starts after the Fig. 5 row `i`: the rows before it found no
+/// partner, and Theorem 1 is monotone in the sets, so they are rejected
+/// without a test.
 fn group_theorem1(
     mgr: &mut Bdd,
     isf: &Isf,
     vars: &[VarId],
     incumbent: Option<&Grouping>,
 ) -> Option<Grouping> {
-    let (mut grouping, mut ra, mut rb) = theorem1_initial(mgr, isf, vars, incumbent)?;
-    let initial = grouping.xa.union(&grouping.xb);
-    let mut rejected = 0;
-    for &z in vars.iter().filter(|&&z| !initial.contains(z)) {
+    let (i, j, mut ra, mut rb) = theorem1_initial(mgr, isf, vars, incumbent)?;
+    let mut grouping = Grouping::pair(vars[i], vars[j]);
+    let mut rejected = i;
+    for z in (i + 1..vars.len()).filter(|&k| k != j).map(|k| vars[k]) {
         let total = grouping.total();
         let cube = mgr.cube(&VarSet::singleton(z));
         let to_a_first = a_first(&grouping);
@@ -321,6 +326,9 @@ impl PairTests {
 /// the whole check: every cross pair passing means all mixed second
 /// derivatives `∂²f/∂a∂b` vanish, which is `f = A(X_A, X_C) ⊕ B(X_B, X_C)`.
 /// With don't-cares the pairs can each pass while Fig. 4 still rejects.
+///
+/// As for Theorem 1, the growth starts after the Fig. 5 row `i`: the rows
+/// before it failed every pair test, and Theorem 2 is symmetric.
 fn group_exor(
     mgr: &mut Bdd,
     isf: &Isf,
@@ -332,8 +340,8 @@ fn group_exor(
     let completely_specified = pairs.care.is_one();
     let position = |y: VarId| vars.binary_search(&y).expect("members come from vars");
     let mut grouping = Grouping::pair(vars[i], vars[j]);
-    let mut rejected = 0;
-    for k in (0..vars.len()).filter(|&k| k != i && k != j) {
+    let mut rejected = i;
+    for k in (i + 1..vars.len()).filter(|&k| k != j) {
         let total = grouping.total();
         let zs = VarSet::singleton(vars[k]);
         let to_a_first = a_first(&grouping);

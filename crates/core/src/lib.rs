@@ -47,8 +47,7 @@
 //!   BDD-based verifier.
 //! * [`trace`] / [`trace::tree`] — cost-attributed decomposition traces
 //!   and tree reconstruction with inclusive/exclusive rollups.
-//! * [`doctor`] — anomaly detection over a finished run (cache thrash,
-//!   Shannon storms, unbalanced groupings, GC thrash).
+//! * [`doctor`] — anomaly detection over a finished run (GC thrash).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

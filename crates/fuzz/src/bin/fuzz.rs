@@ -14,10 +14,8 @@
 //! * `--mutate` enables the deliberate Theorem 1 mutation in
 //!   `bidecomp::check` — the harness self-check: a run with this flag
 //!   must find counterexamples.
-//! * `--report FILE` writes a machine-readable JSON summary. Reported
-//!   runs also push every passing case through the decomposition doctor
-//!   (`bidecomp::doctor`), so the summary carries a `doctor_findings`
-//!   count of pathological-but-correct inputs.
+//! * `--report FILE` writes a machine-readable JSON summary (schema
+//!   `fuzz-report-v2`).
 //!
 //! Exit codes: 0 clean, 1 failures found, 2 usage error.
 
@@ -115,22 +113,13 @@ fn report_json(report: &FuzzReport, args: &Args, mode: &str) -> Json {
         })
         .collect();
     Json::obj()
-        .field("schema", "fuzz-report-v1")
+        .field("schema", "fuzz-report-v2")
         .field("mode", mode)
         .field("seed", args.seed)
         .field("mutate", args.mutate)
         .field("cases", report.cases)
         .field("operator_checks", report.operator_checks)
         .field("elapsed_ms", report.elapsed.as_secs_f64() * 1e3)
-        .field(
-            "doctor_findings",
-            match report.doctor_findings {
-                Some((info, warning, error)) => {
-                    Json::obj().field("info", info).field("warning", warning).field("error", error)
-                }
-                None => Json::Null,
-            },
-        )
         .field("failures", failures)
 }
 
@@ -148,7 +137,6 @@ fn main() {
         seed: args.seed,
         iters: args.iters,
         time_budget: args.time_budget,
-        doctor: args.report.is_some(),
         ..FuzzConfig::default()
     };
 
@@ -193,9 +181,6 @@ fn main() {
         args.seed,
         report.elapsed.as_secs_f64()
     );
-    if let Some((info, warning, error)) = report.doctor_findings {
-        println!("doctor: {info} info, {warning} warning, {error} error finding(s)");
-    }
     if let Some(path) = &args.report {
         let json = report_json(&report, &args, mode).render();
         std::fs::write(path, json + "\n")

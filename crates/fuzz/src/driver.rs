@@ -34,10 +34,6 @@ pub struct FuzzConfig {
     pub max_failures: usize,
     /// Pre-seeded mutation pool, typically the replay corpus.
     pub pool: Vec<Pla>,
-    /// Run every passing case past the decomposition doctor
-    /// ([`bidecomp::doctor`]) and accumulate finding counts — fuzzing
-    /// doubles as a hunt for pathological-but-correct inputs.
-    pub doctor: bool,
 }
 
 impl Default for FuzzConfig {
@@ -50,7 +46,6 @@ impl Default for FuzzConfig {
             atpg_node_budget: 120,
             max_failures: 5,
             pool: Vec::new(),
-            doctor: false,
         }
     }
 }
@@ -84,9 +79,6 @@ pub struct FuzzReport {
     pub operator_checks: u64,
     /// Failures found (empty = clean run).
     pub failures: Vec<CaseFailure>,
-    /// Doctor finding counts `(info, warning, error)` accumulated across
-    /// passing cases; `None` when [`FuzzConfig::doctor`] was off.
-    pub doctor_findings: Option<(u64, u64, u64)>,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
 }
@@ -107,18 +99,6 @@ pub fn check_case(pla: &Pla, case_seed: u64, atpg_node_budget: usize) -> Result<
     let checks = oracle::check_operators(pla, case_seed)?;
     e2e::check_end_to_end(pla, atpg_node_budget)?;
     Ok(checks)
-}
-
-/// Diagnoses one passing case and folds the finding counts into the
-/// report.
-fn note_doctor(report: &mut FuzzReport, pla: &Pla) {
-    use bidecomp::doctor::{diagnose_pla, DoctorConfig};
-    let (_, doc) = diagnose_pla(pla, &bidecomp::Options::default(), &DoctorConfig::default());
-    let (info, warning, error) = doc.counts();
-    let counts = report.doctor_findings.get_or_insert((0, 0, 0));
-    counts.0 += info as u64;
-    counts.1 += warning as u64;
-    counts.2 += error as u64;
 }
 
 /// Handles one failing case: shrink it (unless the config's shrink
@@ -158,9 +138,6 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
     let mut pool = cfg.pool.clone();
     pool.retain(|p| p.num_inputs() <= gen::MAX_INPUTS && !p.cubes().is_empty());
     let mut report = FuzzReport::default();
-    if cfg.doctor {
-        report.doctor_findings = Some((0, 0, 0));
-    }
 
     for i in 0..cfg.iters {
         if cfg.time_budget.is_some_and(|budget| start.elapsed() >= budget) {
@@ -172,9 +149,6 @@ pub fn run(cfg: &FuzzConfig) -> FuzzReport {
         match check_case(&case.pla, case_seed, cfg.atpg_node_budget) {
             Ok(checks) => {
                 report.operator_checks += checks;
-                if cfg.doctor {
-                    note_doctor(&mut report, &case.pla);
-                }
                 // Passing cases feed the mutation generator.
                 if pool.len() < MUTATION_POOL_CAP {
                     pool.push(case.pla);
@@ -211,18 +185,10 @@ pub fn replay(cases: &[(String, Pla)], cfg: &FuzzConfig) -> FuzzReport {
     // Corpus cases are already minimal: disable shrinking on replay.
     let cfg = FuzzConfig { shrink_checks: 0, ..cfg.clone() };
     let mut report = FuzzReport::default();
-    if cfg.doctor {
-        report.doctor_findings = Some((0, 0, 0));
-    }
     for (i, (name, pla)) in cases.iter().enumerate() {
         report.cases += 1;
         match check_case(pla, cfg.seed, cfg.atpg_node_budget) {
-            Ok(checks) => {
-                report.operator_checks += checks;
-                if cfg.doctor {
-                    note_doctor(&mut report, pla);
-                }
-            }
+            Ok(checks) => report.operator_checks += checks,
             Err(failure) => {
                 handle_failure(&cfg, &mut report, i as u64, name.clone(), pla, cfg.seed, failure);
             }
@@ -244,16 +210,6 @@ mod tests {
         assert!(a.clean(), "HEAD must fuzz clean: {:?}", a.failures.first().map(|f| f.kind));
         assert_eq!(a.cases, 40);
         assert_eq!(a.operator_checks, b.operator_checks, "equal seeds, equal work");
-    }
-
-    #[test]
-    fn doctor_counts_are_opt_in() {
-        let cfg = FuzzConfig { iters: 5, ..FuzzConfig::default() };
-        assert_eq!(run(&cfg).doctor_findings, None, "off by default");
-        let cfg = FuzzConfig { doctor: true, ..cfg };
-        let report = run(&cfg);
-        let (_, _, error) = report.doctor_findings.expect("doctor was on");
-        assert_eq!(error, 0, "tiny correct cases must not be pathological");
     }
 
     #[test]

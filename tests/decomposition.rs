@@ -195,5 +195,5 @@ fn components_are_reused_across_outputs() {
     let outcome = decompose_pla(&rd84.pla, &Options::default());
     assert!(outcome.verified);
     assert_eq!(outcome.netlist.stats().gates, 58);
-    assert!(outcome.component_cache.hits > 0);
+    assert!(outcome.stats.cache_hits > 0);
 }

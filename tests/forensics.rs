@@ -1,11 +1,12 @@
 //! Forensics golden tests: the decomposition-tree DOT export and the
-//! doctor findings JSON must stay byte-stable on fixed inputs, and the
-//! tree reconstruction must round-trip real traces.
+//! doctor findings JSON must stay byte-stable on fixed inputs, the doctor
+//! must stay silent on healthy runs, and the tree reconstruction must
+//! round-trip real traces.
 //!
 //! Regenerate the goldens with `BLESS=1 cargo test --test forensics`
 //! after an intentional format change, and review the diff.
 
-use bidecomp::doctor::{diagnose_pla, DoctorConfig, DOCTOR_SCHEMA};
+use bidecomp::doctor::{diagnose, DOCTOR_SCHEMA};
 use bidecomp::trace::tree::{render_dot_clusters, DecompTree};
 use bidecomp::Options;
 use obs::json::Json;
@@ -52,14 +53,31 @@ fn decomposition_tree_dot_is_golden() {
 
 #[test]
 fn doctor_findings_json_is_golden() {
-    let pla: Pla = FIG3.parse().expect("valid pla");
-    let (outcome, report) = diagnose_pla(&pla, &Options::default(), &DoctorConfig::default());
+    // cps collects between its 109 outputs at a tight GC threshold, and
+    // the cached components and remaining specifications pin most nodes:
+    // a real `gc-thrash` finding.
+    let b = benchmarks::by_name("cps").expect("known");
+    let outcome =
+        bidecomp::decompose_pla(&b.pla, &Options { gc_threshold: 500, ..Options::default() });
     assert!(outcome.verified);
+    let report = diagnose(&outcome);
+    assert_eq!(report.findings.len(), 1);
+    assert_eq!(report.findings[0].kind, "gc-thrash");
     let json = report.to_json().render();
     // The workspace parser must accept the doctor's output.
     let parsed = Json::parse(&json).expect("doctor JSON parses");
     assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(DOCTOR_SCHEMA));
     check_golden("forensics_doctor.json", &(json + "\n"));
+}
+
+#[test]
+fn doctor_is_silent_on_the_small_suite() {
+    for b in benchmarks::small() {
+        let outcome = bidecomp::decompose_pla(&b.pla, &Options::default());
+        assert!(outcome.verified, "{}", b.name);
+        let findings = diagnose(&outcome).findings;
+        assert!(findings.is_empty(), "{}: {findings:?}", b.name);
+    }
 }
 
 #[test]

@@ -120,7 +120,7 @@ fn gc_threshold_does_not_change_results() {
     assert!(normal.verified && tight.verified);
     assert_eq!(normal.op_stats.gc_runs, 0);
     assert!(tight.op_stats.gc_runs > 0, "the tight threshold must trigger GC");
-    assert!(tight.component_cache.hits > 0, "cached components must be reused across GCs");
+    assert!(tight.stats.cache_hits > 0, "cached components must be reused across GCs");
     assert_eq!(tight.netlist.to_blif("cps"), normal.netlist.to_blif("cps"));
 }
 
