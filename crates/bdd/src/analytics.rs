@@ -155,14 +155,6 @@ impl AnalyticsState {
         slot[0] += 1;
         slot[1] += u64::from(hit);
     }
-
-    /// Merges `old` into `self` after a reorder-by-rebuild.
-    pub(crate) fn absorb(&mut self, old: &AnalyticsState) {
-        for (mine, theirs) in self.cache_by_op.iter_mut().zip(&old.cache_by_op) {
-            mine[0] += theirs[0];
-            mine[1] += theirs[1];
-        }
-    }
 }
 
 impl Bdd {
@@ -262,24 +254,5 @@ mod tests {
         assert!(json.get("computed_cache_by_op").and_then(Json::as_arr).is_some());
         let hits: u64 = analytics.cache_by_op.iter().map(|s| s.hits).sum();
         assert_eq!(mgr.op_stats().cache_hits, hits, "the total is the per-op sum");
-    }
-
-    #[test]
-    fn analytics_survive_reorder() {
-        let mut mgr = Bdd::new(4);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let f = mgr.and(a, b);
-        let _ = mgr.and(a, b);
-        let before = mgr.analytics();
-        let and_lookups =
-            before.cache_by_op.iter().find(|s| s.op == "and").map_or(0, |s| s.lookups);
-        assert!(and_lookups >= 2);
-        let order: Vec<u32> = (0..4).rev().collect();
-        let _roots = mgr.reorder(&order, &[f]);
-        let after = mgr.analytics();
-        let after_lookups =
-            after.cache_by_op.iter().find(|s| s.op == "and").map_or(0, |s| s.lookups);
-        assert!(after_lookups >= and_lookups, "per-op counters survive the rebuild");
     }
 }

@@ -1,4 +1,4 @@
-//! Cofactors, cube restriction and functional composition.
+//! Shannon cofactors.
 
 use crate::manager::{Bdd, CacheKey, CacheOp, Func};
 
@@ -38,160 +38,11 @@ impl Bdd {
         self.cache_put(key, result);
         result
     }
-
-    /// Restricts `f` by every literal of `cube`, which may contain positive
-    /// and negative literals (a path cube as returned by
-    /// [`Bdd::pick_cube`]).
-    pub fn restrict_cube(&mut self, f: Func, cube: Func) -> Func {
-        let mut result = f;
-        let mut c = cube;
-        while !c.is_const() {
-            let n = *self.node(c);
-            let (value, next) = if n.low.is_zero() {
-                (true, n.high)
-            } else {
-                debug_assert!(n.high.is_zero(), "restrict_cube: argument must be a cube");
-                (false, n.low)
-            };
-            result = self.cofactor(result, n.var, value);
-            c = next;
-        }
-        result
-    }
-
-    /// Coudert–Madre *restrict*: heuristically minimizes `f` against a
-    /// care set, returning some `g` with `g · care = f · care` (outside
-    /// the care set `g` is arbitrary). The classic use is shrinking a BDD
-    /// using don't-cares before handing it to a structural mapper.
-    ///
-    /// Guarantee: the result agrees with `f` on `care`; its node count is
-    /// usually (not provably) no larger than `f`'s.
-    pub fn restrict(&mut self, f: Func, care: Func) -> Func {
-        if care.is_zero() {
-            // Everything is a don't-care; any function works.
-            return Func::ZERO;
-        }
-        if f.is_const() || care.is_one() {
-            return f;
-        }
-        let key = CacheKey { op: CacheOp::Restrict, a: f.0, b: care.0, c: 0 };
-        if let Some(hit) = self.cache_get(&key) {
-            return hit;
-        }
-        let lf = self.level(f);
-        let lc = self.level(care);
-        let result = if lc < lf {
-            // The care set constrains a variable f does not mention:
-            // merge its branches and continue.
-            let n = *self.node(care);
-            let merged = self.or(n.low, n.high);
-            self.restrict(f, merged)
-        } else if lf < lc {
-            let n = *self.node(f);
-            let low = self.restrict(n.low, care);
-            let high = self.restrict(n.high, care);
-            self.mk(n.var, low, high)
-        } else {
-            let nf = *self.node(f);
-            let nc = *self.node(care);
-            if nc.low.is_zero() {
-                // Only the high branch is cared about: drop the variable.
-                self.restrict(nf.high, nc.high)
-            } else if nc.high.is_zero() {
-                self.restrict(nf.low, nc.low)
-            } else {
-                let low = self.restrict(nf.low, nc.low);
-                let high = self.restrict(nf.high, nc.high);
-                self.mk(nf.var, low, high)
-            }
-        };
-        self.cache_put(key, result);
-        result
-    }
-
-    /// Renames the variables of `f` according to `map` (`map[v]` is the
-    /// new variable for old variable `v`).
-    ///
-    /// The mapping must be injective on `f`'s support; simultaneous
-    /// renaming is performed (swaps are safe).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map` is shorter than the manager's variable count, maps
-    /// to an out-of-range variable, or collapses two support variables
-    /// onto one.
-    pub fn rename(&mut self, f: Func, map: &[crate::VarId]) -> Func {
-        assert!(map.len() >= self.num_vars(), "one mapping entry per variable required");
-        let support = self.support(f);
-        let mut targets = crate::VarSet::new();
-        for v in support.iter() {
-            let t = map[v as usize];
-            assert!((t as usize) < self.num_vars(), "rename target x{t} out of range");
-            assert!(targets.insert(t), "rename must be injective on the support");
-        }
-        let mut memo = std::collections::HashMap::new();
-        self.rename_rec(f, map, &mut memo)
-    }
-
-    fn rename_rec(
-        &mut self,
-        f: Func,
-        map: &[crate::VarId],
-        memo: &mut std::collections::HashMap<Func, Func>,
-    ) -> Func {
-        if f.is_const() {
-            return f;
-        }
-        if let Some(&hit) = memo.get(&f) {
-            return hit;
-        }
-        let var = self.root_var(f).expect("non-constant");
-        let low_child = self.low(f);
-        let high_child = self.high(f);
-        let low = self.rename_rec(low_child, map, memo);
-        let high = self.rename_rec(high_child, map, memo);
-        let x = self.var(map[var as usize]);
-        let result = self.ite(x, high, low);
-        memo.insert(f, result);
-        result
-    }
-
-    /// Functional composition: substitutes `g` for variable `v` in `f`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not a variable of this manager.
-    pub fn compose(&mut self, f: Func, v: crate::VarId, g: Func) -> Func {
-        assert!((v as usize) < self.num_vars(), "variable x{v} out of range");
-        if f.is_const() {
-            return f;
-        }
-        let target = self.level_of_var(v);
-        if self.level(f) > target {
-            return f;
-        }
-        let key = CacheKey { op: CacheOp::Compose, a: f.0, b: g.0, c: v };
-        if let Some(hit) = self.cache_get(&key) {
-            return hit;
-        }
-        let n = *self.node(f);
-        let result = if self.level(f) == target {
-            self.ite(g, n.high, n.low)
-        } else {
-            let low = self.compose(n.low, v, g);
-            let high = self.compose(n.high, v, g);
-            let root = self.var(n.var);
-            self.ite(root, high, low)
-        };
-        self.cache_put(key, result);
-        result
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::VarSet;
 
     #[test]
     fn cofactor_shannon_expansion() {
@@ -217,165 +68,5 @@ mod tests {
         assert_eq!(mgr.cofactor(y, 0, true), y);
         assert_eq!(mgr.cofactor(y, 2, false), y);
         assert_eq!(mgr.cofactor(Func::ONE, 0, true), Func::ONE);
-    }
-
-    #[test]
-    fn restrict_by_picked_cube_yields_one() {
-        let mut mgr = Bdd::new(4);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let c = mgr.var(2);
-        let nb = mgr.not(b);
-        let anb = mgr.and(a, nb);
-        let f = mgr.or(anb, c);
-        let cube = mgr.pick_cube(f).expect("satisfiable");
-        let restricted = mgr.restrict_cube(f, cube);
-        assert!(restricted.is_one(), "restricting f by one of its cubes gives 1");
-    }
-
-    #[test]
-    fn compose_substitutes() {
-        let mut mgr = Bdd::new(4);
-        let x = mgr.var(0);
-        let y = mgr.var(1);
-        let z = mgr.var(2);
-        let w = mgr.var(3);
-        let f = mgr.xor(x, y); // x ⊕ y
-        let g = mgr.and(z, w);
-        let h = mgr.compose(f, 1, g); // x ⊕ (z·w)
-        for bits in 0..16u32 {
-            let vals = [bits & 1 != 0, bits & 2 != 0, bits & 4 != 0, bits & 8 != 0];
-            let expected = vals[0] ^ (vals[2] && vals[3]);
-            assert_eq!(mgr.eval(h, &vals), expected);
-        }
-    }
-
-    #[test]
-    fn compose_with_variable_is_renaming() {
-        let mut mgr = Bdd::new(3);
-        let x = mgr.var(0);
-        let y = mgr.var(1);
-        let z = mgr.var(2);
-        let f = mgr.and(x, y);
-        let renamed = mgr.compose(f, 1, z);
-        let expected = mgr.and(x, z);
-        assert_eq!(renamed, expected);
-    }
-
-    #[test]
-    fn rename_moves_support() {
-        let mut mgr = Bdd::new(4);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let f = mgr.and(a, b); // x0 · x1
-        let g = mgr.rename(f, &[2, 3, 0, 1]);
-        let c = mgr.var(2);
-        let d = mgr.var(3);
-        let expected = mgr.and(c, d);
-        assert_eq!(g, expected);
-        // Swap is simultaneous, not sequential.
-        let ab = mgr.xor(a, b);
-        let nb = mgr.not(b);
-        let h = mgr.and(ab, nb); // (x0 ⊕ x1)·¬x1
-        let swapped = mgr.rename(h, &[1, 0, 2, 3]);
-        let na = mgr.not(a);
-        let expected = mgr.and(ab, na); // (x1 ⊕ x0)·¬x0
-        assert_eq!(swapped, expected);
-        // Identity map is a no-op.
-        assert_eq!(mgr.rename(h, &[0, 1, 2, 3]), h);
-    }
-
-    #[test]
-    #[should_panic(expected = "injective")]
-    fn rename_rejects_collapsing_maps() {
-        let mut mgr = Bdd::new(3);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let f = mgr.and(a, b);
-        let _ = mgr.rename(f, &[2, 2, 2]);
-    }
-
-    #[test]
-    fn restrict_agrees_on_care_set() {
-        let mut mgr = Bdd::new(4);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let c = mgr.var(2);
-        let d = mgr.var(3);
-        let ab = mgr.and(a, b);
-        let cd = mgr.xor(c, d);
-        let f = mgr.or(ab, cd);
-        let care = mgr.and(a, c); // only care where a·c
-        let g = mgr.restrict(f, care);
-        let lhs = mgr.and(g, care);
-        let rhs = mgr.and(f, care);
-        assert_eq!(lhs, rhs, "restrict must agree on the care set");
-        assert!(mgr.node_count(g) <= mgr.node_count(f));
-    }
-
-    #[test]
-    fn restrict_with_cube_care_is_cofactoring() {
-        // Caring only about a=1, b=0 reduces f to its cofactor there.
-        let mut mgr = Bdd::new(3);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let c = mgr.var(2);
-        let ab = mgr.and(a, b);
-        let f = mgr.or(ab, c);
-        let nb = mgr.not(b);
-        let care = mgr.and(a, nb);
-        let g = mgr.restrict(f, care);
-        assert_eq!(g, c, "f|a=1,b=0 = c");
-    }
-
-    #[test]
-    fn restrict_trivial_cases() {
-        let mut mgr = Bdd::new(2);
-        let a = mgr.var(0);
-        assert_eq!(mgr.restrict(a, Func::ONE), a);
-        assert_eq!(mgr.restrict(a, Func::ZERO), Func::ZERO);
-        assert_eq!(mgr.restrict(Func::ONE, a), Func::ONE);
-    }
-
-    #[test]
-    fn restrict_randomized_soundness() {
-        // g·care = f·care on random functions, and sizes do not explode.
-        for seed in 0..20u64 {
-            let mut mgr = Bdd::new(6);
-            // Two structured pseudo-random functions from the seed.
-            let mut f = Func::ZERO;
-            let mut care = Func::ZERO;
-            let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-            for _ in 0..6 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let v1 = ((state >> 33) % 6) as u32;
-                let v2 = ((state >> 43) % 6) as u32;
-                let x = mgr.var(v1);
-                let y = mgr.var(v2);
-                let t = mgr.and(x, y);
-                f = mgr.xor(f, t);
-                let u = mgr.or(x, y);
-                care = mgr.xor(care, u);
-            }
-            let g = mgr.restrict(f, care);
-            let lhs = mgr.and(g, care);
-            let rhs = mgr.and(f, care);
-            assert_eq!(lhs, rhs, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn compose_quantifier_identity() {
-        // ∃v f = f[v:=0] + f[v:=1].
-        let mut mgr = Bdd::new(3);
-        let x = mgr.var(0);
-        let y = mgr.var(1);
-        let z = mgr.var(2);
-        let xz = mgr.and(x, z);
-        let f = mgr.xor(xz, y);
-        let f0 = mgr.compose(f, 2, Func::ZERO);
-        let f1 = mgr.compose(f, 2, Func::ONE);
-        let both = mgr.or(f0, f1);
-        assert_eq!(mgr.exists_set(f, &VarSet::singleton(2)), both);
     }
 }

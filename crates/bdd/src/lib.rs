@@ -27,12 +27,12 @@
 //! * Existential and universal quantification over variable cubes
 //!   ([`Bdd::exists`], [`Bdd::forall`]) — the workhorses of the
 //!   bi-decomposition formulas.
-//! * Cofactors, restriction and functional composition.
+//! * Shannon cofactors ([`Bdd::cofactor`]).
 //! * Structural queries: support, node counts, satisfy counts, cube picking.
 //! * Explicit mark-and-sweep garbage collection ([`Bdd::gc`]) from
 //!   [`Bdd::protect`]ed roots.
-//! * Variable reordering by rebuild ([`Bdd::reorder`]) plus static ordering
-//!   heuristics ([`reorder::order_by_frequency`]).
+//! * A variable order set once, on the empty manager ([`Bdd::set_order`]),
+//!   plus a static ordering heuristic ([`reorder::order_by_frequency`]).
 //! * Post-run table and cache analytics ([`Bdd::analytics`]): probe-length
 //!   distribution and per-op cache hit rates.
 //! * Graphviz DOT export for debugging ([`Bdd::to_dot`]).

@@ -43,7 +43,7 @@ const TAG_SHIFT: u32 = 28;
 const INDEX_MASK: u32 = (1 << TAG_SHIFT) - 1;
 
 /// Level of the terminals: below every variable in any order.
-pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
+const TERMINAL_LEVEL: u32 = u32::MAX;
 
 /// A handle to a Boolean function stored in a [`Bdd`] manager.
 ///
@@ -116,8 +116,6 @@ pub(crate) enum CacheOp {
     Exists,
     Forall,
     AndExists,
-    Restrict,
-    Compose,
     CofPos,
     CofNeg,
     Implies,
@@ -127,7 +125,7 @@ pub(crate) enum CacheOp {
 
 impl CacheOp {
     /// Number of operation kinds (sizes the per-op analytics arrays).
-    pub(crate) const COUNT: usize = 16;
+    pub(crate) const COUNT: usize = 14;
 
     /// Every operation kind, in declaration order (= discriminant order).
     pub(crate) const ALL: [CacheOp; CacheOp::COUNT] = [
@@ -140,8 +138,6 @@ impl CacheOp {
         CacheOp::Exists,
         CacheOp::Forall,
         CacheOp::AndExists,
-        CacheOp::Restrict,
-        CacheOp::Compose,
         CacheOp::CofPos,
         CacheOp::CofNeg,
         CacheOp::Implies,
@@ -161,8 +157,6 @@ impl CacheOp {
             CacheOp::Exists => "exists",
             CacheOp::Forall => "forall",
             CacheOp::AndExists => "and_exists",
-            CacheOp::Restrict => "restrict",
-            CacheOp::Compose => "compose",
             CacheOp::CofPos => "cof_pos",
             CacheOp::CofNeg => "cof_neg",
             CacheOp::Implies => "implies",
@@ -227,8 +221,7 @@ impl OpStats {
         self.inserts
     }
 
-    /// Adds `other`'s counters into `self` (aggregating several runs, or
-    /// carrying counters across a manager rebuild).
+    /// Adds `other`'s counters into `self` (aggregating several runs).
     pub fn merge(&mut self, other: &OpStats) {
         self.mk_calls += other.mk_calls;
         self.unique_hits += other.unique_hits;
@@ -439,7 +432,7 @@ pub struct Bdd {
     op_stats: OpStats,
     /// Largest sampled heap footprint (see [`Bdd::sample_mem`]).
     peak_mem_bytes: usize,
-    /// Always-on analytics counters (per-op cache traffic, GC samples);
+    /// Always-on analytics counters (per-op cache traffic);
     /// see [`crate::analytics`].
     analytics: crate::analytics::AnalyticsState,
 }
@@ -475,19 +468,6 @@ impl Bdd {
     /// Number of variables in the manager.
     pub fn num_vars(&self) -> usize {
         self.var2level.len()
-    }
-
-    /// Appends a fresh variable at the bottom of the order and returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the manager already holds 256 variables.
-    pub fn add_var(&mut self) -> VarId {
-        let v = self.var2level.len() as u32;
-        assert!((v as usize) < MAX_VARS, "at most {MAX_VARS} variables supported");
-        self.var2level.push(v);
-        self.level2var.push(v);
-        v
     }
 
     /// The constant-false function.
@@ -768,13 +748,6 @@ impl Bdd {
         self.cache.capacity
     }
 
-    /// Moves `old`'s computed cache, cleared, into this manager, so a
-    /// rebuild keeps the configured size and allocation.
-    pub(crate) fn take_cache_from(&mut self, old: &mut Bdd) {
-        self.cache = std::mem::replace(&mut old.cache, ComputedCache::new(0));
-        self.cache.clear();
-    }
-
     pub(crate) fn set_order_raw(&mut self, var2level: Vec<u32>, level2var: Vec<VarId>) {
         debug_assert_eq!(var2level.len(), level2var.len());
         self.var2level = var2level;
@@ -809,17 +782,6 @@ impl Bdd {
             stats.cache_hits += hits;
         }
         stats
-    }
-
-    /// Adopts the instrumentation state of `old` after a rebuild: the
-    /// accumulated operation/GC counters survive [`reorder`](Bdd::reorder)
-    /// even though the node store does not.
-    pub(crate) fn carry_instrumentation_from(&mut self, old: &Bdd) {
-        self.peak_mem_bytes = self.peak_mem_bytes.max(old.peak_mem_bytes);
-        let fresh = std::mem::take(&mut self.op_stats);
-        self.op_stats = old.op_stats;
-        self.op_stats.merge(&fresh);
-        self.analytics.absorb(&old.analytics);
     }
 
     /// The always-on per-op cache counters.
@@ -940,18 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn add_var_extends_order() {
-        let mut mgr = Bdd::new(1);
-        let v = mgr.add_var();
-        assert_eq!(v, 1);
-        assert_eq!(mgr.num_vars(), 2);
-        let _ = mgr.var(1);
-        assert_eq!(mgr.level_of_var(1), 1);
-        assert_eq!(mgr.var_at_level(1), 1);
-        assert_eq!(mgr.order(), &[0, 1]);
-    }
-
-    #[test]
     fn gc_frees_unprotected_nodes() {
         let mut mgr = Bdd::new(4);
         let a = mgr.var(0);
@@ -1068,22 +1018,6 @@ mod tests {
             "mem JSON must mirror the struct"
         );
         mgr.unprotect(f);
-    }
-
-    #[test]
-    fn reorder_carries_peak_mem() {
-        let mut mgr = Bdd::new(6);
-        let mut f = mgr.zero();
-        for v in 0..6 {
-            let x = mgr.var(v);
-            f = mgr.or(f, x);
-        }
-        mgr.sample_mem();
-        let peak_before = mgr.mem_report().peak_bytes;
-        let reversed: Vec<VarId> = (0..6).rev().collect();
-        let roots = mgr.reorder(&reversed, &[f]);
-        assert!(mgr.mem_report().peak_bytes >= peak_before, "peak survives reorder");
-        assert_eq!(roots.len(), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use crate::hash::FxHashMap;
-use crate::manager::{Bdd, Func, TERMINAL_LEVEL};
+use crate::manager::{Bdd, Func};
 
 impl Bdd {
     /// Evaluates `f` under a complete assignment (`assignment[v]` is the
@@ -29,12 +29,6 @@ impl Bdd {
         let total_levels = self.num_vars() as u32;
         let frac = self.sat_frac(f, &mut memo);
         frac * 2f64.powi(total_levels as i32)
-    }
-
-    /// Fraction of the input space on which `f` is true (in `[0, 1]`).
-    pub fn sat_fraction(&self, f: Func) -> f64 {
-        let mut memo: FxHashMap<u32, f64> = HashMap::default();
-        self.sat_frac(f, &mut memo)
     }
 
     fn sat_frac(&self, f: Func, memo: &mut FxHashMap<u32, f64>) -> f64 {
@@ -106,40 +100,6 @@ impl Bdd {
         Some(assignment)
     }
 
-    /// Enumerates all satisfying path cubes of `f` as literal vectors
-    /// (`(var, polarity)` pairs), in depth-first order.
-    ///
-    /// Exponential in the worst case; intended for small functions, tests
-    /// and PLA export.
-    pub fn all_cubes(&self, f: Func) -> Vec<Vec<(crate::VarId, bool)>> {
-        let mut out = Vec::new();
-        let mut path = Vec::new();
-        self.cubes_rec(f, &mut path, &mut out);
-        out
-    }
-
-    fn cubes_rec(
-        &self,
-        f: Func,
-        path: &mut Vec<(crate::VarId, bool)>,
-        out: &mut Vec<Vec<(crate::VarId, bool)>>,
-    ) {
-        if f.is_zero() {
-            return;
-        }
-        if f.is_one() {
-            out.push(path.clone());
-            return;
-        }
-        let n = *self.node(f);
-        path.push((n.var, false));
-        self.cubes_rec(n.low, path, out);
-        path.pop();
-        path.push((n.var, true));
-        self.cubes_rec(n.high, path, out);
-        path.pop();
-    }
-
     /// Returns `true` if `f` is a cube (a single conjunction of literals).
     pub fn is_cube(&self, f: Func) -> bool {
         if f.is_zero() {
@@ -157,11 +117,6 @@ impl Bdd {
             }
         }
         g.is_one()
-    }
-
-    #[allow(dead_code)]
-    pub(crate) fn is_terminal_level(&self, level: u32) -> bool {
-        level == TERMINAL_LEVEL
     }
 }
 
@@ -194,7 +149,6 @@ mod tests {
         assert_eq!(mgr.sat_count(f), 2.0);
         let g = mgr.xor(a, b);
         assert_eq!(mgr.sat_count(g), 4.0);
-        assert!((mgr.sat_fraction(g) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -224,19 +178,6 @@ mod tests {
         let m = mgr.pick_minterm(f).expect("satisfiable");
         assert!(mgr.eval(f, &m));
         assert_eq!(mgr.pick_minterm(Func::ZERO), None);
-    }
-
-    #[test]
-    fn all_cubes_cover_exactly_f() {
-        let mut mgr = Bdd::new(3);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let c = mgr.var(2);
-        let ab = mgr.and(a, b);
-        let nc = mgr.not(c);
-        let f = mgr.or(ab, nc);
-        let cubes = mgr.all_cubes(f);
-        assert_eq!(mgr.cover_function(&cubes), f, "the cubes rebuild f");
     }
 
     #[test]

@@ -27,38 +27,11 @@ impl Bdd {
         vars
     }
 
-    /// The union of the supports of several functions.
-    pub fn support_all(&self, fs: &[Func]) -> VarSet {
-        let mut vars = VarSet::new();
-        for &f in fs {
-            vars = vars.union(&self.support(f));
-        }
-        vars
-    }
-
     /// Number of BDD nodes in the (shared) DAG rooted at `f`, excluding the
     /// terminals. This is the standard "BDD size" measure.
     pub fn node_count(&self, f: Func) -> usize {
         let mut seen: HashSet<u32, FxBuildHasher> = HashSet::default();
         let mut stack = vec![f];
-        let mut count = 0;
-        while let Some(g) = stack.pop() {
-            if g.is_const() || !seen.insert(g.0) {
-                continue;
-            }
-            count += 1;
-            let n = self.node(g);
-            stack.push(n.low);
-            stack.push(n.high);
-        }
-        count
-    }
-
-    /// Number of nodes in the shared DAG of several roots, excluding
-    /// terminals (nodes shared between roots are counted once).
-    pub fn node_count_all(&self, fs: &[Func]) -> usize {
-        let mut seen: HashSet<u32, FxBuildHasher> = HashSet::default();
-        let mut stack: Vec<Func> = fs.to_vec();
         let mut count = 0;
         while let Some(g) = stack.pop() {
             if g.is_const() || !seen.insert(g.0) {
@@ -113,17 +86,6 @@ mod tests {
         let f = mgr.xor(a, b);
         assert_eq!(mgr.node_count(f), 3, "xor of two vars has 3 nodes");
         let g = mgr.and(ab, c);
-        // Shared count: f and g share nothing except possibly var nodes.
-        let shared = mgr.node_count_all(&[ab, g]);
-        assert!(shared <= mgr.node_count(ab) + mgr.node_count(g));
-        assert_eq!(mgr.node_count_all(&[ab, ab]), mgr.node_count(ab));
-    }
-
-    #[test]
-    fn support_all_unions() {
-        let mut mgr = Bdd::new(4);
-        let a = mgr.var(0);
-        let d = mgr.var(3);
-        assert_eq!(mgr.support_all(&[a, d]), VarSet::from_iter([0u32, 3]));
+        assert_eq!(mgr.node_count(g), 3, "a chain of three literals");
     }
 }

@@ -179,22 +179,6 @@ fn and_exists_matches_sequential() {
 }
 
 #[test]
-fn restrict_agrees_on_care() {
-    for seed in 0..CASES {
-        let mut rng = SplitMix64::new(seed);
-        let f = random_expr(&mut rng, 5);
-        let care = random_expr(&mut rng, 5);
-        let mut mgr = Bdd::new(NUM_VARS);
-        let ff = build(&mut mgr, &f);
-        let cc = build(&mut mgr, &care);
-        let g = mgr.restrict(ff, cc);
-        let lhs = mgr.and(g, cc);
-        let rhs = mgr.and(ff, cc);
-        assert_eq!(lhs, rhs, "seed {seed}");
-    }
-}
-
-#[test]
 fn support_is_semantic_dependence() {
     for seed in 0..CASES {
         let e = expr_for_seed(seed);
@@ -226,21 +210,17 @@ fn pick_cube_lies_inside_f() {
 }
 
 #[test]
-fn reorder_preserves_semantics_random_order() {
+fn random_orders_preserve_semantics() {
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(seed);
         let e = random_expr(&mut rng, 5);
-        let mut mgr = Bdd::new(NUM_VARS);
-        let f = build(&mut mgr, &e);
-        // A random permutation by Fisher–Yates over the same stream.
         let mut order: Vec<u32> = (0..NUM_VARS as u32).collect();
-        for i in (1..order.len()).rev() {
-            let j = rng.gen_range(i + 1);
-            order.swap(i, j);
-        }
-        let roots = mgr.reorder(&order, &[f]);
+        rng.shuffle(&mut order);
+        let mut mgr = Bdd::new(NUM_VARS);
+        mgr.set_order(&order);
+        let f = build(&mut mgr, &e);
         for vals in assignments() {
-            assert_eq!(mgr.eval(roots[0], &vals), eval_expr(&e, &vals), "seed {seed}");
+            assert_eq!(mgr.eval(f, &vals), eval_expr(&e, &vals), "seed {seed} order {order:?}");
         }
     }
 }
@@ -345,7 +325,7 @@ fn shuffled_manager(rng: &mut SplitMix64) -> Bdd {
     let mut mgr = Bdd::new(COVER_VARS);
     let mut order: Vec<u32> = (0..COVER_VARS as u32).collect();
     rng.shuffle(&mut order);
-    mgr.reorder(&order, &[]);
+    mgr.set_order(&order);
     mgr
 }
 
@@ -425,7 +405,7 @@ fn random_interval(rng: &mut SplitMix64) -> (Bdd, Func, Func) {
     let mut mgr = Bdd::new(NUM_VARS + 1);
     let mut order: Vec<u32> = (0..=NUM_VARS as u32).collect();
     rng.shuffle(&mut order);
-    mgr.reorder(&order, &[]);
+    mgr.set_order(&order);
     let [f, c1, c2] = [0; 3].map(|_| {
         let e = random_expr(rng, 5);
         build(&mut mgr, &e)

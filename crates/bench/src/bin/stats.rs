@@ -13,7 +13,8 @@
 //! * `--flame` writes the span tree as collapsed stacks for
 //!   `flamegraph.pl` / speedscope.
 //! * `--doctor` runs the doctor over every benchmark and writes one
-//!   `bidecomp-doctor/v2` findings document.
+//!   `bidecomp-doctor/v2` document: the schema tag once, then a
+//!   `{name, findings}` entry per benchmark.
 //! * `--tree-dot` writes every benchmark's cost-annotated decomposition
 //!   tree as Graphviz DOT (one cluster per benchmark).
 //! * `--small` runs the quick subset (`benchmarks::small()`).
@@ -26,7 +27,7 @@ use std::fs::File;
 use std::io::{BufWriter, Write as _};
 
 use bench::exit_cannot_write;
-use bidecomp::doctor::{diagnose, DOCTOR_SCHEMA};
+use bidecomp::doctor::{diagnose, Finding, DOCTOR_SCHEMA};
 use bidecomp::trace::tree::{render_dot_clusters, DecompTree};
 use bidecomp::{Options, Stats};
 use obs::json::Json;
@@ -170,8 +171,10 @@ fn main() {
             for finding in &report.findings {
                 eprintln!("{name}: {}: {}", finding.kind, finding.message);
             }
-            doctor_records
-                .push(Json::obj().field("name", name.as_str()).field("report", report.to_json()));
+            let findings = report.findings.iter().map(Finding::to_json).collect();
+            doctor_records.push(
+                Json::obj().field("name", name.as_str()).field("findings", Json::Arr(findings)),
+            );
         }
         if args.tree_dot.is_some() {
             trees.push((name.clone(), DecompTree::from_trace(&outcome.trace)));

@@ -19,11 +19,12 @@ use pla::Pla;
 /// Schema identifier stamped on every report document.
 ///
 /// v2 added the `percentiles` (per-output / per-BDD-op latency) and `mem`
-/// (manager heap footprint) sections between `bdd` and `decomp`. v3 adds
+/// (manager heap footprint) sections between `bdd` and `decomp`. v3 added
 /// per-record `analytics` (unique-table probe distribution, per-op
-/// computed-cache hit rates, GC efficacy, reorder count, component-cache
-/// reuse) and `timeseries` (the background resource sampler) sections,
-/// plus a top-level `obs` section with the trace-sink write-error count.
+/// computed-cache hit rates, component-cache reuse, and a reorder count
+/// and a GC log that v6 and v7 dropped) and `timeseries` (the background
+/// resource sampler) sections, plus a top-level `obs` section with the
+/// trace-sink write-error count.
 /// v4 added the `bdd.nodes_allocated` / `bdd.cache_evictions` counters of
 /// the kernel-grade manager (and a per-record `threads` field). v5 drops
 /// `threads`: decomposition is always serial. v6 drops every clock:

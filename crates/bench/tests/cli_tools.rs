@@ -97,6 +97,30 @@ fn stats_chrome_trace_and_flame_match_the_span_tree() {
 }
 
 #[test]
+fn stats_doctor_writes_the_schema_once_and_name_findings_per_benchmark() {
+    let scratch = Scratch::new("doctor");
+    let pla_path = scratch.path("sample.pla");
+    fs::write(&pla_path, SAMPLE_PLA).expect("write pla");
+    let doctor_path = scratch.path("doctor.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_stats"))
+        .arg("--pla")
+        .arg(&pla_path)
+        .arg("--doctor")
+        .arg(&doctor_path)
+        .output()
+        .expect("stats runs");
+    assert!(output.status.success(), "stats failed: {}", String::from_utf8_lossy(&output.stderr));
+    let text = fs::read_to_string(&doctor_path).expect("doctor document written");
+    assert_eq!(text.matches("bidecomp-doctor/v2").count(), 1, "one schema tag: {text}");
+    let doc = Json::parse(&text).expect("doctor document parses");
+    assert_eq!(doc.keys(), ["schema", "benchmarks"]);
+    let benchmarks = doc.get("benchmarks").and_then(Json::as_arr).expect("benchmarks array");
+    assert_eq!(benchmarks.len(), 1);
+    assert_eq!(benchmarks[0].keys(), ["name", "findings"]);
+    assert_eq!(benchmarks[0].get("findings").and_then(Json::as_arr).map(|f| f.len()), Some(0));
+}
+
+#[test]
 fn stats_rejects_bad_flags() {
     let output =
         Command::new(env!("CARGO_BIN_EXE_stats")).arg("--nonsense").output().expect("stats runs");

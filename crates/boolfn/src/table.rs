@@ -262,22 +262,6 @@ impl TruthTable {
         out
     }
 
-    /// Functional composition: substitutes `g` for `x_v`, i.e.
-    /// `f[x_v := g] = g·f|_{x_v=1} + ¬g·f|_{x_v=0}`.
-    ///
-    /// Serves as the enumeration oracle for `Bdd::compose` in the
-    /// differential fuzz harness.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v >= num_vars` or the arities differ.
-    pub fn compose(&self, v: usize, g: &Self) -> Self {
-        assert!(v < self.num_vars, "variable x{v} out of range");
-        let c1 = self.cofactor(v, true);
-        let c0 = self.cofactor(v, false);
-        g.and(&c1).or(&g.complement().and(&c0))
-    }
-
     /// `true` iff the function does not depend on `x_v`.
     ///
     /// # Panics
@@ -386,34 +370,6 @@ mod tests {
         assert_eq!(o.count_ones(), 8, "only 8 of 64 word bits may be set");
         let o7 = TruthTable::ones(7);
         assert_eq!(o7.count_ones(), 128);
-    }
-
-    #[test]
-    fn compose_substitutes_pointwise() {
-        // Check f[x_v := g](m) == f(m with bit v replaced by g(m)) on
-        // random functions.
-        for seed in 0..10u64 {
-            let n = 4;
-            let f = TruthTable::random(n, 0.5, seed);
-            let g = TruthTable::random(n, 0.4, seed ^ 0xabcd);
-            for v in 0..n {
-                let h = f.compose(v, &g);
-                for m in 0..(1u32 << n) {
-                    let bit = g.get(m);
-                    let fixed = if bit { m | (1 << v) } else { m & !(1 << v) };
-                    assert_eq!(h.get(m), f.get(fixed), "seed {seed} v {v} m {m}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compose_identity_and_constants() {
-        let f = TruthTable::random(3, 0.5, 99);
-        let x1 = TruthTable::var(3, 1);
-        assert_eq!(f.compose(1, &x1), f, "substituting x_v for itself is identity");
-        assert_eq!(f.compose(1, &TruthTable::ones(3)), f.cofactor(1, true));
-        assert_eq!(f.compose(1, &TruthTable::zeros(3)), f.cofactor(1, false));
     }
 
     #[test]

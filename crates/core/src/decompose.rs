@@ -174,8 +174,7 @@ impl Decomposer {
     /// Panics if any BDD node has already been built, or if `order` is not
     /// a permutation of the variables.
     pub fn set_variable_order(&mut self, order: &[VarId]) {
-        assert_eq!(self.mgr.total_nodes(), 2, "set the order before building BDDs");
-        self.mgr.reorder(order, &[]);
+        self.mgr.set_order(order);
     }
 
     /// The netlist built so far.

@@ -37,8 +37,7 @@ pub struct DecompOutcome {
     pub netlist: Netlist,
     /// Algorithm statistics (recursive calls, cache hits, weak rate, …).
     pub stats: Stats,
-    /// Did the BDD-based verifier accept the result? (`true` when
-    /// verification is disabled in [`Options`].)
+    /// Did the BDD-based verifier accept the result?
     pub verified: bool,
     /// Wall-clock time of decomposition only (excludes PLA parsing,
     /// includes BDD construction and netlist assembly; as in the paper,
@@ -197,11 +196,9 @@ pub fn decompose_pla_with_recorder(
     let (netlist, stats, mut mgr) = dec.into_parts();
 
     let t = Instant::now();
-    let verified = if options.verify {
+    let verified = {
         let _span = recorder.as_ref().map(|r| r.span("verify"));
         verify::verify_netlist(&mut mgr, &netlist, &isfs)
-    } else {
-        true
     };
     phases.verify = t.elapsed();
 

@@ -50,8 +50,6 @@ pub struct Options {
     /// Order the BDD variables by cube literal frequency before building
     /// the specification (static ordering heuristic).
     pub order_by_frequency: bool,
-    /// Run the BDD-based verifier on the result (§8).
-    pub verify: bool,
     /// Record a [`crate::trace::TraceEvent`] per recursive call
     /// (retrieved with [`crate::Decomposer::take_trace`]).
     pub trace: bool,
@@ -75,7 +73,6 @@ impl Default for Options {
             use_strong: true,
             remove_inessential: true,
             order_by_frequency: true,
-            verify: true,
             trace: false,
             telemetry: false,
             gc_threshold: 2_000_000,

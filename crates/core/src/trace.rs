@@ -10,11 +10,10 @@
 //! stream and rolls those costs up inclusively/exclusively.
 
 use std::fmt::Write as _;
-use std::io;
 
 use bdd::{VarId, VarSet};
 use obs::json::Json;
-use obs::{Event, JsonlSink, Sink as _};
+use obs::Event;
 
 use crate::GateChoice;
 
@@ -132,8 +131,8 @@ impl TraceEvent {
     pub fn new(depth: usize, step: Step) -> Self {
         TraceEvent { depth, step, cost: None }
     }
-    /// The event as a JSON object (the per-line shape of
-    /// [`write_trace_jsonl`]).
+    /// The event as a JSON object (the `fields` of its
+    /// [`to_point`](TraceEvent::to_point) event).
     pub fn to_json(&self) -> Json {
         let base = Json::obj().field("depth", self.depth);
         let base = match &self.step {
@@ -158,30 +157,10 @@ impl TraceEvent {
     }
 
     /// The event wrapped as an [`obs::Event`] point, for streaming through
-    /// any recorder sink.
+    /// any sink (`stats --trace-out` feeds these to an [`obs::JsonlSink`]).
     pub fn to_point(&self) -> Event {
         Event::Point { name: "trace".to_owned(), fields: self.to_json() }
     }
-}
-
-/// Streams a decomposition trace through an [`obs::JsonlSink`]: one
-/// machine-readable line per recursive call (consumed by the `stats`
-/// binary's `--trace-out`). Per-line write failures do not abort the
-/// stream (sinks are observability, not control flow) but they are
-/// *counted*: the returned value is the number of lines that failed to
-/// write, for an `obs.sink.write_errors` counter or a run-report field.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the closing flush of the writer.
-pub fn write_trace_jsonl<W: io::Write>(trace: &[TraceEvent], writer: W) -> io::Result<u64> {
-    let mut sink = JsonlSink::new(writer);
-    let errors = sink.write_errors();
-    for event in trace {
-        sink.accept(&event.to_point());
-    }
-    sink.into_inner().flush()?;
-    Ok(errors.get())
 }
 
 /// Renders a trace as an indented tree, one line per recursive call.
@@ -237,6 +216,7 @@ pub fn render_trace(trace: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::Sink as _;
 
     #[test]
     fn rendering_indents_by_depth() {
@@ -315,7 +295,12 @@ mod tests {
             TraceEvent::new(2, Step::Shannon { var: 3 }),
         ];
         let buf = obs::SharedBuf::new();
-        write_trace_jsonl(&trace, buf.clone()).expect("in-memory write");
+        let mut sink = obs::JsonlSink::new(buf.clone());
+        for event in &trace {
+            sink.accept(&event.to_point());
+        }
+        assert_eq!(sink.write_errors().get(), 0);
+        drop(sink);
         let contents = buf.contents();
         let lines: Vec<&str> = contents.lines().collect();
         assert_eq!(lines.len(), 4);

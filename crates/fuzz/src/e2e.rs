@@ -38,6 +38,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Checks, in order:
 ///
 /// 1. `decompose_pla` neither panics nor fails its own BDD verifier.
+///    A second run with `gc_threshold: 0`, which collects garbage after
+///    every output, must write a byte-identical BLIF (kind `gc`).
 /// 2. Bit-parallel resimulation of the emitted netlist over all `2^n`
 ///    minterms satisfies `Q ⊆ net ⊆ ¬R` for every output (against the
 ///    [`Pla::eval`] enumeration oracle, independent of any BDD).
@@ -52,15 +54,26 @@ pub fn check_end_to_end(pla: &Pla, atpg_node_budget: usize) -> Result<E2eReport,
     let n = pla.num_inputs();
     let refs = reference_tables(pla);
 
+    let decompose = |options: Options| {
+        catch_unwind(AssertUnwindSafe(|| decompose_pla(pla, &options))).map_err(panic_message)
+    };
     let outcome: DecompOutcome =
-        match catch_unwind(AssertUnwindSafe(|| decompose_pla(pla, &Options::default()))) {
-            Ok(outcome) => outcome,
-            Err(payload) => return Err(Failure::new("panic", panic_message(payload))),
-        };
+        decompose(Options::default()).map_err(|msg| Failure::new("panic", msg))?;
     if !outcome.verified {
         return Err(Failure::new("verify", "decompose_pla's own verifier rejected the result"));
     }
     let nl = &outcome.netlist;
+    let collected = decompose(Options { gc_threshold: 0, ..Options::default() })
+        .map_err(|msg| Failure::new("gc", format!("panic with GC after every output: {msg}")))?;
+    if !collected.verified || collected.netlist.to_blif("case") != nl.to_blif("case") {
+        return Err(Failure::new(
+            "gc",
+            format!(
+                "GC after every output ({} runs) changed the netlist (verified: {})",
+                collected.op_stats.gc_runs, collected.verified
+            ),
+        ));
+    }
     if nl.inputs().len() != n {
         return Err(Failure::new(
             "netlist_arity",

@@ -14,10 +14,14 @@
 //! * [`gen`] — seeded case generators (cube lists, expression trees,
 //!   mutation of corpus cases) sweeping arity, cube density and
 //!   don't-care density.
-//! * [`oracle`] — operator-level differential checks: `apply`/ITE,
-//!   quantification, cofactor, compose, `isop`, reorder invariance.
+//! * [`oracle`] — operator-level differential checks of every BDD
+//!   operation the decomposer relies on: `apply`/ITE, quantification,
+//!   cofactor, `isop`, decision procedures, essential variables, and
+//!   functions built under a random variable order.
 //! * [`e2e`] — decompose → netlist → bit-parallel resimulation for
-//!   interval containment, plus ATPG full-testability.
+//!   interval containment, a second decomposition that collects garbage
+//!   after every output and must write the same netlist, plus ATPG
+//!   full-testability.
 //! * [`shrink`] — delta-debugging minimizer (cube removal, output and
 //!   variable projection, literal widening, don't-care promotion).
 //! * [`corpus`] — hashed PLA filenames, round-trip-checked save/load.

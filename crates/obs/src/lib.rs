@@ -6,9 +6,8 @@
 //! * [`Recorder`] — a cheap-to-clone handle that opens RAII hierarchical
 //!   timing [`Span`]s and forwards them to sinks. It carries spans only:
 //!   every count lives in a typed stats struct of its layer.
-//! * [`Sink`] — where events go: [`TextSink`] renders an indented
-//!   human-readable log, [`JsonlSink`] writes one JSON object per line,
-//!   [`MemorySink`] captures events for tests.
+//! * [`Sink`] — where events go: [`JsonlSink`] writes one JSON object
+//!   per line, [`MemorySink`] captures events for tests.
 //! * [`json`] — a hand-rolled JSON value (writer *and* parser) used for
 //!   the machine-readable `BENCH_*.json` run reports.
 //! * [`profile`] — span-tree exporters: Chrome `trace_event` JSON and
@@ -51,7 +50,7 @@ pub mod report;
 mod sink;
 
 pub use recorder::{Recorder, Span};
-pub use sink::{Event, JsonlSink, MemorySink, SharedBuf, Sink, TextSink, WriteErrors};
+pub use sink::{Event, JsonlSink, MemorySink, SharedBuf, Sink, WriteErrors};
 
 #[cfg(test)]
 mod tests {
@@ -151,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn sinks_flush_buffered_output_on_drop() {
+    fn jsonl_sink_flushes_buffered_output_on_drop() {
         use std::io::BufWriter;
         let buf = SharedBuf::new();
         {
@@ -167,14 +166,6 @@ mod tests {
         let text = buf.contents();
         assert!(text.contains("span_end"), "JsonlSink must flush on drop, got {text:?}");
         assert!(json::Json::parse(text.lines().next().unwrap()).is_ok());
-
-        let buf = SharedBuf::new();
-        {
-            let rec = Recorder::new();
-            rec.add_sink(Box::new(TextSink::new(BufWriter::with_capacity(1 << 16, buf.clone()))));
-            drop(rec.span("n"));
-        }
-        assert!(buf.contents().contains("◂ n"), "TextSink must flush on drop");
     }
 
     #[test]
@@ -210,22 +201,6 @@ mod tests {
         rec2.add_sink(Box::new(healthy));
         drop(rec2.span("ok"));
         assert_eq!(clean.get(), 0);
-    }
-
-    #[test]
-    fn text_sink_indents_by_depth() {
-        let rec = Recorder::new();
-        let buf = SharedBuf::new();
-        rec.add_sink(Box::new(TextSink::new(buf.clone())));
-        {
-            let _a = rec.span("outer");
-            let _b = rec.span("inner");
-        }
-        rec.flush();
-        let text = buf.contents();
-        assert!(text.contains("▸ outer"));
-        assert!(text.contains("  ▸ inner"));
-        assert!(text.contains("◂ outer"));
     }
 
     #[test]

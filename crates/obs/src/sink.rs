@@ -2,9 +2,9 @@
 //!
 //! The [`Recorder`](crate::Recorder) forwards every span [`Event`] to any
 //! number of sinks; callers may also hand a sink [`Event::Point`]s
-//! directly (the `stats --trace-out` JSONL stream). Two sinks ship with
-//! the crate: a human-readable indented text sink and a JSON-lines sink
-//! for machine consumption; [`MemorySink`] captures events for tests.
+//! directly (the `stats --trace-out` JSONL stream). [`JsonlSink`] writes
+//! JSON lines for machine consumption; [`MemorySink`] captures events for
+//! tests.
 
 use std::cell::{Cell, RefCell};
 use std::io::Write;
@@ -104,51 +104,6 @@ pub trait Sink {
     fn flush(&mut self) {}
 }
 
-/// Human-readable sink: one indented line per event.
-///
-/// Flushes its writer when dropped, so buffered output survives a process
-/// that never calls [`Recorder::flush`](crate::Recorder::flush).
-pub struct TextSink<W: Write> {
-    out: W,
-}
-
-impl<W: Write> TextSink<W> {
-    /// Creates a text sink writing to `out`.
-    pub fn new(out: W) -> Self {
-        TextSink { out }
-    }
-}
-
-impl<W: Write> Drop for TextSink<W> {
-    fn drop(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-impl<W: Write> Sink for TextSink<W> {
-    fn accept(&mut self, event: &Event) {
-        let line = match event {
-            Event::SpanStart { name, depth } => {
-                format!("{:indent$}▸ {name}", "", indent = depth * 2)
-            }
-            Event::SpanEnd { name, depth, duration } => {
-                format!(
-                    "{:indent$}◂ {name} {:.3}ms",
-                    "",
-                    duration.as_secs_f64() * 1e3,
-                    indent = depth * 2
-                )
-            }
-            Event::Point { name, fields } => format!("  • {name} {}", fields.render()),
-        };
-        let _ = writeln!(self.out, "{line}");
-    }
-
-    fn flush(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
 /// Machine-readable sink: one compact JSON object per line (JSONL).
 ///
 /// Flushes its writer when dropped, so a `--trace-out` file behind a
@@ -241,7 +196,7 @@ impl Sink for MemorySink {
 }
 
 /// A shareable in-memory byte buffer implementing [`Write`] — lets tests
-/// keep a handle on the bytes a [`JsonlSink`] or [`TextSink`] produces.
+/// keep a handle on the bytes a [`JsonlSink`] produces.
 #[derive(Clone, Default)]
 pub struct SharedBuf {
     bytes: Rc<RefCell<Vec<u8>>>,

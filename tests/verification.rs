@@ -29,7 +29,7 @@ fn spec_isfs_under_frequency_order_match_pla_semantics() {
     for b in benchmarks::small() {
         let n = b.pla.num_inputs();
         let mut mgr = bdd::Bdd::new(n);
-        mgr.reorder(&bdd::reorder::order_by_frequency(&b.pla.literal_frequencies()), &[]);
+        mgr.set_order(&bdd::reorder::order_by_frequency(&b.pla.literal_frequencies()));
         let isfs = isfs_from_pla(&mut mgr, &b.pla);
         for (out, isf) in isfs.iter().enumerate() {
             for (value, got) in [(true, isf.q), (false, isf.r)] {
