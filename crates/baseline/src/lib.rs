@@ -3,7 +3,7 @@
 //! * [`sis_like`] stands in for **SIS 1.2** (`resub -a; simplify -m` +
 //!   area-oriented mapping into two-input gates): a two-level SOP flow —
 //!   cube expansion against the off-set, irredundant cover extraction,
-//!   then balanced AND/OR tree mapping with structural sharing. Like SIS
+//!   then balanced AND trees ORed by a chain, with structural sharing. Like SIS
 //!   in the paper's experiments, it "uses mostly NOR/NAND gates but
 //!   ignores other two-input gate types" — it never produces EXORs.
 //! * [`bds_like`] stands in for **BDS** (Yang & Ciesielski, DAC 2000) as
@@ -23,4 +23,4 @@ mod bds;
 mod sis;
 
 pub use bds::bds_like;
-pub use sis::{sis_like, sis_like_with, MappingStyle};
+pub use sis::sis_like;

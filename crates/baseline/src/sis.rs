@@ -7,31 +7,14 @@ use pla::Pla;
 /// A cube as a sorted list of `(variable, polarity)` literals.
 type LitCube = Vec<(u32, bool)>;
 
-/// How the cover is mapped into two-input gates.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum MappingStyle {
-    /// Area-oriented (the paper's SIS configuration): products are built
-    /// as small AND trees but the OR plane is accumulated as a chain —
-    /// the gate count is minimal and no effort is spent on depth.
-    #[default]
-    AreaOriented,
-    /// Delay-idealized: both planes as perfectly balanced trees (the best
-    /// depth any mapper could get from the same cover). Used as a
-    /// sensitivity variant in EXPERIMENTS.md.
-    Balanced,
-}
-
 /// Decomposes a PLA into two-input AND/OR/NOT gates the way a classic
 /// two-level flow does: per output, expand each on-set cube against the
 /// off-set (don't-cares enlarge the expansion room), drop redundant
 /// cubes, then map the cover with structural sharing. No EXOR gates are
-/// ever used. Uses the paper's area-oriented mapping style.
+/// ever used. The mapping is area-oriented, as in the paper's SIS
+/// configuration: products are small AND trees, but the OR plane is a
+/// chain, so the gate count is minimal and no effort is spent on depth.
 pub fn sis_like(pla: &Pla) -> Netlist {
-    sis_like_with(pla, MappingStyle::AreaOriented)
-}
-
-/// [`sis_like`] with an explicit [`MappingStyle`].
-pub fn sis_like_with(pla: &Pla, style: MappingStyle) -> Netlist {
     let n = pla.num_inputs();
     let mut mgr = Bdd::new(n);
     let mut nl = Netlist::new();
@@ -57,7 +40,7 @@ pub fn sis_like_with(pla: &Pla, style: MappingStyle) -> Netlist {
             mgr.diff(explicit, covered)
         };
         let cover = minimize_cover(&mut mgr, on, on_bdd, dc_bdd, off_bdd);
-        let signal = map_cover(&mut nl, &inputs, &cover, style);
+        let signal = map_cover(&mut nl, &inputs, &cover);
         nl.add_output(output_name.clone(), signal);
     }
     nl
@@ -134,19 +117,14 @@ const IRREDUNDANT_CAP: usize = 1200;
 
 /// Maps a cover into AND trees ORed together. Sorted literals and
 /// structural hashing share common sub-products across cubes and outputs.
-fn map_cover(
-    nl: &mut Netlist,
-    inputs: &[SignalId],
-    cover: &[LitCube],
-    style: MappingStyle,
-) -> SignalId {
+fn map_cover(nl: &mut Netlist, inputs: &[SignalId], cover: &[LitCube]) -> SignalId {
     if cover.is_empty() {
         return nl.constant(false);
     }
     if cover.iter().any(|c| c.is_empty()) {
         return nl.constant(true); // tautological cube
     }
-    let mut products: Vec<SignalId> = cover
+    let products: Vec<SignalId> = cover
         .iter()
         .map(|cube| {
             let mut terms: Vec<SignalId> = cube
@@ -163,17 +141,12 @@ fn map_cover(
             balanced(nl, &mut terms, Gate2::And)
         })
         .collect();
-    match style {
-        MappingStyle::Balanced => balanced(nl, &mut products, Gate2::Or),
-        MappingStyle::AreaOriented => {
-            // Chain accumulation: the OR plane of a PLA, gate by gate.
-            let mut acc = products[0];
-            for &p in &products[1..] {
-                acc = nl.add_gate(Gate2::Or, acc, p);
-            }
-            acc
-        }
+    // Chain accumulation: the OR plane of a PLA, gate by gate.
+    let mut acc = products[0];
+    for &p in &products[1..] {
+        acc = nl.add_gate(Gate2::Or, acc, p);
     }
+    acc
 }
 
 fn balanced(nl: &mut Netlist, terms: &mut Vec<SignalId>, op: Gate2) -> SignalId {

@@ -663,11 +663,6 @@ impl Bdd {
         self.nodes.len() - self.free.len()
     }
 
-    /// Number of entries currently in the computed cache.
-    pub fn cache_entries(&self) -> usize {
-        self.cache.len
-    }
-
     /// Marks `f` as an external root: `f` and everything it references
     /// survives [`gc`](Bdd::gc). Protection is counted; each call must be
     /// matched by one [`unprotect`](Bdd::unprotect).
@@ -741,11 +736,6 @@ impl Bdd {
     /// power of two, at least one 4-entry bucket), clearing it.
     pub fn set_cache_capacity(&mut self, entries: usize) {
         self.cache = ComputedCache::new(entries);
-    }
-
-    /// Capacity of the computed cache in entries.
-    pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity
     }
 
     pub(crate) fn set_order_raw(&mut self, var2level: Vec<u32>, level2var: Vec<VarId>) {
@@ -1072,21 +1062,21 @@ mod tests {
     fn lossy_cache_evicts_and_counts() {
         let mut mgr = Bdd::new(8);
         mgr.set_cache_capacity(1);
-        assert_eq!(mgr.cache_capacity(), 4, "one 4-way bucket");
+        assert_eq!(mgr.cache.capacity, 4, "one 4-way bucket");
         // Four distinct keys fill the bucket without evicting.
         let keys: Vec<CacheKey> = (0..5).map(|k| key(CacheOp::And, k + 2, k + 3, 0)).collect();
         for (k, &kk) in keys[..4].iter().enumerate() {
             mgr.cache_put(kk, Func(k as u32));
         }
         assert_eq!(mgr.op_stats().cache_evictions, 0);
-        assert_eq!(mgr.cache_entries(), 4);
+        assert_eq!(mgr.cache.len, 4);
         // Re-inserting a live key overwrites it in place.
         mgr.cache_put(keys[1], Func(1));
         assert_eq!(mgr.op_stats().cache_evictions, 0);
         // The fifth distinct key drops the oldest entry (FIFO).
         mgr.cache_put(keys[4], Func(4));
         assert_eq!(mgr.op_stats().cache_evictions, 1);
-        assert_eq!(mgr.cache_entries(), 4);
+        assert_eq!(mgr.cache.len, 4);
         assert_eq!(mgr.cache_get(&keys[0]), None, "the oldest entry is gone");
         for (k, kk) in keys.iter().enumerate().skip(1) {
             assert_eq!(mgr.cache_get(kk), Some(Func(k as u32)));
@@ -1119,7 +1109,7 @@ mod tests {
             } else {
                 mgr.clear_computed_cache();
             }
-            assert_eq!(mgr.cache_entries(), 0);
+            assert_eq!(mgr.cache.len, 0);
             if mgr.cache.epoch == 1 {
                 wraps += 1;
             }
@@ -1163,10 +1153,10 @@ mod tests {
         let a = mgr.var(0);
         let b = mgr.var(1);
         let f = mgr.and(a, b);
-        assert!(mgr.cache_entries() > 0);
+        assert!(mgr.cache.len > 0);
         let nodes = mgr.total_nodes();
         mgr.clear_computed_cache();
-        assert_eq!(mgr.cache_entries(), 0);
+        assert_eq!(mgr.cache.len, 0);
         assert_eq!(mgr.total_nodes(), nodes);
         // Same op re-runs (a cache miss) but returns the canonical handle.
         let g = mgr.and(a, b);

@@ -83,11 +83,6 @@ impl Bdd {
         self.apply(BinOp::Diff, f, g)
     }
 
-    /// Implication `f → g` as a function.
-    pub fn imp(&mut self, f: Func, g: Func) -> Func {
-        self.apply(BinOp::Imp, f, g)
-    }
-
     /// Decision procedure: does `f ≤ g` hold (i.e. `f` implies `g`)?
     ///
     /// Builds no nodes and stops at the first point of `f · ¬g` (CUDD's
@@ -370,8 +365,6 @@ mod tests {
         check3(&mut mgr, g, |a, _, c| !(a || c));
         let g = mgr.diff(x, y);
         check3(&mut mgr, g, |a, b, _| a && !b);
-        let g = mgr.imp(x, y);
-        check3(&mut mgr, g, |a, b, _| !a || b);
         let g = mgr.not(x);
         check3(&mut mgr, g, |a, _, _| !a);
     }

@@ -136,11 +136,6 @@ impl VarSet {
         self.intersection(other).is_empty()
     }
 
-    /// Returns `true` if every variable of `self` is in `other`.
-    pub fn is_subset(&self, other: &Self) -> bool {
-        self.difference(other).is_empty()
-    }
-
     /// Returns the smallest variable in the set, if any.
     pub fn first(&self) -> Option<VarId> {
         self.iter().next()
@@ -265,8 +260,6 @@ mod tests {
         assert_eq!(a.difference(&b), VarSet::from_iter([1u32, 2]));
         assert!(!a.is_disjoint(&b));
         assert!(a.difference(&b).is_disjoint(&b));
-        assert!(VarSet::singleton(3).is_subset(&a));
-        assert!(!a.is_subset(&b));
     }
 
     #[test]

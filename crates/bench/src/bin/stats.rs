@@ -2,16 +2,14 @@
 //! decompositions, component reuse (cache hits) and inessential variables
 //! across the benchmark suite.
 //!
-//! Usage: `stats [--trace-out FILE] [--chrome-trace FILE] [--flame FILE]
-//! [--doctor FILE] [--tree-dot FILE] [--small] [--pla FILE]`
+//! Usage: `stats [--trace-out FILE] [--chrome-trace FILE] [--doctor FILE]
+//! [--tree-dot FILE] [--small] [--pla FILE]`
 //!
-//! * `--trace-out` streams every benchmark's decomposition trace to
-//!   `FILE` as JSONL (one `benchmark` marker point per benchmark, then
-//!   one `trace` point per recursive call).
-//! * `--chrome-trace` writes the run's span tree as Chrome `trace_event`
+//! * `--trace-out` writes every benchmark's decomposition trace to
+//!   `FILE` as JSON lines: one object per recursive call, each naming
+//!   its `benchmark`.
+//! * `--chrome-trace` writes the run's spans as Chrome `trace_event`
 //!   JSON — load it in `chrome://tracing` or Perfetto.
-//! * `--flame` writes the span tree as collapsed stacks for
-//!   `flamegraph.pl` / speedscope.
 //! * `--doctor` runs the doctor over every benchmark and writes one
 //!   `bidecomp-doctor/v2` document: the schema tag once, then a
 //!   `{name, findings}` entry per benchmark.
@@ -24,7 +22,7 @@
 //! gate).
 
 use std::fs::File;
-use std::io::{BufWriter, Write as _};
+use std::io::{BufWriter, Write};
 
 use bench::exit_cannot_write;
 use bidecomp::doctor::{diagnose, Finding, DOCTOR_SCHEMA};
@@ -33,14 +31,13 @@ use bidecomp::{Options, Stats};
 use obs::json::Json;
 use obs::profile::{Profile, ProfileSink};
 use obs::report::{pct, pct2};
-use obs::{Event, JsonlSink, Recorder, Sink as _};
+use obs::Recorder;
 use pla::Pla;
 
 #[derive(Default)]
 struct Args {
     trace_out: Option<String>,
     chrome_trace: Option<String>,
-    flame: Option<String>,
     doctor: Option<String>,
     tree_dot: Option<String>,
     small: bool,
@@ -49,8 +46,8 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: stats [--trace-out FILE] [--chrome-trace FILE] [--flame FILE] \
-         [--doctor FILE] [--tree-dot FILE] [--small] [--pla FILE]"
+        "usage: stats [--trace-out FILE] [--chrome-trace FILE] [--doctor FILE] \
+         [--tree-dot FILE] [--small] [--pla FILE]"
     );
     std::process::exit(2);
 }
@@ -62,7 +59,6 @@ fn parse_args() -> Args {
         let slot = match flag.as_str() {
             "--trace-out" => &mut args.trace_out,
             "--chrome-trace" => &mut args.chrome_trace,
-            "--flame" => &mut args.flame,
             "--doctor" => &mut args.doctor,
             "--tree-dot" => &mut args.tree_dot,
             "--small" => {
@@ -93,11 +89,10 @@ fn write_file(path: &str, contents: &str) {
 
 fn main() {
     let args = parse_args();
-    let mut trace_sink = args.trace_out.as_ref().map(|path| {
+    let mut trace_out = args.trace_out.as_ref().map(|path| {
         let file = File::create(path).unwrap_or_else(|e| exit_cannot_write(path, e));
-        JsonlSink::new(BufWriter::new(file))
+        (path, BufWriter::new(file))
     });
-    let sink_errors = trace_sink.as_ref().map(|sink| sink.write_errors());
     // The cost-annotated tree needs the trace and telemetry (costs).
     let options = Options {
         trace: args.trace_out.is_some() || args.tree_dot.is_some(),
@@ -105,10 +100,9 @@ fn main() {
         ..Options::default()
     };
 
-    // The profile exporters share one recorder: each benchmark contributes
-    // one `decompose_pla` root to the span forest.
-    let profiling = args.chrome_trace.is_some() || args.flame.is_some();
-    let profile_sink = profiling.then(ProfileSink::new);
+    // One recorder serves the whole run: each benchmark contributes one
+    // `decompose_pla` span and the spans nested in it.
+    let profile_sink = args.chrome_trace.is_some().then(ProfileSink::new);
     let recorder = profile_sink.as_ref().map(|sink| {
         let rec = Recorder::new();
         rec.add_sink(Box::new(sink.clone()));
@@ -157,13 +151,10 @@ fn main() {
             eprintln!("{name}: the netlist does not match its specification");
             unverified += 1;
         }
-        if let Some(sink) = &mut trace_sink {
-            sink.accept(&Event::Point {
-                name: "benchmark".to_owned(),
-                fields: Json::obj().field("name", name.as_str()),
-            });
+        if let Some((path, out)) = &mut trace_out {
             for event in &outcome.trace {
-                sink.accept(&event.to_point());
+                let line = event.to_json().field("benchmark", name.as_str());
+                writeln!(out, "{}", line.render()).unwrap_or_else(|e| exit_cannot_write(path, e));
             }
         }
         if args.doctor.is_some() {
@@ -180,23 +171,12 @@ fn main() {
             trees.push((name.clone(), DecompTree::from_trace(&outcome.trace)));
         }
     }
-    if let Some(sink) = trace_sink {
-        let path = args.trace_out.expect("set together with the sink");
-        sink.into_inner().flush().unwrap_or_else(|e| exit_cannot_write(&path, e));
-        let errors = sink_errors.map_or(0, |e| e.get());
-        if errors > 0 {
-            eprintln!("warning: {errors} trace line(s) were lost to sink write errors ({path})");
-        }
+    if let Some((path, mut out)) = trace_out {
+        out.flush().unwrap_or_else(|e| exit_cannot_write(path, e));
         eprintln!("trace written to {path}");
     }
-    if let Some(sink) = &profile_sink {
-        let profile = Profile::from_events(&sink.events());
-        if let Some(path) = &args.chrome_trace {
-            write_file(path, &profile.chrome_trace().render());
-        }
-        if let Some(path) = &args.flame {
-            write_file(path, &profile.collapsed_stacks());
-        }
+    if let (Some(sink), Some(path)) = (&profile_sink, &args.chrome_trace) {
+        write_file(path, &Profile::from_events(&sink.events()).chrome_trace().render());
     }
     if let Some(path) = &args.doctor {
         let document = Json::obj()

@@ -1,9 +1,9 @@
 //! Integration tests driving the compiled `stats`, `report` and `diff`
-//! binaries — the acceptance checks for the profiling exporters, the
+//! binaries — the acceptance checks for the trace exports, the
 //! regression gate and the output-path error handling.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use obs::json::Json;
@@ -39,61 +39,83 @@ const SAMPLE_PLA: &str = "\
 .e
 ";
 
-#[test]
-fn stats_chrome_trace_and_flame_match_the_span_tree() {
-    let scratch = Scratch::new("stats");
+/// Runs `stats --pla sample.pla <flag> <out>`, asserting success; returns
+/// stdout.
+fn run_stats_on_sample(scratch: &Scratch, flag: &str, out: &Path) -> String {
     let pla_path = scratch.path("sample.pla");
     fs::write(&pla_path, SAMPLE_PLA).expect("write pla");
-    let trace_path = scratch.path("out.trace.json");
-    let flame_path = scratch.path("out.folded");
-
     let output = Command::new(env!("CARGO_BIN_EXE_stats"))
         .arg("--pla")
         .arg(&pla_path)
-        .arg("--chrome-trace")
-        .arg(&trace_path)
-        .arg("--flame")
-        .arg(&flame_path)
+        .arg(flag)
+        .arg(out)
         .output()
         .expect("stats runs");
     assert!(output.status.success(), "stats failed: {}", String::from_utf8_lossy(&output.stderr));
-    let stdout = String::from_utf8_lossy(&output.stdout);
+    String::from_utf8_lossy(&output.stdout).into_owned()
+}
+
+#[test]
+fn stats_chrome_trace_matches_the_span_tree() {
+    let scratch = Scratch::new("stats");
+    let trace_path = scratch.path("out.trace.json");
+    let stdout = run_stats_on_sample(&scratch, "--chrome-trace", &trace_path);
     assert!(stdout.contains("sample"), "the PLA's file stem names the run: {stdout}");
 
     // The Chrome trace must be a valid trace_event array mirroring the
-    // driver's span tree.
+    // driver's spans.
     let text = fs::read_to_string(&trace_path).expect("trace written");
     let trace = Json::parse(&text).expect("trace is valid JSON");
     let events = trace.as_arr().expect("trace_event array form");
-    assert!(!events.is_empty());
-    let mut names = Vec::new();
+    // `(name, start, end)` in integer nanoseconds.
+    let mut spans = Vec::new();
     for e in events {
         let name = e.get("name").and_then(Json::as_str).expect("name");
         let ph = e.get("ph").and_then(Json::as_str).expect("ph");
         assert_eq!(ph, "X", "spans only: every event is a complete event");
-        assert!(e.get("ts").and_then(Json::as_f64).expect("ts") >= 0.0);
-        assert!(e.get("dur").and_then(Json::as_f64).expect("dur") >= 0.0);
-        names.push(name.to_owned());
+        let ns = |key: &str| {
+            let us = e.get(key).and_then(Json::as_f64).expect(key);
+            assert!(us >= 0.0);
+            (us * 1e3).round() as u64
+        };
+        spans.push((name.to_owned(), ns("ts"), ns("ts") + ns("dur")));
         assert_eq!(e.get("pid").and_then(Json::as_f64), Some(1.0));
         assert_eq!(e.get("tid").and_then(Json::as_f64), Some(1.0));
     }
-    for expected in
-        ["decompose_pla", "order", "bdd_build", "decompose", "output.f", "output.g", "verify"]
-    {
-        assert!(names.contains(&expected.to_owned()), "span {expected} missing from {names:?}");
+    let names: Vec<&str> = spans.iter().map(|s| s.0.as_str()).collect();
+    assert_eq!(
+        names,
+        ["decompose_pla", "order", "bdd_build", "decompose", "output.f", "output.g", "verify"],
+        "spans in start order"
+    );
+    // Every span lies exactly inside the spans that enclose it: the root
+    // holds every phase, the decompose phase holds each output.
+    let inside = |child: usize, parent: usize| {
+        let ((_, cs, ce), (_, ps, pe)) = (&spans[child], &spans[parent]);
+        assert!(ps <= cs && ce <= pe, "{} escapes {}: {spans:?}", spans[child].0, spans[parent].0);
+    };
+    for child in 1..spans.len() {
+        inside(child, 0);
     }
-    // The root span comes first and spans the whole array's time range.
-    assert_eq!(events[0].get("name").and_then(Json::as_str), Some("decompose_pla"));
+    inside(4, 3);
+    inside(5, 3);
+}
 
-    // The collapsed stacks mirror the same tree, rooted at decompose_pla.
-    let folded = fs::read_to_string(&flame_path).expect("flame written");
-    assert!(folded.lines().count() >= 5, "one line per distinct stack: {folded}");
-    for line in folded.lines() {
-        assert!(line.starts_with("decompose_pla"), "all stacks share the root: {line}");
-        let value = line.rsplit(' ').next().expect("value");
-        let _: u128 = value.parse().expect("integer self-time in µs");
+#[test]
+fn stats_trace_out_writes_one_json_line_per_recursive_call() {
+    let scratch = Scratch::new("trace-out");
+    let trace_path = scratch.path("trace.jsonl");
+    let stdout = run_stats_on_sample(&scratch, "--trace-out", &trace_path);
+    // The `calls` column of the benchmark's row.
+    let row = stdout.lines().find(|l| l.starts_with("sample ")).expect("a row for the PLA");
+    let calls: usize = row.split_whitespace().nth(1).and_then(|c| c.parse().ok()).expect("calls");
+    let text = fs::read_to_string(&trace_path).expect("trace written");
+    assert_eq!(text.lines().count(), calls, "one line per recursive call: {text}");
+    for line in text.lines() {
+        let record = Json::parse(line).expect("every line parses");
+        assert_eq!(record.get("benchmark").and_then(Json::as_str), Some("sample"), "{line}");
+        assert!(record.get("step").and_then(Json::as_str).is_some(), "{line}");
     }
-    assert!(folded.contains("decompose_pla;decompose;output.f "));
 }
 
 #[test]
@@ -141,7 +163,7 @@ fn unwritable_output_paths_exit_1_without_a_panic() {
     let stats = Command::new(env!("CARGO_BIN_EXE_stats"))
         .arg("--pla")
         .arg(&pla_path)
-        .arg("--flame")
+        .arg("--chrome-trace")
         .arg(&missing)
         .output()
         .expect("stats runs");

@@ -13,7 +13,6 @@ use std::fmt::Write as _;
 
 use bdd::{VarId, VarSet};
 use obs::json::Json;
-use obs::Event;
 
 use crate::GateChoice;
 
@@ -131,8 +130,8 @@ impl TraceEvent {
     pub fn new(depth: usize, step: Step) -> Self {
         TraceEvent { depth, step, cost: None }
     }
-    /// The event as a JSON object (the `fields` of its
-    /// [`to_point`](TraceEvent::to_point) event).
+    /// The event as a JSON object (one `stats --trace-out` line, before
+    /// `stats` adds the benchmark's name).
     pub fn to_json(&self) -> Json {
         let base = Json::obj().field("depth", self.depth);
         let base = match &self.step {
@@ -154,12 +153,6 @@ impl TraceEvent {
             Some(cost) => base.field("cost", cost.to_json()),
             None => base,
         }
-    }
-
-    /// The event wrapped as an [`obs::Event`] point, for streaming through
-    /// any sink (`stats --trace-out` feeds these to an [`obs::JsonlSink`]).
-    pub fn to_point(&self) -> Event {
-        Event::Point { name: "trace".to_owned(), fields: self.to_json() }
     }
 }
 
@@ -216,7 +209,6 @@ pub fn render_trace(trace: &[TraceEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::Sink as _;
 
     #[test]
     fn rendering_indents_by_depth() {
@@ -294,37 +286,19 @@ mod tests {
             TraceEvent::new(1, Step::CacheHit { complemented: true }),
             TraceEvent::new(2, Step::Shannon { var: 3 }),
         ];
-        let buf = obs::SharedBuf::new();
-        let mut sink = obs::JsonlSink::new(buf.clone());
-        for event in &trace {
-            sink.accept(&event.to_point());
-        }
-        assert_eq!(sink.write_errors().get(), 0);
-        drop(sink);
-        let contents = buf.contents();
-        let lines: Vec<&str> = contents.lines().collect();
-        assert_eq!(lines.len(), 4);
+        let lines: Vec<String> = trace.iter().map(|event| event.to_json().render()).collect();
         for (line, event) in lines.iter().zip(&trace) {
-            let parsed = Json::parse(line).expect("sink output must parse");
-            assert_eq!(parsed.get("type").and_then(Json::as_str), Some("point"));
-            assert_eq!(parsed.get("name").and_then(Json::as_str), Some("trace"));
-            let fields = parsed.get("fields").expect("payload");
-            assert_eq!(fields.get("depth").and_then(Json::as_f64), Some(event.depth as f64));
+            assert!(!line.contains('\n'), "one record per line: {line}");
+            let parsed = Json::parse(line).expect("rendered event must parse");
+            assert_eq!(parsed.get("depth").and_then(Json::as_f64), Some(event.depth as f64));
         }
         // Spot-check the per-step payloads (including the non-ASCII leaf).
-        let first = Json::parse(lines[0]).unwrap();
-        let fields = first.get("fields").unwrap();
-        assert_eq!(fields.get("step").and_then(Json::as_str), Some("strong"));
-        assert_eq!(fields.get("gate").and_then(Json::as_str), Some("or"));
-        let second = Json::parse(lines[1]).unwrap();
-        assert_eq!(
-            second.get("fields").and_then(|f| f.get("leaf")).and_then(Json::as_str),
-            Some("and(x0, ¬x1)")
-        );
-        let fourth = Json::parse(lines[3]).unwrap();
-        assert_eq!(
-            fourth.get("fields").and_then(|f| f.get("var")).and_then(Json::as_f64),
-            Some(3.0)
-        );
+        let first = Json::parse(&lines[0]).unwrap();
+        assert_eq!(first.get("step").and_then(Json::as_str), Some("strong"));
+        assert_eq!(first.get("gate").and_then(Json::as_str), Some("or"));
+        let second = Json::parse(&lines[1]).unwrap();
+        assert_eq!(second.get("leaf").and_then(Json::as_str), Some("and(x0, ¬x1)"));
+        let fourth = Json::parse(&lines[3]).unwrap();
+        assert_eq!(fourth.get("var").and_then(Json::as_f64), Some(3.0));
     }
 }

@@ -1,6 +1,6 @@
 //! A hand-rolled JSON value: builder, writer and parser.
 //!
-//! The run reports (`BENCH_bidecomp.json`) and the JSONL event sink need
+//! The run reports (`BENCH_bidecomp.json`) and the trace exports need
 //! machine-readable output with a schema stable enough to diff across
 //! PRs, but the workspace is deliberately dependency-free. This module
 //! implements the JSON subset the telemetry layer needs: objects keep

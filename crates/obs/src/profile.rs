@@ -1,16 +1,11 @@
-//! Profile export: span trees → Chrome `trace_event` JSON and
-//! collapsed-stack flamegraph text.
+//! Profile export: closed spans → Chrome `trace_event` JSON.
 //!
-//! The recorder's event stream is ordered but timeless; [`ProfileSink`]
-//! stamps every event with the wall-clock offset since the sink was
-//! created, and [`Profile::from_events`] folds the stamped stream back
-//! into the span tree. Two exporters consume the tree:
-//!
-//! * [`Profile::chrome_trace`] — an array of complete (`"ph": "X"`)
-//!   `trace_event` objects loadable in `chrome://tracing` or Perfetto.
-//! * [`Profile::collapsed_stacks`] — `root;child;leaf self_us` lines in
-//!   the format `flamegraph.pl` and speedscope accept (values are
-//!   *self*-time in microseconds, so stack totals reconstruct exactly).
+//! A [`ProfileSink`] keeps every span once, when it closes, as a
+//! [`TimedEvent`]: its name, its start as an offset from the sink's
+//! creation, and its duration, both read from the span's own pair of
+//! `Instant`s. [`Profile::chrome_trace`] writes one complete
+//! (`"ph": "X"`) event per span; `chrome://tracing` and Perfetto nest
+//! complete events by time, so no span tree is rebuilt here.
 //!
 //! ```
 //! use obs::{profile::Profile, profile::ProfileSink, Recorder};
@@ -22,39 +17,38 @@
 //!     let _outer = rec.span("run");
 //!     let _inner = rec.span("run.phase");
 //! }
-//! let profile = Profile::from_events(&sink.events());
-//! assert_eq!(profile.roots.len(), 1);
-//! assert_eq!(profile.roots[0].children[0].name, "run.phase");
-//! let trace = profile.chrome_trace();
-//! assert_eq!(trace.as_arr().unwrap().len(), 2);
-//! assert!(profile.collapsed_stacks().contains("run;run.phase "));
+//! let trace = Profile::from_events(&sink.events()).chrome_trace();
+//! let events = trace.as_arr().unwrap();
+//! assert_eq!(events.len(), 2);
+//! assert_eq!(events[1].get("name").unwrap().as_str(), Some("run.phase"));
 //! ```
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use crate::json::Json;
-use crate::sink::{Event, Sink};
 
-/// An [`Event`] stamped with the wall-clock offset since the capturing
-/// [`ProfileSink`] was created.
-#[derive(Clone, Debug)]
+/// One closed span.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TimedEvent {
-    /// Offset from the sink's creation instant.
-    pub at: Duration,
-    /// The recorded event.
-    pub event: Event,
+    /// Span name, dot-separated by convention (`decompose.output`).
+    pub name: String,
+    /// When the span opened, as an offset from the capturing
+    /// [`ProfileSink`]'s creation (zero for a span opened before it).
+    pub start: Duration,
+    /// How long the span was open.
+    pub duration: Duration,
 }
 
-/// A sink that timestamps events for later profile export.
+/// A sink that keeps every closed span for later profile export.
 ///
 /// Clones share the captured buffer, so tests and exporters can keep a
 /// handle while the recorder owns the boxed sink.
 #[derive(Clone)]
 pub struct ProfileSink {
-    events: Rc<RefCell<Vec<TimedEvent>>>,
+    spans: Rc<RefCell<Vec<TimedEvent>>>,
     origin: Instant,
 }
 
@@ -65,123 +59,39 @@ impl Default for ProfileSink {
 }
 
 impl ProfileSink {
-    /// Creates an empty sink; timestamps are relative to this call.
+    /// Creates an empty sink; span starts are offsets from this call.
     pub fn new() -> Self {
-        ProfileSink { events: Rc::new(RefCell::new(Vec::new())), origin: Instant::now() }
+        ProfileSink { spans: Rc::default(), origin: Instant::now() }
     }
 
-    /// A snapshot of the captured, timestamped events.
+    /// A snapshot of the spans closed so far, in closing order.
     pub fn events(&self) -> Vec<TimedEvent> {
-        self.events.borrow().clone()
+        self.spans.borrow().clone()
     }
 
-    /// Number of captured events.
-    pub fn len(&self) -> usize {
-        self.events.borrow().len()
-    }
-
-    /// Whether nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.events.borrow().is_empty()
-    }
-}
-
-impl Sink for ProfileSink {
-    fn accept(&mut self, event: &Event) {
-        self.events
-            .borrow_mut()
-            .push(TimedEvent { at: self.origin.elapsed(), event: event.clone() });
+    /// Keeps one span that ran from `start` to `end`.
+    pub(crate) fn record(&self, name: &str, start: Instant, end: Instant) {
+        self.spans.borrow_mut().push(TimedEvent {
+            name: name.to_owned(),
+            start: start.saturating_duration_since(self.origin),
+            duration: end.duration_since(start),
+        });
     }
 }
 
-/// One node of the reconstructed span tree.
-#[derive(Clone, Debug)]
-pub struct SpanNode {
-    /// Span name.
-    pub name: String,
-    /// Start offset (from the sink's origin).
-    pub start: Duration,
-    /// Wall-clock duration (from the `SpanEnd` event).
-    pub duration: Duration,
-    /// Nested spans, in start order.
-    pub children: Vec<SpanNode>,
-}
-
-impl SpanNode {
-    /// Time spent in this span but not in any child (saturating).
-    pub fn self_time(&self) -> Duration {
-        let nested: Duration = self.children.iter().map(|c| c.duration).sum();
-        self.duration.saturating_sub(nested)
-    }
-
-    /// This node plus all descendants.
-    pub fn span_count(&self) -> usize {
-        1 + self.children.iter().map(SpanNode::span_count).sum::<usize>()
-    }
-}
-
-/// A reconstructed profile: the span forest.
+/// A recorded profile: the closed spans, ordered by start.
 #[derive(Clone, Debug, Default)]
 pub struct Profile {
-    /// Top-level spans in start order.
-    pub roots: Vec<SpanNode>,
+    spans: Vec<TimedEvent>,
 }
 
 impl Profile {
-    /// Folds a timestamped event stream back into the span tree.
-    ///
-    /// Span starts and ends pair up by nesting order (the recorder emits
-    /// them strictly nested). A stream with unclosed spans — e.g. a
-    /// process that exited mid-run — still produces a tree: open spans
-    /// are closed at their deepest captured timestamp. [`Event::Point`]s
-    /// carry no span and are skipped.
+    /// Orders the spans by start, the longer of two equal starts first, so
+    /// every span follows each span that encloses it.
     pub fn from_events(events: &[TimedEvent]) -> Profile {
-        struct Open {
-            node: SpanNode,
-        }
-        let mut stack: Vec<Open> = Vec::new();
-        let mut profile = Profile::default();
-        let mut last_at = Duration::ZERO;
-        let attach =
-            |stack: &mut Vec<Open>, profile: &mut Profile, node: SpanNode| match stack.last_mut() {
-                Some(parent) => parent.node.children.push(node),
-                None => profile.roots.push(node),
-            };
-        for te in events {
-            last_at = last_at.max(te.at);
-            match &te.event {
-                Event::SpanStart { name, .. } => stack.push(Open {
-                    node: SpanNode {
-                        name: name.clone(),
-                        start: te.at,
-                        duration: Duration::ZERO,
-                        children: Vec::new(),
-                    },
-                }),
-                Event::SpanEnd { duration, .. } => {
-                    if let Some(mut open) = stack.pop() {
-                        open.node.duration = *duration;
-                        attach(&mut stack, &mut profile, open.node);
-                    }
-                }
-                Event::Point { .. } => {}
-            }
-        }
-        // Close any spans left open (truncated stream): give them the span
-        // from their start to the last event seen.
-        while let Some(mut open) = stack.pop() {
-            open.node.duration = last_at.saturating_sub(open.node.start);
-            match stack.last_mut() {
-                Some(parent) => parent.node.children.push(open.node),
-                None => profile.roots.push(open.node),
-            }
-        }
-        profile
-    }
-
-    /// Total spans in the forest.
-    pub fn span_count(&self) -> usize {
-        self.roots.iter().map(SpanNode::span_count).sum()
+        let mut spans = events.to_vec();
+        spans.sort_by_key(|s| (s.start, Reverse(s.duration)));
+        Profile { spans }
     }
 
     /// The profile as a Chrome `trace_event` JSON array: one complete
@@ -189,58 +99,23 @@ impl Profile {
     /// form is accepted directly by `chrome://tracing` and Perfetto.
     pub fn chrome_trace(&self) -> Json {
         fn us(d: Duration) -> f64 {
-            d.as_secs_f64() * 1e6
+            d.as_nanos() as f64 / 1e3
         }
-        fn emit(node: &SpanNode, out: &mut Vec<Json>) {
-            out.push(
+        let events = self
+            .spans
+            .iter()
+            .map(|span| {
                 Json::obj()
-                    .field("name", node.name.as_str())
+                    .field("name", span.name.as_str())
                     .field("cat", "span")
                     .field("ph", "X")
-                    .field("ts", us(node.start))
-                    .field("dur", us(node.duration))
+                    .field("ts", us(span.start))
+                    .field("dur", us(span.duration))
                     .field("pid", 1u64)
-                    .field("tid", 1u64),
-            );
-            for child in &node.children {
-                emit(child, out);
-            }
-        }
-        let mut events = Vec::new();
-        for root in &self.roots {
-            emit(root, &mut events);
-        }
+                    .field("tid", 1u64)
+            })
+            .collect();
         Json::Arr(events)
-    }
-
-    /// The profile as collapsed flamegraph stacks: one
-    /// `root;child;leaf value` line per distinct stack, where `value` is
-    /// the stack's *self*-time in microseconds summed over all its
-    /// occurrences. Lines are sorted, so output is deterministic.
-    pub fn collapsed_stacks(&self) -> String {
-        fn walk(node: &SpanNode, prefix: &str, agg: &mut BTreeMap<String, u128>) {
-            let path = if prefix.is_empty() {
-                node.name.clone()
-            } else {
-                format!("{prefix};{}", node.name)
-            };
-            *agg.entry(path.clone()).or_insert(0) += node.self_time().as_micros();
-            for child in &node.children {
-                walk(child, &path, agg);
-            }
-        }
-        let mut agg = BTreeMap::new();
-        for root in &self.roots {
-            walk(root, "", &mut agg);
-        }
-        let mut out = String::new();
-        for (stack, us) in agg {
-            out.push_str(&stack);
-            out.push(' ');
-            out.push_str(&us.to_string());
-            out.push('\n');
-        }
-        out
     }
 }
 
@@ -249,7 +124,7 @@ mod tests {
     use super::*;
     use crate::Recorder;
 
-    fn sample_profile() -> (Profile, ProfileSink) {
+    fn sample_spans() -> Vec<TimedEvent> {
         let rec = Recorder::new();
         let sink = ProfileSink::new();
         rec.add_sink(Box::new(sink.clone()));
@@ -264,106 +139,77 @@ mod tests {
                 let _c = rec.span("output.y0");
             }
         }
-        (Profile::from_events(&sink.events()), sink)
+        sink.events()
     }
 
     #[test]
-    fn tree_matches_nesting() {
-        let (profile, sink) = sample_profile();
-        assert!(!sink.is_empty());
-        assert_eq!(sink.len(), 8, "4 starts, 4 ends");
-        assert_eq!(profile.roots.len(), 1);
-        let run = &profile.roots[0];
-        assert_eq!(run.name, "run");
-        assert_eq!(run.children.len(), 2);
-        assert_eq!(run.children[0].name, "build");
-        assert_eq!(run.children[1].children[0].name, "output.y0");
-        assert_eq!(profile.span_count(), 4);
-        assert!(run.duration >= run.children[0].duration);
-        assert!(run.children[0].duration >= Duration::from_millis(1));
-        // Children start within the parent span.
-        assert!(run.children[0].start >= run.start);
-        assert!(run.self_time() <= run.duration);
+    fn spans_are_kept_once_in_closing_order() {
+        let spans = sample_spans();
+        let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["build", "output.y0", "decompose", "run"]);
+        assert!(spans[0].duration >= Duration::from_millis(1));
+    }
+
+    #[test]
+    fn clones_of_a_recorder_share_its_sinks() {
+        let rec = Recorder::new();
+        let sink = ProfileSink::new();
+        rec.add_sink(Box::new(sink.clone()));
+        drop(rec.clone().span("via a clone"));
+        assert_eq!(sink.events()[0].name, "via a clone");
+    }
+
+    /// `(name, ts, end)` of every Chrome event, in integer nanoseconds.
+    fn intervals(trace: &Json) -> Vec<(String, u64, u64)> {
+        let ns = |e: &Json, key: &str| {
+            let us = e.get(key).and_then(Json::as_f64).expect("numeric ts/dur");
+            assert!(us >= 0.0);
+            (us * 1e3).round() as u64
+        };
+        let events = trace.as_arr().expect("top level is an array");
+        events
+            .iter()
+            .map(|e| {
+                let name = e.get("name").and_then(Json::as_str).expect("name").to_owned();
+                let ts = ns(e, "ts");
+                (name, ts, ts + ns(e, "dur"))
+            })
+            .collect()
     }
 
     #[test]
     fn chrome_trace_is_schema_valid() {
-        let (profile, _) = sample_profile();
-        let trace = profile.chrome_trace();
+        let trace = Profile::from_events(&sample_spans()).chrome_trace();
         // Round-trip through the serializer: what we write must parse.
         let parsed = Json::parse(&trace.render()).expect("trace JSON parses");
         let events = parsed.as_arr().expect("top level is an array");
         assert_eq!(events.len(), 4, "one complete event per span");
         for e in events {
             assert_eq!(e.get("ph").and_then(Json::as_str), Some("X"));
-            assert!(e.get("name").and_then(Json::as_str).is_some());
-            let ts = e.get("ts").and_then(Json::as_f64).expect("ts");
-            assert!(ts >= 0.0);
-            assert!(e.get("dur").and_then(Json::as_f64).expect("dur") >= 0.0);
             assert_eq!(e.get("pid").and_then(Json::as_f64), Some(1.0));
         }
     }
 
     #[test]
-    fn chrome_trace_nesting_is_consistent() {
-        let (profile, _) = sample_profile();
-        let trace = profile.chrome_trace();
-        let events = trace.as_arr().unwrap();
-        // The first event is the root and spans every other event.
-        let root_ts = events[0].get("ts").and_then(Json::as_f64).unwrap();
-        let root_end = root_ts + events[0].get("dur").and_then(Json::as_f64).unwrap();
-        for e in &events[1..] {
-            let ts = e.get("ts").and_then(Json::as_f64).unwrap();
-            let dur = e.get("dur").and_then(Json::as_f64).unwrap();
-            assert!(ts >= root_ts);
-            // Timestamps are stamped by the sink while durations are
-            // measured inside the span; allow scheduling slack.
-            assert!(ts + dur <= root_end + 500.0, "child escapes the root span");
+    fn chrome_trace_nests_children_inside_parents_exactly() {
+        let trace = Profile::from_events(&sample_spans()).chrome_trace();
+        let parsed = Json::parse(&trace.render()).expect("trace JSON parses");
+        let spans = intervals(&parsed);
+        let names: Vec<&str> = spans.iter().map(|s| s.0.as_str()).collect();
+        assert_eq!(names, ["run", "build", "decompose", "output.y0"], "ordered by start");
+        let inside = |child: usize, parent: usize| {
+            let ((_, cs, ce), (_, ps, pe)) = (&spans[child], &spans[parent]);
+            ps <= cs && ce <= pe
+        };
+        for child in 1..4 {
+            assert!(inside(child, 0), "{spans:?}");
         }
-    }
-
-    #[test]
-    fn collapsed_stacks_sum_self_times() {
-        let (profile, _) = sample_profile();
-        let text = profile.collapsed_stacks();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4, "one line per distinct stack");
-        assert!(lines.iter().any(|l| l.starts_with("run ")));
-        assert!(lines.iter().any(|l| l.starts_with("run;build ")));
-        assert!(lines.iter().any(|l| l.starts_with("run;decompose;output.y0 ")));
-        // Every line ends in a non-negative integer value.
-        let mut total: u128 = 0;
-        for line in &lines {
-            let value: u128 = line.rsplit(' ').next().unwrap().parse().expect("integer value");
-            total += value;
-        }
-        // Self times sum back to (at most) the root's duration in µs.
-        let root_us = profile.roots[0].duration.as_micros();
-        assert!(total <= root_us + 1);
-    }
-
-    #[test]
-    fn truncated_streams_still_build_a_tree() {
-        let rec = Recorder::new();
-        let sink = ProfileSink::new();
-        rec.add_sink(Box::new(sink.clone()));
-        let outer = rec.span("outer");
-        let inner = rec.span("inner");
-        // Simulate a crash: take the events while both spans are open.
-        let events = sink.events();
-        let profile = Profile::from_events(&events);
-        drop(inner);
-        drop(outer);
-        assert_eq!(profile.roots.len(), 1);
-        assert_eq!(profile.roots[0].name, "outer");
-        assert_eq!(profile.roots[0].children[0].name, "inner");
+        assert!(inside(3, 2), "{spans:?}");
+        assert!(spans[1].2 <= spans[2].1, "siblings do not overlap: {spans:?}");
     }
 
     #[test]
     fn empty_profile_exports_cleanly() {
-        let profile = Profile::from_events(&[]);
-        assert_eq!(profile.span_count(), 0);
-        assert_eq!(profile.chrome_trace(), Json::Arr(vec![]));
-        assert_eq!(profile.collapsed_stacks(), "");
+        assert_eq!(Profile::from_events(&[]).chrome_trace(), Json::Arr(vec![]));
     }
 }

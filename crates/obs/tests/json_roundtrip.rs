@@ -1,5 +1,5 @@
 //! Seeded proptest-style round-trip tests for `obs::json` string
-//! escaping. The Chrome trace export and the JSONL sinks both lean on
+//! escaping. The Chrome trace export and the `stats --trace-out` lines lean on
 //! `write_escaped`, so every representable string — quotes, backslashes,
 //! control characters, non-ASCII — must survive `render` → `parse`
 //! unchanged, and every rendered document must stay one physical line.
@@ -100,8 +100,8 @@ fn fixed_corpus_of_known_nasties() {
         let text = Json::Str(s.to_owned()).render();
         let back = Json::parse(&text).unwrap_or_else(|e| panic!("{e} for {s:?} → {text:?}"));
         assert_eq!(back.as_str(), Some(s), "round-trip mutated {s:?}");
-        // And inside an event-shaped object, as the JSONL sink writes it.
-        let record = Json::obj().field("type", "counter").field("name", s).field("delta", 1u64);
+        // And inside an event-shaped object, as a Chrome trace event holds it.
+        let record = Json::obj().field("name", s).field("ph", "X").field("dur", 1u64);
         let back = Json::parse(&record.render()).expect("record parses");
         assert_eq!(back.get("name").and_then(Json::as_str), Some(s));
     }

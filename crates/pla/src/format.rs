@@ -359,15 +359,23 @@ impl FromStr for Pla {
                     return Err(ParsePlaError::new(lineno, "cube before .i/.o declarations"));
                 }
             };
+            let width = ni.checked_add(no).ok_or_else(|| {
+                ParsePlaError::new(lineno, format!(".i {ni} plus .o {no} overflows a cube width"))
+            })?;
             let compact: String =
                 line.chars().filter(|c| !c.is_whitespace() && *c != '|').collect();
-            if compact.len() != ni + no {
+            if compact.len() != width {
                 return Err(ParsePlaError::new(
                     lineno,
-                    format!("cube has {} positions, expected {}", compact.len(), ni + no),
+                    format!("cube has {} positions, expected {width}", compact.len()),
                 ));
             }
-            let cube = parse_cube(&compact[..ni], &compact[ni..], lineno)?;
+            // Lengths count bytes, so a non-ASCII character can straddle the
+            // split; any other character is rejected by `parse_cube`.
+            let (ins, outs) = compact.split_at_checked(ni).ok_or_else(|| {
+                ParsePlaError::new(lineno, "non-ASCII character in a cube position")
+            })?;
+            let cube = parse_cube(ins, outs, lineno)?;
             cubes.push(cube);
         }
 
@@ -489,6 +497,24 @@ mod tests {
 
         let err = ".i 2\n.o 1\n.bogus\n".parse::<Pla>().unwrap_err();
         assert!(err.to_string().contains("unsupported directive"));
+    }
+
+    #[test]
+    fn declared_widths_that_overflow_are_a_parse_error() {
+        let max = usize::MAX;
+        for text in [format!(".i {max}\n.o 1\n0 1\n.e\n"), format!(".i 2\n.o {max}\n0 1\n.e\n")] {
+            let err = text.parse::<Pla>().expect_err("no cube is that wide");
+            assert_eq!(err.line(), 3);
+            assert!(err.to_string().contains(&format!("{max}")), "{err}");
+            assert!(err.to_string().contains("overflows"), "{err}");
+        }
+    }
+
+    #[test]
+    fn non_ascii_cube_characters_are_a_parse_error() {
+        let err = ".i 1\n.o 1\né\n.e\n".parse::<Pla>().expect_err("é is no cube position");
+        assert_eq!(err.line(), 3);
+        assert!(err.to_string().contains("non-ASCII"), "{err}");
     }
 
     #[test]
