@@ -9,9 +9,7 @@
 //!   ([`enumerate_faults`], [`collapse`]);
 //! * fault injection ([`inject`]) producing the faulty circuit;
 //! * 64-way parallel-pattern single-fault fault simulation
-//!   ([`fault_coverage`], [`detects`]) with an instrumented variant
-//!   reporting faults/sec and patterns/sec throughput
-//!   ([`fault_coverage_report`]);
+//!   ([`fault_coverage`], [`detects`]);
 //! * exact, BDD-based test generation and redundancy identification
 //!   ([`generate_tests`]): a fault is redundant iff the good and faulty
 //!   circuits are equivalent, decided by BDD comparison.
@@ -37,5 +35,5 @@ mod sim;
 mod tpg;
 
 pub use fault::{collapse, enumerate_faults, inject, Fault, FaultSite};
-pub use sim::{detects, fault_coverage, fault_coverage_report, FaultSimReport};
+pub use sim::{detects, fault_coverage};
 pub use tpg::{compact_tests, generate_tests, remove_redundancies, test_for_fault, TestReport};

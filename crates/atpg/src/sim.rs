@@ -1,10 +1,6 @@
 //! Parallel-pattern single-fault fault simulation (PPSFP).
 
-use std::time::{Duration, Instant};
-
 use netlist::Netlist;
-use obs::json::Json;
-use obs::report::per_second;
 
 use crate::fault::{inject, Fault};
 
@@ -32,69 +28,8 @@ pub fn detects(nl: &Netlist, fault: Fault, patterns: &[u64]) -> bool {
 ///
 /// Panics if a test's length differs from the number of inputs.
 pub fn fault_coverage(nl: &Netlist, faults: &[Fault], tests: &[Vec<bool>]) -> f64 {
-    fault_coverage_report(nl, faults, tests).coverage
-}
-
-/// The outcome of one [`fault_coverage_report`] run, with wall-clock
-/// throughput figures alongside the coverage.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct FaultSimReport {
-    /// Faults simulated.
-    pub faults: usize,
-    /// Faults detected by at least one test.
-    pub detected: usize,
-    /// Test patterns applied.
-    pub patterns: usize,
-    /// Detected over simulated (1.0 on an empty fault list).
-    pub coverage: f64,
-    /// Wall-clock time of the whole simulation.
-    pub elapsed: Duration,
-}
-
-impl FaultSimReport {
-    /// Faults simulated per second of wall-clock time.
-    pub fn faults_per_sec(&self) -> f64 {
-        per_second(self.faults, self.elapsed)
-    }
-
-    /// Test patterns applied per second of wall-clock time.
-    pub fn patterns_per_sec(&self) -> f64 {
-        per_second(self.patterns, self.elapsed)
-    }
-
-    /// The report as a JSON object (used by the bench report writer).
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .field("faults", self.faults as u64)
-            .field("detected", self.detected as u64)
-            .field("patterns", self.patterns as u64)
-            .field("coverage", self.coverage)
-            .field("elapsed_s", self.elapsed.as_secs_f64())
-            .field("faults_per_sec", self.faults_per_sec())
-            .field("patterns_per_sec", self.patterns_per_sec())
-    }
-}
-
-/// [`fault_coverage`] with instrumentation: returns the coverage together
-/// with fault/pattern throughput over the run's wall-clock time.
-///
-/// # Panics
-///
-/// Panics if a test's length differs from the number of inputs.
-pub fn fault_coverage_report(
-    nl: &Netlist,
-    faults: &[Fault],
-    tests: &[Vec<bool>],
-) -> FaultSimReport {
-    let start = Instant::now();
     if faults.is_empty() {
-        return FaultSimReport {
-            faults: 0,
-            detected: 0,
-            patterns: tests.len(),
-            coverage: 1.0,
-            elapsed: start.elapsed(),
-        };
+        return 1.0;
     }
     let num_inputs = nl.inputs().len();
     let mut detected = vec![false; faults.len()];
@@ -121,13 +56,7 @@ pub fn fault_coverage_report(
         }
     }
     let hit = detected.iter().filter(|&&d| d).count();
-    FaultSimReport {
-        faults: faults.len(),
-        detected: hit,
-        patterns: tests.len(),
-        coverage: hit as f64 / faults.len() as f64,
-        elapsed: start.elapsed(),
-    }
+    hit as f64 / faults.len() as f64
 }
 
 #[cfg(test)]
@@ -193,22 +122,5 @@ mod tests {
     fn empty_fault_list_is_fully_covered() {
         let nl = and_circuit();
         assert_eq!(fault_coverage(&nl, &[], &[]), 1.0);
-    }
-
-    #[test]
-    fn report_carries_throughput() {
-        let nl = and_circuit();
-        let faults = collapse(&nl, &enumerate_faults(&nl));
-        let tests: Vec<Vec<bool>> = (0..4u32).map(|m| vec![m & 1 != 0, m & 2 != 0]).collect();
-        let report = fault_coverage_report(&nl, &faults, &tests);
-        assert_eq!(report.coverage, 1.0);
-        assert_eq!(report.faults, faults.len());
-        assert_eq!(report.detected, faults.len());
-        assert_eq!(report.patterns, 4);
-        assert!(report.faults_per_sec() > 0.0);
-        assert!(report.patterns_per_sec() > 0.0);
-        let json = report.to_json();
-        assert_eq!(json.get("coverage").and_then(Json::as_f64), Some(1.0));
-        assert_eq!(json.get("patterns").and_then(Json::as_f64), Some(4.0));
     }
 }

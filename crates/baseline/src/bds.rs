@@ -12,27 +12,23 @@
 use std::collections::HashMap;
 
 use bdd::{Bdd, Func};
+use bidecomp::{isfs_from_pla, signal_names};
 use netlist::{Gate2, Netlist, SignalId};
 use pla::Pla;
 
 /// Decomposes a PLA by mapping each output's BDD to gates, one top
 /// variable at a time (weak-only splits). Don't-cares are assigned to 0
-/// up front (BDS consumes completely specified functions).
+/// up front (BDS consumes completely specified functions): each output
+/// is the on-set of BI-DECOMP's own specification ([`isfs_from_pla`]).
 pub fn bds_like(pla: &Pla) -> Netlist {
-    let n = pla.num_inputs();
-    let mut mgr = Bdd::new(n);
+    let mut mgr = Bdd::new(pla.num_inputs());
+    let isfs = isfs_from_pla(&mut mgr, pla);
+    let (input_names, output_names) = signal_names(pla);
     let mut nl = Netlist::new();
-    let inputs: Vec<SignalId> = (0..n)
-        .map(|k| {
-            let name = pla.input_labels().map(|l| l[k].clone()).unwrap_or_else(|| format!("x{k}"));
-            nl.add_input(name)
-        })
-        .collect();
+    let inputs: Vec<SignalId> = input_names.into_iter().map(|name| nl.add_input(name)).collect();
     let mut memo: HashMap<Func, SignalId> = HashMap::new();
-    for out in 0..pla.num_outputs() {
-        let f = mgr.cover_function(pla.on_cubes(out).map(pla::Cube::literals));
-        let name = pla.output_labels().map(|l| l[out].clone()).unwrap_or_else(|| format!("y{out}"));
-        let signal = map_node(&mut mgr, &mut nl, &inputs, f, &mut memo);
+    for (isf, name) in isfs.iter().zip(output_names) {
+        let signal = map_node(&mut mgr, &mut nl, &inputs, isf.q, &mut memo);
         nl.add_output(name, signal);
     }
     nl

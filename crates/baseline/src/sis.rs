@@ -1,6 +1,7 @@
 //! The SIS-substitute: two-level minimization plus AND/OR tree mapping.
 
 use bdd::{Bdd, Func};
+use bidecomp::{isfs_from_pla, signal_names};
 use netlist::{Gate2, Netlist, SignalId};
 use pla::Pla;
 
@@ -10,50 +11,31 @@ type LitCube = Vec<(u32, bool)>;
 /// Decomposes a PLA into two-input AND/OR/NOT gates the way a classic
 /// two-level flow does: per output, expand each on-set cube against the
 /// off-set (don't-cares enlarge the expansion room), drop redundant
-/// cubes, then map the cover with structural sharing. No EXOR gates are
+/// cubes, then map the cover with structural sharing. The on- and
+/// off-sets are BI-DECOMP's own specification ([`isfs_from_pla`]), so
+/// the overlaps of a PLA resolve the same way for both systems. No EXOR gates are
 /// ever used. The mapping is area-oriented, as in the paper's SIS
 /// configuration: products are small AND trees, but the OR plane is a
 /// chain, so the gate count is minimal and no effort is spent on depth.
 pub fn sis_like(pla: &Pla) -> Netlist {
-    let n = pla.num_inputs();
-    let mut mgr = Bdd::new(n);
+    let mut mgr = Bdd::new(pla.num_inputs());
+    let isfs = isfs_from_pla(&mut mgr, pla);
+    let (input_names, output_names) = signal_names(pla);
     let mut nl = Netlist::new();
-    let inputs: Vec<SignalId> = (0..n)
-        .map(|k| {
-            let name = pla.input_labels().map(|l| l[k].clone()).unwrap_or_else(|| format!("x{k}"));
-            nl.add_input(name)
-        })
-        .collect();
-    let output_names: Vec<String> = (0..pla.num_outputs())
-        .map(|k| pla.output_labels().map(|l| l[k].clone()).unwrap_or_else(|| format!("y{k}")))
-        .collect();
-
-    for (out, output_name) in output_names.iter().enumerate() {
+    let inputs: Vec<SignalId> = input_names.into_iter().map(|name| nl.add_input(name)).collect();
+    for (out, (isf, name)) in isfs.iter().zip(output_names).enumerate() {
         let on: Vec<LitCube> = pla.on_cubes(out).map(|c| c.literals().collect()).collect();
-        let on_bdd = mgr.cover_function(&on);
-        let dc_bdd = mgr.cover_function(pla.dc_cubes(out).map(pla::Cube::literals));
-        let covered = mgr.or(on_bdd, dc_bdd);
-        let off_bdd = if pla.pla_type().rest_is_offset() {
-            mgr.not(covered)
-        } else {
-            let explicit = mgr.cover_function(pla.off_cubes(out).map(pla::Cube::literals));
-            mgr.diff(explicit, covered)
-        };
-        let cover = minimize_cover(&mut mgr, on, on_bdd, dc_bdd, off_bdd);
+        let cover = minimize_cover(&mut mgr, on, isf.q, isf.r);
         let signal = map_cover(&mut nl, &inputs, &cover);
-        nl.add_output(output_name.clone(), signal);
+        nl.add_output(name, signal);
     }
     nl
 }
 
-/// EXPAND + deduplicate + IRREDUNDANT (greedy, BDD-backed).
-fn minimize_cover(
-    mgr: &mut Bdd,
-    cubes: Vec<LitCube>,
-    on_bdd: Func,
-    dc_bdd: Func,
-    off_bdd: Func,
-) -> Vec<LitCube> {
+/// EXPAND + deduplicate + IRREDUNDANT (greedy, BDD-backed). `cubes`
+/// cover the on-set `on_bdd`; `off_bdd` is disjoint from it, and the
+/// rest is don't-care.
+fn minimize_cover(mgr: &mut Bdd, cubes: Vec<LitCube>, on_bdd: Func, off_bdd: Func) -> Vec<LitCube> {
     // EXPAND: greedily raise literals while the cube avoids the off-set.
     let mut expanded: Vec<LitCube> = Vec::with_capacity(cubes.len());
     for cube in cubes {
@@ -91,19 +73,18 @@ fn minimize_cover(
     } else {
         expanded
     };
-    // IRREDUNDANT: greedily drop cubes covered by the rest plus
-    // don't-cares (quadratic in cover size — capped as well).
+    // IRREDUNDANT: greedily drop cubes whose on-set points the rest
+    // still cover (quadratic in cover size — capped as well). The
+    // don't-cares lie outside the on-set, so they cover none of it.
     if primes.len() > IRREDUNDANT_CAP {
         return primes;
     }
-    let care_target = mgr.diff(on_bdd, dc_bdd);
     let mut keep = vec![true; primes.len()];
     for i in 0..primes.len() {
         keep[i] = false;
         let kept =
             mgr.cover_function(primes.iter().zip(&keep).filter(|&(_, &k)| k).map(|(c, _)| c));
-        let rest = mgr.or(dc_bdd, kept);
-        if !mgr.implies(care_target, rest) {
+        if !mgr.implies(on_bdd, kept) {
             keep[i] = true;
         }
     }
@@ -247,6 +228,16 @@ mod tests {
         let nl = sis_like(&pla);
         check_implements(&pla, &nl);
         assert_eq!(nl.stats().gates, 1, "only OR(a, b) remains");
+    }
+
+    #[test]
+    fn on_set_wins_where_a_dont_care_cube_overlaps_it() {
+        // `111` is both on-set and don't-care; the on-set wins, so the
+        // netlist must output 1 there.
+        let pla: Pla = ".i 3\n.o 1\n111 1\n000 1\n111 d\n.e\n".parse().expect("valid");
+        assert_eq!(pla.eval(0, 0b111), Some(true));
+        let nl = sis_like(&pla);
+        check_implements(&pla, &nl);
     }
 
     #[test]

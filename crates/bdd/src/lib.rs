@@ -57,4 +57,4 @@ pub use analytics::{Analytics, OpCacheStats, ProbeStats};
 pub use isop::IsopCube;
 pub use manager::{Bdd, Func, MemReport, OpStats, VarId, DEFAULT_CACHE_ENTRIES, MAX_NODES};
 pub use ops::BinOp;
-pub use varset::VarSet;
+pub use varset::{VarSet, MAX_VARS};

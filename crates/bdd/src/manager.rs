@@ -795,7 +795,7 @@ impl Bdd {
 
     /// Current heap footprint of the three dominant allocations, in bytes
     /// (capacity-based; see [`MemReport`]).
-    pub fn current_mem_bytes(&self) -> usize {
+    fn current_mem_bytes(&self) -> usize {
         self.mem_report().total_bytes
     }
 

@@ -35,8 +35,8 @@ fn main() {
     let suite = if small { benchmarks::small() } else { benchmarks::all() };
     let mut records = Vec::new();
     for b in suite {
-        // Telemetry on, as bench_record does: records carry the depth
-        // histogram and analytics.
+        // Telemetry on, as bench_record does: records carry the kernel
+        // analytics.
         let options = Options { telemetry: true, ..Options::default() };
         let outcome = bidecomp::decompose_pla(&b.pla, &options);
         let record = record_from_outcome(b.name, &outcome);

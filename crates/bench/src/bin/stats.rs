@@ -93,10 +93,9 @@ fn main() {
         let file = File::create(path).unwrap_or_else(|e| exit_cannot_write(path, e));
         (path, BufWriter::new(file))
     });
-    // The cost-annotated tree needs the trace and telemetry (costs).
+    // The cost-annotated tree is built from the trace.
     let options = Options {
         trace: args.trace_out.is_some() || args.tree_dot.is_some(),
-        telemetry: args.tree_dot.is_some(),
         ..Options::default()
     };
 
@@ -114,6 +113,13 @@ fn main() {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| exit_with(&format!("cannot read {path}: {e}")));
             let pla: Pla = text.parse().unwrap_or_else(|e| exit_with(&format!("{path}: {e}")));
+            if pla.num_inputs() > bdd::MAX_VARS {
+                exit_with(&format!(
+                    "{path}: {} inputs; the BDD kernel supports at most {}",
+                    pla.num_inputs(),
+                    bdd::MAX_VARS
+                ));
+            }
             let name = std::path::Path::new(path)
                 .file_stem()
                 .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());

@@ -32,11 +32,13 @@ use pla::Pla;
 /// `analytics.reorders` and the GC samples' `elapsed_ns`. v7 drops the GC
 /// sample log (`analytics.gc`), the always-zero top-level `obs` section
 /// and the component cache's copies of the `decomp` hit counts, and adds
-/// `bdd.gc_nodes_before`.
-pub const REPORT_SCHEMA: &str = "bidecomp-bench/v7";
+/// `bdd.gc_nodes_before`. v8 drops `decomp.depth_histogram`;
+/// `decomp.max_depth` is now the 0-based depth of the deepest recursive
+/// call (`Stats::max_depth`), one less than v7's histogram length.
+pub const REPORT_SCHEMA: &str = "bidecomp-bench/v8";
 
-/// Runs BI-DECOMP on one benchmark (with telemetry on, so the
-/// recursion-depth histogram is populated) and builds its report record.
+/// Runs BI-DECOMP on one benchmark (with telemetry on, so the kernel
+/// analytics are built) and builds its report record.
 pub fn bench_record(name: &str, pla: &Pla, options: &Options) -> Json {
     let options = Options { telemetry: true, ..*options };
     let outcome = bidecomp::decompose_pla(pla, &options);
@@ -47,7 +49,6 @@ pub fn bench_record(name: &str, pla: &Pla, options: &Options) -> Json {
 pub fn record_from_outcome(name: &str, outcome: &DecompOutcome) -> Json {
     let op = outcome.op_stats;
     let d = &outcome.stats;
-    let histogram: Vec<Json> = outcome.depth_histogram.iter().map(|&n| Json::from(n)).collect();
     Json::obj()
         .field("name", name)
         .field("verified", outcome.verified)
@@ -90,8 +91,7 @@ pub fn record_from_outcome(name: &str, outcome: &DecompOutcome) -> Json {
                 .field("weak_rate", d.weak_rate())
                 .field("cache_hit_rate", d.cache_hit_rate())
                 .field("inessential_rate", d.inessential_rate())
-                .field("max_depth", outcome.depth_histogram.len())
-                .field("depth_histogram", histogram),
+                .field("max_depth", d.max_depth),
         )
 }
 
@@ -146,8 +146,10 @@ mod tests {
         assert!(bdd.get("cache_evictions").and_then(Json::as_f64).is_some());
         let decomp = record.get("decomp").expect("decomp stats");
         assert!(decomp.get("calls").and_then(Json::as_f64).unwrap() >= 1.0);
-        let histogram = decomp.get("depth_histogram").and_then(Json::as_arr).expect("histogram");
-        assert!(!histogram.is_empty(), "telemetry is forced on for records");
+        // v8: the depth is 0-based and the histogram is gone; fig3's
+        // OR split puts its leaves at depth 1.
+        assert_eq!(decomp.get("max_depth").and_then(Json::as_f64), Some(1.0));
+        assert!(decomp.get("depth_histogram").is_none());
         let mem = record.get("mem").expect("mem section");
         assert!(mem.get("peak_bytes").and_then(Json::as_f64).unwrap() > 0.0);
         // v3: analytics ride along (telemetry is forced on for records).

@@ -200,6 +200,26 @@ fn unreadable_or_malformed_pla_exits_1_without_a_panic() {
     }
 }
 
+#[test]
+fn pla_wider_than_the_bdd_kernel_exits_1_before_the_run() {
+    let scratch = Scratch::new("widepla");
+    // 4294967296 inputs would need a 103 GB name table if the run began.
+    for width in ["300", "4294967296"] {
+        let path = scratch.path(&format!("wide{width}.pla"));
+        fs::write(&path, format!(".i {width}\n.o 1\n.e\n")).expect("write pla");
+        let output = Command::new(env!("CARGO_BIN_EXE_stats"))
+            .arg("--pla")
+            .arg(&path)
+            .output()
+            .expect("stats runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{width}: {stderr}");
+        let expected =
+            format!("{}: {width} inputs; the BDD kernel supports at most 256", path.display());
+        assert_eq!(stderr.trim_end(), expected);
+    }
+}
+
 /// A minimal report record.
 fn record(name: &str, gates: u64, nodes_allocated: u64) -> Json {
     Json::obj()

@@ -1,6 +1,6 @@
 //! Golden test for the `BENCH_bidecomp.json` schema: the document the
 //! `report` binary writes must parse with the workspace JSON parser and
-//! keep the `bidecomp-bench/v7` record shape stable.
+//! keep the `bidecomp-bench/v8` record shape stable.
 
 use bench::report::{bench_record, report_document, write_report, REPORT_SCHEMA};
 use bidecomp::Options;
@@ -28,7 +28,7 @@ const MEM_KEYS: [&str; 5] =
     ["unique_table_bytes", "computed_cache_bytes", "node_slab_bytes", "total_bytes", "peak_bytes"];
 const ANALYTICS_KEYS: [&str; 3] = ["unique_table", "computed_cache_by_op", "component_cache"];
 const COMPONENT_CACHE_KEYS: [&str; 3] = ["support_sets", "components", "max_bucket"];
-const DECOMP_KEYS: [&str; 13] = [
+const DECOMP_KEYS: [&str; 12] = [
     "calls",
     "cache_hits",
     "terminal_cases",
@@ -41,7 +41,6 @@ const DECOMP_KEYS: [&str; 13] = [
     "cache_hit_rate",
     "inessential_rate",
     "max_depth",
-    "depth_histogram",
 ];
 
 fn suite_document() -> Json {
@@ -56,7 +55,7 @@ fn suite_document() -> Json {
 }
 
 #[test]
-fn report_document_matches_the_v7_schema() {
+fn report_document_matches_the_v8_schema() {
     let document = suite_document();
     let mut bytes = Vec::new();
     write_report(&document, &mut bytes).expect("in-memory write");
@@ -64,14 +63,16 @@ fn report_document_matches_the_v7_schema() {
     let parsed = Json::parse(&text).expect("document must parse with the workspace parser");
 
     assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(REPORT_SCHEMA));
-    assert_eq!(REPORT_SCHEMA, "bidecomp-bench/v7");
+    assert_eq!(REPORT_SCHEMA, "bidecomp-bench/v8");
     // v7: no top-level `obs` section.
     assert_eq!(parsed.keys(), ["schema", "records"]);
     let records = parsed.get("records").and_then(Json::as_arr).expect("records array");
     assert_eq!(records.len(), 2);
-    for record in records {
+    // v8: the 0-based depth of the deepest recursive call, as the trace
+    // tree counts it (v7 wrote 8 and 9, the depth histogram's length).
+    for (record, want_depth) in records.iter().zip([7.0, 8.0]) {
         // v7: exactly these sections, in this order — no clock anywhere,
-        // no GC sample log.
+        // no GC sample log; v8: no depth histogram.
         assert_eq!(record.keys(), RECORD_KEYS, "record keys drifted");
         for (section, wanted) in [
             ("netlist", &NETLIST_KEYS[..]),
@@ -111,10 +112,9 @@ fn report_document_matches_the_v7_schema() {
         assert_eq!(record.get("verified").and_then(Json::as_bool), Some(true));
         let decomp = record.get("decomp").expect("decomp");
         let calls = decomp.get("calls").and_then(Json::as_f64).expect("calls");
-        let histogram = decomp.get("depth_histogram").and_then(Json::as_arr).expect("histogram");
-        let total: f64 = histogram.iter().map(|n| n.as_f64().expect("numeric bucket")).sum();
-        assert_eq!(total, calls, "histogram buckets sum to the recursive call count");
-        assert_eq!(decomp.get("max_depth").and_then(Json::as_f64), Some(histogram.len() as f64));
+        let max_depth = decomp.get("max_depth").and_then(Json::as_f64).expect("max_depth");
+        assert_eq!(max_depth, want_depth);
+        assert!(max_depth < calls, "every level holds at least one call");
         // v5 dropped the thread count; the v4 kernel counters are
         // consistent.
         assert!(record.get("threads").is_none());

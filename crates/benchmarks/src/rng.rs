@@ -53,12 +53,6 @@ impl SplitMix64 {
         (self.next_u64() >> 11) < threshold
     }
 
-    /// A pseudo-random `u64` seed derived from this stream (for spawning
-    /// decorrelated child generators).
-    pub fn fork(&mut self) -> SplitMix64 {
-        SplitMix64::new(self.next_u64())
-    }
-
     /// In-place Fisher–Yates shuffle driven by this stream (used by the
     /// fuzz harness for variable permutations and shrink chunk orders).
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
@@ -112,14 +106,6 @@ mod tests {
         assert!((0..100).all(|_| r.gen_bool(1.0)));
         let heads = (0..10_000).filter(|_| r.gen_bool(0.3)).count();
         assert!((2_500..3_500).contains(&heads), "got {heads}");
-    }
-
-    #[test]
-    fn forked_generators_decorrelate() {
-        let mut parent = SplitMix64::new(9);
-        let mut a = parent.fork();
-        let mut b = parent.fork();
-        assert_ne!(a.next_u64(), b.next_u64());
     }
 
     #[test]

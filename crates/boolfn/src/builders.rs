@@ -23,45 +23,6 @@ pub fn symmetric(num_vars: usize, values: &[bool]) -> TruthTable {
     TruthTable::from_fn(num_vars, |m| values[m.count_ones() as usize])
 }
 
-/// Symmetric function from a polarity string like `"0000111101111110"`,
-/// character `k` giving the output for ones-count `k`.
-///
-/// This is the encoding the paper uses for **16Sym8**: "a 16-variable
-/// totally symmetric function with polarity 0000111101111110". A 16-bit
-/// string covers counts 0..=15; if the string is one short of
-/// `num_vars + 1`, the final count defaults to `0`.
-///
-/// # Panics
-///
-/// Panics if the string contains characters other than `0`/`1` or has an
-/// incompatible length.
-pub fn symmetric_from_polarity(num_vars: usize, polarity: &str) -> TruthTable {
-    let mut values: Vec<bool> = polarity
-        .chars()
-        .map(|c| match c {
-            '0' => false,
-            '1' => true,
-            other => panic!("polarity string must be binary, found {other:?}"),
-        })
-        .collect();
-    if values.len() == num_vars {
-        values.push(false);
-    }
-    symmetric(num_vars, &values)
-}
-
-/// The MCNC benchmark **9sym**: 9 inputs, output 1 iff between 3 and 6
-/// inputs are 1. (Public definition; implemented exactly.)
-pub fn sym9() -> TruthTable {
-    symmetric(9, &[false, false, false, true, true, true, true, false, false, false])
-}
-
-/// The paper's **16Sym8** workload: 16 variables, polarity
-/// `0000111101111110` over the ones-count.
-pub fn sym16_8() -> TruthTable {
-    symmetric_from_polarity(16, "0000111101111110")
-}
-
 /// Odd parity of `num_vars` inputs.
 pub fn parity(num_vars: usize) -> TruthTable {
     TruthTable::from_fn(num_vars, |m| m.count_ones() % 2 == 1)
@@ -75,13 +36,6 @@ pub fn majority(num_vars: usize) -> TruthTable {
 /// Threshold function: 1 iff at least `k` inputs are 1.
 pub fn threshold(num_vars: usize, k: usize) -> TruthTable {
     TruthTable::from_fn(num_vars, |m| m.count_ones() as usize >= k)
-}
-
-/// The **rd73/rd84 family**: output bit `bit` of the binary count of ones
-/// of `num_vars` inputs. rd73 = bits 0..3 of a 7-input count; rd84 = bits
-/// 0..4 of an 8-input count. (Public definition; implemented exactly.)
-pub fn rate_bit(num_vars: usize, bit: usize) -> TruthTable {
-    TruthTable::from_fn(num_vars, |m| m.count_ones() & (1 << bit) != 0)
 }
 
 #[cfg(test)]
@@ -99,31 +53,6 @@ mod tests {
     }
 
     #[test]
-    fn sym9_counts() {
-        let f = sym9();
-        assert_eq!(f.num_vars(), 9);
-        // Number of minterms: sum of C(9,k) for k in 3..=6.
-        let expected: usize = [3usize, 4, 5, 6]
-            .iter()
-            .map(|&k| (0..1u32 << 9).filter(|m| m.count_ones() as usize == k).count())
-            .sum();
-        assert_eq!(f.count_ones(), expected);
-        assert_eq!(expected, 84 + 126 + 126 + 84);
-    }
-
-    #[test]
-    fn sym16_polarity_matches() {
-        let f = sym16_8();
-        let polarity = "0000111101111110";
-        for count in 0..=15u32 {
-            let m = (1u32 << count) - 1; // `count` low bits set
-            let expected = polarity.as_bytes()[count as usize] == b'1';
-            assert_eq!(f.get(m), expected, "count {count}");
-        }
-        assert!(!f.get(u16::MAX as u32), "count 16 defaults to 0");
-    }
-
-    #[test]
     fn parity_and_majority() {
         assert_eq!(parity(3).count_ones(), 4);
         assert!(parity(3).get(0b111));
@@ -136,24 +65,8 @@ mod tests {
     }
 
     #[test]
-    fn rate_bits_encode_count() {
-        for m in 0..(1u32 << 7) {
-            let count = m.count_ones();
-            for bit in 0..3 {
-                assert_eq!(rate_bit(7, bit).get(m), count & (1 << bit) != 0);
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "one output value per possible ones-count")]
     fn symmetric_wrong_length_panics() {
         let _ = symmetric(3, &[true, false]);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be binary")]
-    fn polarity_rejects_non_binary() {
-        let _ = symmetric_from_polarity(4, "01x10");
     }
 }

@@ -19,8 +19,8 @@
 //! Contents:
 //! * [`TruthTable`] — up to 24-variable dense functions with the full
 //!   operator set, quantification and cofactors.
-//! * [`builders`] — symmetric functions, parity, majority, and the other
-//!   named function families used by the benchmarks.
+//! * [`builders`] — symmetric, parity, majority and threshold functions
+//!   for the tests.
 //! * [`oracle`] — enumeration-based decomposability deciders for OR-, AND-
 //!   and EXOR-bi-decomposition (Sections 3–4 of the paper), used by the
 //!   test suites of the `bidecomp` crate.

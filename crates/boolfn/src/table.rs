@@ -267,7 +267,7 @@ impl TruthTable {
     /// # Panics
     ///
     /// Panics if `v >= num_vars`.
-    pub fn independent_of(&self, v: usize) -> bool {
+    fn independent_of(&self, v: usize) -> bool {
         self.cofactor(v, false) == self.cofactor(v, true)
     }
 

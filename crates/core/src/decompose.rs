@@ -76,9 +76,7 @@ pub struct Decomposer {
     stats: Stats,
     options: Options,
     trace: Option<Vec<TraceEvent>>,
-    /// Run telemetry, `Some` when [`Options::telemetry`] is on: `[d]` =
-    /// recursive calls entered at depth `d`.
-    depth_hist: Option<Vec<u64>>,
+    /// Recursive calls currently open (the depth of the next call).
     depth: usize,
 }
 
@@ -88,7 +86,7 @@ impl std::fmt::Debug for Decomposer {
             .field("mgr", &self.mgr)
             .field("stats", &self.stats)
             .field("options", &self.options)
-            .field("telemetry", &self.depth_hist.is_some())
+            .field("trace", &self.trace.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -129,26 +127,13 @@ impl Decomposer {
             stats: Stats::default(),
             options,
             trace: options.trace.then(Vec::new),
-            depth_hist: options.telemetry.then(Vec::new),
             depth: 0,
         }
     }
 
-    /// Recursive calls per depth (`[d]` = calls entered at depth `d`).
-    /// Empty unless [`Options::telemetry`] is on.
-    pub fn depth_histogram(&self) -> &[u64] {
-        self.depth_hist.as_deref().unwrap_or(&[])
-    }
-
-    /// Deepest recursion level reached (0 when telemetry is off or no
-    /// decomposition has run).
-    pub fn max_depth(&self) -> usize {
-        self.depth_histogram().len()
-    }
-
     fn record(&mut self, step: Step) {
         if let Some(trace) = &mut self.trace {
-            trace.push(TraceEvent::new(self.depth.saturating_sub(1), step));
+            trace.push(TraceEvent::new(self.depth - 1, step));
         }
     }
 
@@ -243,40 +228,29 @@ impl Decomposer {
 
     fn bidecompose(&mut self, isf_in: Isf) -> Component {
         self.stats.calls += 1;
+        self.stats.max_depth = self.stats.max_depth.max(self.depth);
         self.depth += 1;
-        if let Some(hist) = &mut self.depth_hist {
-            if hist.len() < self.depth {
-                hist.resize(self.depth, 0);
-            }
-            hist[self.depth - 1] += 1;
-        }
-        // Cost attribution: only when *both* tracing (somewhere to put
-        // the cost) and telemetry (the opt-in for measurement overhead)
-        // are on; the disabled path pays these two `Option` tests and
-        // nothing else.
-        let probe = match (&self.trace, &self.depth_hist) {
-            (Some(trace), Some(_)) => Some((
+        // Cost attribution rides on the trace; an untraced run pays this
+        // one `Option` test and nothing else.
+        let probe = self.trace.as_ref().map(|trace| {
+            (
                 trace.len(),
                 std::time::Instant::now(),
-                self.mgr.op_stats(),
+                self.mgr.op_stats().inserts,
                 crate::check::theorem_checks(),
-            )),
-            _ => None,
-        };
+            )
+        });
         let comp = self.bidecompose_inner(isf_in);
-        if let Some((idx, start, ops_before, checks_before)) = probe {
-            let ops = self.mgr.op_stats();
+        if let Some((idx, start, inserts_before, checks_before)) = probe {
             let cost = crate::trace::CallCost {
                 elapsed_ns: start.elapsed().as_nanos() as u64,
-                nodes_allocated: ops.inserts - ops_before.inserts,
-                cache_lookups: ops.cache_lookups - ops_before.cache_lookups,
-                cache_hits: ops.cache_hits - ops_before.cache_hits,
+                nodes_allocated: self.mgr.op_stats().inserts - inserts_before,
                 theorem_checks: crate::check::theorem_checks() - checks_before,
             };
             // Every call records exactly one event, and it is the first
             // one this call pushes — so `idx` is this call's event.
             if let Some(event) = self.trace.as_mut().and_then(|t| t.get_mut(idx)) {
-                event.cost = Some(cost);
+                event.cost = cost;
             }
         }
         self.depth -= 1;
@@ -816,9 +790,18 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_collects_recursion_shape() {
+    fn stats_track_the_recursion_depth() {
+        // A lone leaf is one top-level call at depth 0.
+        let leaf = roundtrip(3, |mgr| {
+            let a = mgr.var(0);
+            let b = mgr.var(1);
+            mgr.and(a, b)
+        });
+        assert_eq!(leaf.stats().max_depth, 0);
+        // The OR split's two leaves sit one level down, in the stats and
+        // in the trace alike.
         let mut dec =
-            Decomposer::with_options(4, None, Options { telemetry: true, ..Options::default() });
+            Decomposer::with_options(4, None, Options { trace: true, ..Options::default() });
         let isf = csf_isf(&mut dec, |mgr| {
             let a = mgr.var(0);
             let b = mgr.var(1);
@@ -828,29 +811,14 @@ mod tests {
             let cd = mgr.and(c, d);
             mgr.or(ab, cd)
         });
-        let comp = dec.decompose(isf);
-        dec.add_output("f", comp);
-        let hist = dec.depth_histogram();
-        assert_eq!(hist[0], 1, "exactly one top-level call");
-        assert!(dec.max_depth() >= 2, "the OR split recurses");
-        assert_eq!(
-            hist.iter().sum::<u64>(),
-            dec.stats().calls as u64,
-            "every recursive call lands in exactly one bucket"
-        );
-    }
-
-    #[test]
-    fn telemetry_off_collects_nothing() {
-        let mut dec = Decomposer::new(3, None);
-        let isf = csf_isf(&mut dec, |mgr| {
-            let a = mgr.var(0);
-            let b = mgr.var(1);
-            mgr.and(a, b)
-        });
         let _ = dec.decompose(isf);
-        assert!(dec.depth_histogram().is_empty());
-        assert_eq!(dec.max_depth(), 0);
+        assert_eq!(dec.stats().max_depth, 1);
+        let trace = dec.take_trace();
+        assert_eq!(trace.iter().map(|e| e.depth).max(), Some(dec.stats().max_depth));
+        // Every event carries its measured cost; the root's covers its
+        // children's.
+        assert!(trace.iter().all(|e| e.cost.elapsed_ns > 0));
+        assert!(trace[0].cost.elapsed_ns >= trace[1].cost.elapsed_ns + trace[2].cost.elapsed_ns);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! off-set BDDs per output, order the variables, run `BiDecompose` on each
 //! output (one decomposer, so the §6 component cache is shared across
 //! outputs), verify with the BDD verifier, and report statistics and
-//! wall-clock time.
+//! the wall-clock time of each phase.
 
 use std::time::{Duration, Instant};
 
@@ -39,25 +39,19 @@ pub struct DecompOutcome {
     pub stats: Stats,
     /// Did the BDD-based verifier accept the result?
     pub verified: bool,
-    /// Wall-clock time of decomposition only (excludes PLA parsing,
-    /// includes BDD construction and netlist assembly; as in the paper,
-    /// input file reading is not included).
-    pub elapsed: Duration,
     /// Peak live BDD node count, sampled after the specification build,
     /// after every output and after verification. Live nodes only grow
     /// between collections, and collections run only after the sample
     /// that follows an output, so no peak is missed.
     pub bdd_nodes: usize,
-    /// Per-phase wall-clock breakdown (always populated; cheap).
+    /// Per-phase wall-clock breakdown (always populated; cheap). As in
+    /// the paper, PLA parsing is not timed.
     pub phases: PhaseTimes,
     /// BDD manager operation counters accumulated across the whole run
     /// (mk/apply/cache plus the GC counters).
     pub op_stats: OpStats,
-    /// Recursive calls per depth. Empty unless [`Options::telemetry`] is
-    /// on.
-    pub depth_histogram: Vec<u64>,
-    /// The decomposition trace (one event per recursive call). Empty
-    /// unless [`Options::trace`] is on.
+    /// The decomposition trace (one event per recursive call, each with
+    /// its measured cost). Empty unless [`Options::trace`] is on.
     pub trace: Vec<crate::trace::TraceEvent>,
     /// BDD manager heap footprint: per-table byte estimates and the peak
     /// sampled across the run (at every GC, after every output, and at
@@ -111,6 +105,19 @@ pub fn isfs_from_pla(mgr: &mut Bdd, pla: &Pla) -> Vec<Isf> {
         .collect()
 }
 
+/// The netlist names of a PLA's inputs and outputs: its `.ilb`/`.ob`
+/// labels, or `x{k}`/`y{k}` where it declares none.
+pub fn signal_names(pla: &Pla) -> (Vec<String>, Vec<String>) {
+    let names = |labels: Option<&[String]>, prefix: char, count: usize| match labels {
+        Some(labels) => labels.to_vec(),
+        None => (0..count).map(|k| format!("{prefix}{k}")).collect(),
+    };
+    (
+        names(pla.input_labels(), 'x', pla.num_inputs()),
+        names(pla.output_labels(), 'y', pla.num_outputs()),
+    )
+}
+
 /// Decomposes a multi-output PLA into a netlist of two-input gates —
 /// the full BI-DECOMP flow of the paper.
 ///
@@ -122,24 +129,15 @@ pub fn decompose_pla(pla: &Pla, options: &Options) -> DecompOutcome {
 /// [`decompose_pla`] with a telemetry [`Recorder`] attached: the run, every
 /// phase and every output run under a hierarchical span. The recorder
 /// carries spans only; every count is in the returned [`DecompOutcome`],
-/// and what is collected follows [`Options::telemetry`] alone.
+/// and what is collected follows [`Options`] alone.
 pub fn decompose_pla_with_recorder(
     pla: &Pla,
     options: &Options,
     recorder: Option<Recorder>,
 ) -> DecompOutcome {
-    let start = Instant::now();
     let run_span = recorder.as_ref().map(|r| r.span("decompose_pla"));
-    let n = pla.num_inputs();
-    let input_names: Vec<String> = match pla.input_labels() {
-        Some(labels) => labels.to_vec(),
-        None => (0..n).map(|k| format!("x{k}")).collect(),
-    };
-    let output_names: Vec<String> = match pla.output_labels() {
-        Some(labels) => labels.to_vec(),
-        None => (0..pla.num_outputs()).map(|k| format!("y{k}")).collect(),
-    };
-    let mut dec = Decomposer::with_options(n, Some(&input_names), *options);
+    let (input_names, output_names) = signal_names(pla);
+    let mut dec = Decomposer::with_options(pla.num_inputs(), Some(&input_names), *options);
     let mut phases = PhaseTimes::default();
 
     let t = Instant::now();
@@ -188,9 +186,7 @@ pub fn decompose_pla_with_recorder(
         }
     }
     phases.decompose = t.elapsed();
-    let elapsed = start.elapsed();
 
-    let depth_histogram = dec.depth_histogram().to_vec();
     let trace = dec.take_trace();
     let component_cache = dec.component_cache_stats();
     let (netlist, stats, mut mgr) = dec.into_parts();
@@ -209,11 +205,9 @@ pub fn decompose_pla_with_recorder(
         netlist,
         stats,
         verified,
-        elapsed,
         bdd_nodes: peak_nodes,
         phases,
         op_stats: mgr.op_stats(),
-        depth_histogram,
         trace,
         mem: mgr.mem_report(),
         analytics: options.telemetry.then(|| mgr.analytics()),
@@ -343,29 +337,22 @@ mod tests {
     }
 
     #[test]
-    fn elapsed_and_nodes_are_populated() {
+    fn phases_and_nodes_are_populated() {
         let pla: Pla = ".i 3\n.o 1\n111 1\n.e\n".parse().expect("valid");
         let outcome = decompose_pla(&pla, &Options::default());
         assert!(outcome.bdd_nodes >= 2);
-        assert!(outcome.elapsed.as_nanos() > 0);
-        // Phase times and op counters are always populated…
+        // Phase times, op counters and the depth are always populated…
         assert!(outcome.phases.bdd_build.as_nanos() > 0);
         assert!(outcome.phases.decompose.as_nanos() > 0);
         assert!(outcome.phases.verify.as_nanos() > 0);
         assert!(outcome.op_stats.mk_calls > 0);
-        // …but the depth histogram needs the telemetry opt-in, and the
-        // trace its own flag.
-        assert!(outcome.depth_histogram.is_empty());
+        assert_eq!(outcome.stats.max_depth, 1, "x0·x1·x2 splits once");
+        // …but the trace needs its own flag, and then every event
+        // carries its cost.
         assert!(outcome.trace.is_empty());
         let with_trace = decompose_pla(&pla, &Options { trace: true, ..Options::default() });
-        assert!(!with_trace.trace.is_empty());
-        let with_telemetry =
-            decompose_pla(&pla, &Options { telemetry: true, ..Options::default() });
-        assert_eq!(with_telemetry.depth_histogram[0], 1);
-        assert_eq!(
-            with_telemetry.depth_histogram.iter().sum::<u64>(),
-            with_telemetry.stats.calls as u64
-        );
+        assert_eq!(with_trace.trace.len(), with_trace.stats.calls);
+        assert!(with_trace.trace.iter().all(|e| e.cost.elapsed_ns > 0));
     }
 
     #[test]
@@ -450,9 +437,8 @@ mod tests {
         }
         inside("output.y0", "decompose");
         inside("output.y1", "decompose");
-        // A recorder does not turn telemetry on; Options::telemetry alone
-        // decides.
-        assert!(outcome.depth_histogram.is_empty());
+        // A recorder turns nothing on; the options alone decide.
+        assert!(outcome.trace.is_empty());
         assert!(outcome.analytics.is_none());
     }
 }

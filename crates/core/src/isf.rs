@@ -51,11 +51,6 @@ impl Isf {
         mgr.not(care)
     }
 
-    /// Is the ISF completely specified (no don't-cares)?
-    pub fn is_completely_specified(&self, mgr: &mut Bdd) -> bool {
-        self.care(mgr).is_one()
-    }
-
     /// Theorem 6: is the CSF `f` compatible with this ISF
     /// (`Q·¬f = 0` and `R·f = 0`)?
     pub fn contains(&self, mgr: &mut Bdd, f: Func) -> bool {
@@ -149,7 +144,6 @@ mod tests {
         let mut mgr = Bdd::new(2);
         let a = mgr.var(0);
         let isf = Isf::from_csf(&mut mgr, a);
-        assert!(isf.is_completely_specified(&mut mgr));
         assert!(isf.dont_care(&mut mgr).is_zero());
         assert!(isf.contains(&mut mgr, a));
         let na = mgr.not(a);

@@ -68,7 +68,8 @@ pub mod verify;
 
 pub use decompose::{Component, ComponentCacheStats, Decomposer};
 pub use driver::{
-    decompose_pla, decompose_pla_with_recorder, isfs_from_pla, DecompOutcome, PhaseTimes,
+    decompose_pla, decompose_pla_with_recorder, isfs_from_pla, signal_names, DecompOutcome,
+    PhaseTimes,
 };
 pub use export::pla_from_netlist;
 pub use isf::Isf;

@@ -50,15 +50,15 @@ pub struct Options {
     /// Order the BDD variables by cube literal frequency before building
     /// the specification (static ordering heuristic).
     pub order_by_frequency: bool,
-    /// Record a [`crate::trace::TraceEvent`] per recursive call
-    /// (retrieved with [`crate::Decomposer::take_trace`]).
+    /// Record a [`crate::trace::TraceEvent`] per recursive call, each
+    /// with its measured [`crate::trace::CallCost`] (retrieved with
+    /// [`crate::Decomposer::take_trace`]). Off by default — the hot
+    /// recursion then pays only an `Option` branch and allocates nothing.
     pub trace: bool,
-    /// Collect run telemetry: the recursion-depth histogram, the BDD
-    /// manager's [`bdd::Analytics`] and, with [`trace`](Options::trace),
-    /// the measured cost of every recursive call. This flag alone decides
-    /// what is collected; attaching an [`obs::Recorder`] adds spans only.
-    /// Off by default — the hot recursion then pays only an `Option`
-    /// branch and allocates nothing.
+    /// Build the BDD manager's [`bdd::Analytics`] once the run ends
+    /// ([`crate::DecompOutcome::analytics`]); the decomposition itself
+    /// does not read this flag. Attaching an [`obs::Recorder`] adds spans
+    /// only.
     pub telemetry: bool,
     /// Trigger a garbage collection between outputs when the manager
     /// exceeds this many live nodes.

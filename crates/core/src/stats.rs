@@ -35,6 +35,9 @@ pub struct Stats {
     pub calls_with_inessential: usize,
     /// Total inessential variables removed.
     pub inessential_removed: usize,
+    /// Deepest recursion level reached (0 = a top-level call; the depth
+    /// of [`TraceEvent`](crate::trace::TraceEvent)s).
+    pub max_depth: usize,
 }
 
 impl Stats {
@@ -58,7 +61,8 @@ impl Stats {
     }
 
     /// Adds another run's counters into these (aggregating the statistics of
-    /// several PLAs, as the benchmark tools do).
+    /// several PLAs, as the benchmark tools do); the depth is the deeper
+    /// of the two.
     pub fn merge(&mut self, other: &Stats) {
         self.calls += other.calls;
         self.cache_hits += other.cache_hits;
@@ -71,6 +75,7 @@ impl Stats {
         self.shannon += other.shannon;
         self.calls_with_inessential += other.calls_with_inessential;
         self.inessential_removed += other.inessential_removed;
+        self.max_depth = self.max_depth.max(other.max_depth);
     }
 }
 
@@ -125,6 +130,7 @@ mod tests {
             calls_with_inessential: 1,
             inessential_removed: 2,
             terminal_cases: 20,
+            max_depth: 6,
         };
         assert!((s.cache_hit_rate() - 0.20).abs() < 1e-12);
         assert!((s.weak_rate() - 0.25).abs() < 1e-12);
@@ -136,12 +142,13 @@ mod tests {
 
     #[test]
     fn merge_adds_counters() {
-        let mut a = Stats { calls: 10, weak: 2, ..Default::default() };
-        let b = Stats { calls: 5, strong_or: 3, ..Default::default() };
+        let mut a = Stats { calls: 10, weak: 2, max_depth: 4, ..Default::default() };
+        let b = Stats { calls: 5, strong_or: 3, max_depth: 7, ..Default::default() };
         a.merge(&b);
         assert_eq!(a.calls, 15);
         assert_eq!(a.strong_or, 3);
         assert_eq!(a.weak, 2);
+        assert_eq!(a.max_depth, 7, "the depth merges as a maximum, not a sum");
     }
 
     #[test]

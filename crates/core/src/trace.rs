@@ -2,10 +2,9 @@
 //! paper's "decomposition tree" (`AddGateToDecompositionTree`), exposed
 //! for inspection, debugging and documentation.
 //!
-//! Each [`TraceEvent`] optionally carries a [`CallCost`]: per-call wall
-//! time, BDD nodes allocated, computed-cache traffic and theorem-check
-//! counts, captured as deltas on the manager's counters when both
-//! `Options::trace` and `Options::telemetry` are on. The [`tree`]
+//! Each [`TraceEvent`] carries a [`CallCost`]: per-call wall time, BDD
+//! nodes allocated and theorem checks, captured as deltas on the
+//! manager's counters whenever `Options::trace` is on. The [`tree`]
 //! submodule reconstructs the decomposition tree from the flat event
 //! stream and rolls those costs up inclusively/exclusively.
 
@@ -65,27 +64,8 @@ pub struct CallCost {
     pub elapsed_ns: u64,
     /// BDD nodes constructed (fresh unique-table insertions).
     pub nodes_allocated: u64,
-    /// Computed-cache lookups issued.
-    pub cache_lookups: u64,
-    /// Computed-cache hits among those lookups.
-    pub cache_hits: u64,
     /// Theorem checks evaluated (Theorems 1/2 and weak-usefulness).
     pub theorem_checks: u64,
-}
-
-impl std::ops::Add for CallCost {
-    type Output = CallCost;
-
-    /// Component-wise sum.
-    fn add(self, other: CallCost) -> CallCost {
-        CallCost {
-            elapsed_ns: self.elapsed_ns + other.elapsed_ns,
-            nodes_allocated: self.nodes_allocated + other.nodes_allocated,
-            cache_lookups: self.cache_lookups + other.cache_lookups,
-            cache_hits: self.cache_hits + other.cache_hits,
-            theorem_checks: self.theorem_checks + other.theorem_checks,
-        }
-    }
 }
 
 impl CallCost {
@@ -95,8 +75,6 @@ impl CallCost {
         CallCost {
             elapsed_ns: self.elapsed_ns.saturating_sub(other.elapsed_ns),
             nodes_allocated: self.nodes_allocated.saturating_sub(other.nodes_allocated),
-            cache_lookups: self.cache_lookups.saturating_sub(other.cache_lookups),
-            cache_hits: self.cache_hits.saturating_sub(other.cache_hits),
             theorem_checks: self.theorem_checks.saturating_sub(other.theorem_checks),
         }
     }
@@ -106,29 +84,27 @@ impl CallCost {
         Json::obj()
             .field("elapsed_ns", self.elapsed_ns)
             .field("nodes_allocated", self.nodes_allocated)
-            .field("cache_lookups", self.cache_lookups)
-            .field("cache_hits", self.cache_hits)
             .field("theorem_checks", self.theorem_checks)
     }
 }
 
-/// One trace record: the recursion depth, the step taken, and (when
-/// telemetry is on) the measured cost of the call.
+/// One trace record: the recursion depth, the step taken, and the
+/// measured cost of the call.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct TraceEvent {
     /// Recursion depth of the `BiDecompose` call (0 = a top-level call).
     pub depth: usize,
     /// What the call did.
     pub step: Step,
-    /// Inclusive per-call cost; `None` unless both tracing and telemetry
-    /// were enabled for the run.
-    pub cost: Option<CallCost>,
+    /// Inclusive cost of the call (its whole subtree).
+    pub cost: CallCost,
 }
 
 impl TraceEvent {
-    /// An event with no cost attribution (the plain-tracing shape).
+    /// An event with a zero cost; the decomposer fills in the measured
+    /// cost when the call returns.
     pub fn new(depth: usize, step: Step) -> Self {
-        TraceEvent { depth, step, cost: None }
+        TraceEvent { depth, step, cost: CallCost::default() }
     }
     /// The event as a JSON object (one `stats --trace-out` line, before
     /// `stats` adds the benchmark's name).
@@ -149,10 +125,7 @@ impl TraceEvent {
             }
             Step::Shannon { var } => base.field("step", "shannon").field("var", *var as u64),
         };
-        match &self.cost {
-            Some(cost) => base.field("cost", cost.to_json()),
-            None => base,
-        }
+        base.field("cost", self.cost.to_json())
     }
 }
 
@@ -238,16 +211,9 @@ mod tests {
     }
 
     #[test]
-    fn cost_attribution_serializes_only_when_present() {
+    fn every_event_serializes_its_cost() {
         let mut ev = TraceEvent::new(0, Step::Shannon { var: 1 });
-        assert!(ev.to_json().get("cost").is_none(), "no cost field without telemetry");
-        ev.cost = Some(CallCost {
-            elapsed_ns: 5,
-            nodes_allocated: 2,
-            cache_lookups: 3,
-            cache_hits: 1,
-            theorem_checks: 4,
-        });
+        ev.cost = CallCost { elapsed_ns: 5, nodes_allocated: 2, theorem_checks: 4 };
         let json = ev.to_json();
         let cost = json.get("cost").expect("cost object");
         assert_eq!(cost.get("elapsed_ns").and_then(Json::as_f64), Some(5.0));
@@ -256,16 +222,9 @@ mod tests {
     }
 
     #[test]
-    fn call_cost_arithmetic_saturates() {
-        let a = CallCost {
-            elapsed_ns: 10,
-            nodes_allocated: 5,
-            cache_lookups: 8,
-            cache_hits: 2,
-            theorem_checks: 1,
-        };
+    fn call_cost_difference_saturates() {
+        let a = CallCost { elapsed_ns: 10, nodes_allocated: 5, theorem_checks: 1 };
         let b = CallCost { elapsed_ns: 15, ..CallCost::default() };
-        assert_eq!((a + b).elapsed_ns, 25);
         let d = a.saturating_sub(b);
         assert_eq!(d.elapsed_ns, 0, "timer jitter must not underflow");
         assert_eq!(d.nodes_allocated, 5);

@@ -16,13 +16,10 @@ use crate::trace::{CallCost, Step, TraceEvent};
 pub struct TreeNode {
     /// The originating trace event (depth, step, measured cost).
     pub event: TraceEvent,
-    /// Index of the parent node, `None` for roots.
-    pub parent: Option<usize>,
     /// Indices of the children, in recursion order.
     pub children: Vec<usize>,
-    /// Cost of the whole subtree rooted here. Equal to the event's own
-    /// measured cost when present (per-call costs are captured around the
-    /// full recursive call); the sum of the children otherwise.
+    /// Cost of the whole subtree rooted here: the event's own measured
+    /// cost (per-call costs are captured around the full recursive call).
     pub inclusive: CallCost,
     /// Cost spent in this call itself, excluding its children
     /// (`inclusive − Σ children.inclusive`, saturating).
@@ -42,9 +39,8 @@ impl DecompTree {
     ///
     /// An event at depth `d` becomes a child of the most recent event
     /// with a smaller depth; depth-0 events start new roots. Traces
-    /// concatenated across outputs therefore come back as a forest, and
-    /// flattening the result ([`DecompTree::flatten`]) reproduces the
-    /// input stream exactly.
+    /// concatenated across outputs therefore come back as a forest whose
+    /// nodes keep the input stream's order.
     pub fn from_trace(trace: &[TraceEvent]) -> Self {
         let mut tree = DecompTree::default();
         // Stack of (depth, node index) — the path to the current node.
@@ -57,27 +53,19 @@ impl DecompTree {
             let idx = tree.nodes.len();
             tree.nodes.push(TreeNode {
                 event: event.clone(),
-                parent,
                 children: Vec::new(),
-                inclusive: CallCost::default(),
-                exclusive: CallCost::default(),
+                inclusive: event.cost,
+                exclusive: event.cost,
             });
             match parent {
-                Some(p) => tree.nodes[p].children.push(idx),
+                Some(p) => {
+                    let parent = &mut tree.nodes[p];
+                    parent.children.push(idx);
+                    parent.exclusive = parent.exclusive.saturating_sub(event.cost);
+                }
                 None => tree.roots.push(idx),
             }
             path.push((event.depth, idx));
-        }
-        // Preorder puts children after their parent, so one reverse pass
-        // sees every child's inclusive cost before its parent needs it.
-        for idx in (0..tree.nodes.len()).rev() {
-            let child_sum = tree.nodes[idx]
-                .children
-                .iter()
-                .fold(CallCost::default(), |acc, &c| acc + tree.nodes[c].inclusive);
-            let node = &mut tree.nodes[idx];
-            node.inclusive = node.event.cost.unwrap_or(child_sum);
-            node.exclusive = node.inclusive.saturating_sub(child_sum);
         }
         tree
     }
@@ -92,45 +80,9 @@ impl DecompTree {
         &self.roots
     }
 
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Recursion depth of the deepest node (0 for an empty tree).
     pub fn max_depth(&self) -> usize {
         self.nodes.iter().map(|n| n.event.depth).max().unwrap_or(0)
-    }
-
-    /// Sum of the roots' inclusive costs — the whole run.
-    pub fn total_inclusive(&self) -> CallCost {
-        self.roots.iter().fold(CallCost::default(), |acc, &r| acc + self.nodes[r].inclusive)
-    }
-
-    /// The tree flattened back into the preorder event stream. For every
-    /// well-formed trace, `DecompTree::from_trace(t).flatten() == t`.
-    pub fn flatten(&self) -> Vec<TraceEvent> {
-        // Nodes are stored in insertion order = preorder.
-        self.nodes.iter().map(|n| n.event.clone()).collect()
-    }
-
-    /// Node indices sorted by exclusive wall time, hottest first.
-    pub fn hottest(&self, k: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.nodes.len()).collect();
-        order.sort_by(|&a, &b| {
-            self.nodes[b]
-                .exclusive
-                .elapsed_ns
-                .cmp(&self.nodes[a].exclusive.elapsed_ns)
-                .then(a.cmp(&b))
-        });
-        order.truncate(k);
-        order
     }
 
     /// The tree as a standalone Graphviz `digraph`.
@@ -263,14 +215,13 @@ mod tests {
     use super::*;
     use crate::GateChoice;
 
-    fn cost(elapsed_ns: u64, nodes: u64) -> Option<CallCost> {
-        Some(CallCost {
-            elapsed_ns,
-            nodes_allocated: nodes,
-            cache_lookups: nodes,
-            cache_hits: nodes / 2,
-            theorem_checks: 1,
-        })
+    fn cost(elapsed_ns: u64, nodes: u64) -> CallCost {
+        CallCost { elapsed_ns, nodes_allocated: nodes, theorem_checks: 1 }
+    }
+
+    /// The events of the tree's nodes, in node order.
+    fn events(tree: &DecompTree) -> Vec<TraceEvent> {
+        tree.nodes().iter().map(|n| n.event.clone()).collect()
     }
 
     /// A forest exercising every `Step` variant: two roots, with
@@ -309,9 +260,8 @@ mod tests {
     fn round_trips_every_step_variant() {
         let trace = every_variant_trace();
         let tree = DecompTree::from_trace(&trace);
-        assert_eq!(tree.flatten(), trace, "depth and order must round-trip exactly");
-        assert_eq!(tree.roots().len(), 2);
-        assert_eq!(tree.len(), trace.len());
+        assert_eq!(events(&tree), trace, "nodes keep the stream's order");
+        assert_eq!(tree.roots(), &[0, 7]);
         assert_eq!(tree.max_depth(), 2);
     }
 
@@ -332,7 +282,7 @@ mod tests {
         for step in singletons {
             let trace = vec![TraceEvent::new(0, step)];
             let tree = DecompTree::from_trace(&trace);
-            assert_eq!(tree.flatten(), trace);
+            assert_eq!(events(&tree), trace);
             assert_eq!(tree.roots(), &[0]);
         }
     }
@@ -341,13 +291,15 @@ mod tests {
     fn parent_child_structure_matches_depths() {
         let tree = DecompTree::from_trace(&every_variant_trace());
         let nodes = tree.nodes();
-        assert_eq!(nodes[0].parent, None);
         assert_eq!(nodes[0].children, vec![1, 4]);
-        assert_eq!(nodes[1].parent, Some(0));
         assert_eq!(nodes[1].children, vec![2, 3]);
         assert_eq!(nodes[4].children, vec![5, 6]);
-        assert_eq!(nodes[7].parent, None);
         assert_eq!(nodes[7].children, vec![8, 9]);
+        for node in nodes {
+            for &child in &node.children {
+                assert_eq!(nodes[child].event.depth, node.event.depth + 1);
+            }
+        }
     }
 
     #[test]
@@ -367,28 +319,12 @@ mod tests {
         assert_eq!(root.exclusive.nodes_allocated, 25, "50 − (10 + 15)");
         let leaf = &tree.nodes()[1];
         assert_eq!(leaf.inclusive, leaf.exclusive, "leaves own their whole cost");
-        assert_eq!(tree.total_inclusive().elapsed_ns, 100);
-        // Hottest-by-exclusive ranks the root first.
-        assert_eq!(tree.hottest(2), vec![0, 1]);
-    }
-
-    #[test]
-    fn missing_costs_fall_back_to_child_sums() {
-        let mut trace = vec![
-            TraceEvent::new(0, Step::Shannon { var: 0 }),
-            TraceEvent::new(1, Step::Terminal { desc: "a".into() }),
-            TraceEvent::new(1, Step::Terminal { desc: "b".into() }),
-        ];
-        // Only the leaves were measured.
-        trace[1].cost = cost(30, 10);
-        trace[2].cost = cost(20, 15);
+        // Children whose clocks overran the parent's leave it zero, not
+        // an underflow.
+        trace[0].cost = cost(40, 50);
         let tree = DecompTree::from_trace(&trace);
-        let root = &tree.nodes()[0];
-        assert_eq!(root.inclusive.elapsed_ns, 50, "children sum upward");
-        assert_eq!(root.exclusive, CallCost::default());
-        // With no costs at all everything is zero and nothing panics.
-        let bare = DecompTree::from_trace(&every_variant_trace());
-        assert_eq!(bare.total_inclusive(), CallCost::default());
+        assert_eq!(tree.nodes()[0].exclusive.elapsed_ns, 0);
+        assert_eq!(tree.nodes()[0].exclusive.nodes_allocated, 25);
     }
 
     #[test]
@@ -430,9 +366,9 @@ mod tests {
     #[test]
     fn empty_trace_yields_empty_tree() {
         let tree = DecompTree::from_trace(&[]);
-        assert!(tree.is_empty());
+        assert!(tree.nodes().is_empty());
         assert!(tree.roots().is_empty());
-        assert_eq!(tree.flatten(), Vec::<TraceEvent>::new());
+        assert_eq!(tree.max_depth(), 0);
         let dot = tree.to_dot(true);
         assert!(dot.starts_with("digraph"));
     }

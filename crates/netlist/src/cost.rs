@@ -1,61 +1,20 @@
 //! The paper's area/delay cost model and netlist statistics.
 
-use crate::graph::{Gate, Gate2, Netlist};
+use crate::graph::{Gate, Netlist};
 
-/// Area and delay figures per gate type.
-///
-/// Defaults follow §8 of the paper: "the ratio of area and delay of EXOR
-/// and NOR is assumed to be 5/2 and 2.1/1.0 respectively". Inverters are
-/// free (the paper counts only two-input gates; inverter polarity is
-/// assumed absorbed into NAND/NOR-style cells).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct CostModel {
-    /// Area of AND/OR/NAND/NOR gates.
-    pub simple_area: f64,
-    /// Area of XOR/XNOR gates.
-    pub exor_area: f64,
-    /// Area of an inverter.
-    pub not_area: f64,
-    /// Delay through AND/OR/NAND/NOR gates.
-    pub simple_delay: f64,
-    /// Delay through XOR/XNOR gates.
-    pub exor_delay: f64,
-    /// Delay through an inverter.
-    pub not_delay: f64,
-}
+// The cost model of §8 of the paper: "the ratio of area and delay of EXOR
+// and NOR is assumed to be 5/2 and 2.1/1.0 respectively". Inverters are
+// free (the paper counts only two-input gates; inverter polarity is
+// assumed absorbed into NAND/NOR-style cells).
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            simple_area: 2.0,
-            exor_area: 5.0,
-            not_area: 0.0,
-            simple_delay: 1.0,
-            exor_delay: 2.1,
-            not_delay: 0.0,
-        }
-    }
-}
-
-impl CostModel {
-    /// Area of one two-input gate of type `op`.
-    pub fn gate_area(&self, op: Gate2) -> f64 {
-        if op.is_exor() {
-            self.exor_area
-        } else {
-            self.simple_area
-        }
-    }
-
-    /// Delay through one two-input gate of type `op`.
-    pub fn gate_delay(&self, op: Gate2) -> f64 {
-        if op.is_exor() {
-            self.exor_delay
-        } else {
-            self.simple_delay
-        }
-    }
-}
+/// Area of an AND/OR/NAND/NOR gate.
+const SIMPLE_AREA: f64 = 2.0;
+/// Area of an XOR/XNOR gate.
+const EXOR_AREA: f64 = 5.0;
+/// Delay through an AND/OR/NAND/NOR gate.
+const SIMPLE_DELAY: f64 = 1.0;
+/// Delay through an XOR/XNOR gate.
+const EXOR_DELAY: f64 = 2.1;
 
 /// Summary statistics of a netlist — the columns of the paper's Table 2.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -72,9 +31,9 @@ pub struct NetlistStats {
     pub inverters: usize,
     /// Number of logic levels counting two-input gates ("cascades").
     pub cascades: usize,
-    /// Total area under the cost model ("area").
+    /// Total area under the paper's cost model ("area").
     pub area: f64,
-    /// Critical-path delay under the cost model ("delay").
+    /// Critical-path delay under the paper's cost model ("delay").
     pub delay: f64,
 }
 
@@ -95,14 +54,9 @@ impl NetlistStats {
 }
 
 impl Netlist {
-    /// Statistics under the default (paper) cost model.
+    /// Statistics under the paper's cost model. Only logic reachable from
+    /// the outputs is counted.
     pub fn stats(&self) -> NetlistStats {
-        self.stats_with(&CostModel::default())
-    }
-
-    /// Statistics under a custom cost model. Only logic reachable from the
-    /// outputs is counted.
-    pub fn stats_with(&self, model: &CostModel) -> NetlistStats {
         let live = self.live_signals();
         let mut stats = NetlistStats {
             inputs: self.inputs().len(),
@@ -117,19 +71,20 @@ impl Netlist {
                 Gate::Input(_) | Gate::Const(_) => {}
                 Gate::Not(a) => {
                     stats.inverters += 1;
-                    stats.area += model.not_area;
                     level[s as usize] = level[a as usize];
-                    arrival[s as usize] = arrival[a as usize] + model.not_delay;
+                    arrival[s as usize] = arrival[a as usize];
                 }
                 Gate::Binary(op, a, b) => {
                     stats.gates += 1;
-                    if op.is_exor() {
+                    let (area, delay) = if op.is_exor() {
                         stats.exors += 1;
-                    }
-                    stats.area += model.gate_area(op);
+                        (EXOR_AREA, EXOR_DELAY)
+                    } else {
+                        (SIMPLE_AREA, SIMPLE_DELAY)
+                    };
+                    stats.area += area;
                     level[s as usize] = 1 + level[a as usize].max(level[b as usize]);
-                    arrival[s as usize] =
-                        model.gate_delay(op) + arrival[a as usize].max(arrival[b as usize]);
+                    arrival[s as usize] = delay + arrival[a as usize].max(arrival[b as usize]);
                 }
             }
         }
@@ -147,11 +102,24 @@ mod tests {
     use crate::graph::Gate2;
 
     #[test]
-    fn default_model_matches_paper_ratios() {
-        let m = CostModel::default();
-        assert_eq!(m.gate_area(Gate2::Xor) / m.gate_area(Gate2::Nor), 5.0 / 2.0);
-        assert_eq!(m.gate_delay(Gate2::Xor) / m.gate_delay(Gate2::Nor), 2.1);
-        assert_eq!(m.gate_area(Gate2::And), m.gate_area(Gate2::Nand));
+    fn model_matches_paper_ratios() {
+        // One gate of each kind between two inputs: EXOR/NOR area 5/2,
+        // delay 2.1/1.0, and every simple gate costs the same.
+        let gate = |op: Gate2| {
+            let mut nl = Netlist::new();
+            let a = nl.add_input("a");
+            let b = nl.add_input("b");
+            let g = nl.add_gate(op, a, b);
+            nl.add_output("f", g);
+            nl.stats()
+        };
+        let (xor, xnor, nor) = (gate(Gate2::Xor), gate(Gate2::Xnor), gate(Gate2::Nor));
+        assert_eq!(xor.area / nor.area, 5.0 / 2.0);
+        assert_eq!(xor.delay / nor.delay, 2.1);
+        assert_eq!((xnor.area, xnor.delay), (xor.area, xor.delay));
+        for op in [Gate2::And, Gate2::Or, Gate2::Nand] {
+            assert_eq!((gate(op).area, gate(op).delay), (nor.area, nor.delay));
+        }
     }
 
     #[test]
@@ -175,7 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn inverters_are_free_by_default_but_configurable() {
+    fn inverters_are_free() {
         let mut nl = Netlist::new();
         let a = nl.add_input("a");
         let b = nl.add_input("b");
@@ -187,10 +155,7 @@ mod tests {
         assert_eq!(s.gates, 1);
         assert_eq!(s.area, 2.0);
         assert_eq!(s.cascades, 1, "inverters do not add levels");
-        let custom = CostModel { not_area: 1.0, not_delay: 0.5, ..CostModel::default() };
-        let s2 = nl.stats_with(&custom);
-        assert_eq!(s2.area, 3.0);
-        assert!((s2.delay - 1.5).abs() < 1e-12);
+        assert_eq!(s.delay, 1.0, "nor delay");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //!
 //! * structural hashing and constant folding on construction
 //!   (shared sub-circuits are created once);
-//! * the paper's area/delay cost model ([`CostModel`]: XOR/NOR area ratio
-//!   5/2, delay ratio 2.1/1.0, inverters free) and circuit statistics
-//!   ([`Netlist::stats`]);
+//! * circuit statistics under the paper's area/delay cost model
+//!   ([`Netlist::stats`]: XOR/NOR area ratio 5/2, delay ratio 2.1/1.0,
+//!   inverters free);
 //! * 64-way bit-parallel simulation ([`Netlist::simulate`]);
 //! * extraction of output BDDs ([`Netlist::to_bdds`]) for the BDD-based
 //!   verifier;
@@ -40,6 +40,5 @@ mod report;
 mod sim;
 
 pub use blif::ParseBlifError;
-pub use cost::{CostModel, NetlistStats};
+pub use cost::NetlistStats;
 pub use graph::{Gate, Gate2, Netlist, SignalId};
-pub use report::ConeReport;

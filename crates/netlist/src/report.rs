@@ -1,10 +1,9 @@
-//! Reporting helpers: gate histograms, per-output cones, DOT export.
+//! Reporting helpers: gate histograms, DOT export, one-line summaries.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use crate::cost::CostModel;
-use crate::graph::{Gate, Gate2, Netlist, SignalId};
+use crate::graph::{Gate, Gate2, Netlist};
 
 impl Netlist {
     /// Live gate counts per two-input gate type.
@@ -16,63 +15,6 @@ impl Netlist {
             }
         }
         histogram
-    }
-
-    /// The transitive fanin cone of one signal (gates only), plus its
-    /// depth in two-input gates — the per-output view of
-    /// [`stats`](Netlist::stats).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `signal` is out of range.
-    pub fn cone(&self, signal: SignalId) -> ConeReport {
-        let mut seen: HashSet<SignalId> = HashSet::new();
-        let mut stack = vec![signal];
-        let mut gates = 0;
-        let mut exors = 0;
-        let mut inputs = HashSet::new();
-        while let Some(s) = stack.pop() {
-            if !seen.insert(s) {
-                continue;
-            }
-            match *self.gate(s) {
-                Gate::Input(_) => {
-                    inputs.insert(s);
-                }
-                Gate::Const(_) => {}
-                Gate::Not(a) => stack.push(a),
-                Gate::Binary(op, a, b) => {
-                    gates += 1;
-                    if op.is_exor() {
-                        exors += 1;
-                    }
-                    stack.push(a);
-                    stack.push(b);
-                }
-            }
-        }
-        // Depth by a second, topological pass over the cone (signal ids
-        // are created fanin-first, so ascending order is topological).
-        let mut level: HashMap<SignalId, usize> = HashMap::new();
-        for s in 0..=signal {
-            if !seen.contains(&s) {
-                continue;
-            }
-            let l = match *self.gate(s) {
-                Gate::Input(_) | Gate::Const(_) => 0,
-                Gate::Not(a) => level.get(&a).copied().unwrap_or(0),
-                Gate::Binary(_, a, b) => {
-                    1 + level.get(&a).copied().unwrap_or(0).max(level.get(&b).copied().unwrap_or(0))
-                }
-            };
-            level.insert(s, l);
-        }
-        ConeReport {
-            gates,
-            exors,
-            depth: level.get(&signal).copied().unwrap_or(0),
-            support: inputs.len(),
-        }
     }
 
     /// Renders the live netlist as a Graphviz `digraph` (inputs as boxes,
@@ -110,25 +52,12 @@ impl Netlist {
 
     /// One-line human-readable summary, e.g. for example binaries.
     pub fn summary(&self) -> String {
-        let s = self.stats_with(&CostModel::default());
+        let s = self.stats();
         format!(
             "{} in / {} out, {} gates ({} exor, {} inv), {} levels, area {}, delay {:.1}",
             s.inputs, s.outputs, s.gates, s.exors, s.inverters, s.cascades, s.area, s.delay
         )
     }
-}
-
-/// Per-output cone measurements (see [`Netlist::cone`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ConeReport {
-    /// Two-input gates in the cone.
-    pub gates: usize,
-    /// EXOR-family gates among them.
-    pub exors: usize,
-    /// Depth of the cone in two-input gates.
-    pub depth: usize,
-    /// Number of primary inputs the cone reaches.
-    pub support: usize,
 }
 
 #[cfg(test)]
@@ -157,22 +86,6 @@ mod tests {
         assert_eq!(h.get(&Gate2::Nor), Some(&1));
         assert_eq!(h.get(&Gate2::Or), None);
         assert_eq!(h.values().sum::<usize>(), nl.stats().gates);
-    }
-
-    #[test]
-    fn cone_measurements() {
-        let nl = sample();
-        let f = nl.outputs()[0].1;
-        let cone = nl.cone(f);
-        assert_eq!(cone.gates, 2);
-        assert_eq!(cone.exors, 1);
-        assert_eq!(cone.depth, 2);
-        assert_eq!(cone.support, 3);
-        let g = nl.outputs()[1].1;
-        let cone = nl.cone(g);
-        assert_eq!(cone.gates, 1);
-        assert_eq!(cone.support, 2);
-        assert_eq!(cone.depth, 1);
     }
 
     #[test]

@@ -23,24 +23,6 @@ pub fn ratio(num: usize, den: usize) -> f64 {
     }
 }
 
-/// Events-per-second throughput, or `0.0` for an instantaneous interval.
-///
-/// Guaranteed finite: a sub-nanosecond `elapsed` (or one small enough for
-/// the division to overflow `f64`) returns `0.0` instead of `inf`/`NaN`,
-/// so the value is always safe to embed in JSON reports.
-pub fn per_second(events: usize, elapsed: std::time::Duration) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs <= 0.0 {
-        return 0.0;
-    }
-    let rate = events as f64 / secs;
-    if rate.is_finite() {
-        rate
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -56,27 +38,5 @@ mod tests {
     fn ratio_handles_zero_denominator() {
         assert_eq!(ratio(3, 0), 0.0);
         assert_eq!(ratio(1, 4), 0.25);
-    }
-
-    #[test]
-    fn throughput_handles_zero_interval() {
-        assert_eq!(per_second(100, std::time::Duration::ZERO), 0.0);
-        let r = per_second(100, std::time::Duration::from_secs(2));
-        assert!((r - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throughput_is_always_finite_and_json_safe() {
-        // A 1 ns interval is the smallest representable non-zero duration;
-        // the rate is huge but finite.
-        let r = per_second(usize::MAX, std::time::Duration::from_nanos(1));
-        assert!(r.is_finite());
-        // Whatever per_second returns must serialize as a JSON number,
-        // never the bare tokens `inf`/`NaN`.
-        for r in [r, per_second(0, std::time::Duration::ZERO)] {
-            let doc = crate::json::Json::obj().field("rate", r).render();
-            assert!(crate::json::Json::parse(&doc).is_ok(), "unparseable rate doc: {doc}");
-            assert!(!doc.contains("inf") && !doc.contains("NaN"));
-        }
     }
 }

@@ -161,13 +161,6 @@ impl Pla {
         self.cubes.iter().filter(move |c| c.outputs()[output] == OutputValue::DontCare)
     }
 
-    /// Cubes contributing to the *off-set* of `output` (only meaningful for
-    /// `fr`/`fdr` types; empty otherwise).
-    pub fn off_cubes(&self, output: usize) -> impl Iterator<Item = &Cube> {
-        let zero_is_off = self.pla_type.zero_is_offset();
-        self.cubes.iter().filter(move |c| zero_is_off && c.outputs()[output] == OutputValue::Zero)
-    }
-
     /// Evaluates output `output` on a complete input assignment, returning
     /// `Some(value)` if the point is in the on- or off-set and `None` if it
     /// is a don't-care.
@@ -211,11 +204,6 @@ impl Pla {
             }
         }
         freq
-    }
-
-    /// Total number of input literals over all cubes.
-    pub fn total_literals(&self) -> usize {
-        self.cubes.iter().map(Cube::literal_count).sum()
     }
 }
 
@@ -439,7 +427,9 @@ mod tests {
         assert_eq!(pla.input_labels().unwrap(), ["a", "b", "c"]);
         assert_eq!(pla.output_labels().unwrap(), ["f", "g"]);
         assert_eq!(pla.on_cubes(0).count(), 1);
-        assert_eq!(pla.off_cubes(0).count(), 2);
+        // fr: the explicit `0` cubes are the off-set, the rest don't-care.
+        assert_eq!(pla.eval(0, 0b100), Some(false), "a=0, c=1 lies in `0-1 01`");
+        assert_eq!(pla.eval(0, 0b000), None);
         assert_eq!(pla.on_cubes(1).count(), 1);
     }
 
@@ -518,10 +508,9 @@ mod tests {
     }
 
     #[test]
-    fn frequencies_and_literals() {
+    fn literal_frequencies_count_cared_positions() {
         let pla: Pla = SAMPLE.parse().expect("valid");
         assert_eq!(pla.literal_frequencies(), vec![3.0, 2.0, 2.0]);
-        assert_eq!(pla.total_literals(), 7);
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl Lit {
         self.0.is_multiple_of(2)
     }
 
-    /// The complemented literal.
-    #[must_use]
-    pub fn negate(self) -> Lit {
-        Lit(self.0 ^ 1)
-    }
-
     /// Dense code usable as an array index (`2·var + sign`).
     pub fn code(self) -> usize {
         self.0 as usize
@@ -50,8 +44,9 @@ impl Lit {
 impl std::ops::Not for Lit {
     type Output = Lit;
 
+    /// The complemented literal.
     fn not(self) -> Lit {
-        self.negate()
+        Lit(self.0 ^ 1)
     }
 }
 
@@ -125,20 +120,6 @@ impl Cnf {
         self.add_clause([lit]);
     }
 
-    /// Serializes in DIMACS `cnf` format.
-    pub fn to_dimacs(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(out, "p cnf {} {}", self.num_vars, self.clauses.len());
-        for clause in &self.clauses {
-            for lit in clause {
-                let _ = write!(out, "{lit} ");
-            }
-            let _ = writeln!(out, "0");
-        }
-        out
-    }
-
     /// Evaluates the formula under a complete assignment.
     ///
     /// # Panics
@@ -183,9 +164,6 @@ mod tests {
         assert!(cnf.eval(&[false, true]));
         assert!(!cnf.eval(&[true, true]));
         assert!(!cnf.eval(&[false, false]));
-        let dimacs = cnf.to_dimacs();
-        assert!(dimacs.starts_with("p cnf 2 2"));
-        assert!(dimacs.contains("1 2 0"));
     }
 
     #[test]

@@ -16,13 +16,6 @@ pub enum Verdict {
     Unsat,
 }
 
-impl Verdict {
-    /// `true` for the satisfiable case.
-    pub fn is_sat(&self) -> bool {
-        matches!(self, Verdict::Sat(_))
-    }
-}
-
 /// Decides satisfiability of a CNF formula.
 pub fn solve(cnf: &Cnf) -> Verdict {
     Solver::new(cnf).run()
@@ -252,7 +245,7 @@ mod tests {
     #[test]
     fn trivial_cases() {
         let cnf = Cnf::new();
-        assert!(solve(&cnf).is_sat(), "empty formula is SAT");
+        assert!(matches!(solve(&cnf), Verdict::Sat(_)), "empty formula is SAT");
         let mut cnf = Cnf::new();
         let a = cnf.fresh_var();
         cnf.add_unit(Lit::pos(a));

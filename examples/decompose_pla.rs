@@ -38,7 +38,7 @@ fn main() -> ExitCode {
     let s = outcome.netlist.stats();
     println!(
         "{name}: ins={} outs={} gates={} exors={} cascades={} area={} delay={:.1} \
-         verified={} time={:?}",
+         verified={} decompose={:?}",
         s.inputs,
         s.outputs,
         s.gates,
@@ -47,7 +47,7 @@ fn main() -> ExitCode {
         s.area,
         s.delay,
         outcome.verified,
-        outcome.elapsed
+        outcome.phases.decompose
     );
     if let Some(out_path) = args.next() {
         let blif = outcome.netlist.to_blif(&name);

@@ -1,7 +1,7 @@
 //! Forensics golden tests: the decomposition-tree DOT export and the
 //! doctor findings JSON must stay byte-stable on fixed inputs, the doctor
 //! must stay silent on healthy runs, and the tree reconstruction must
-//! round-trip real traces.
+//! agree with real traces and with the run's own statistics.
 //!
 //! Regenerate the goldens with `BLESS=1 cargo test --test forensics`
 //! after an intentional format change, and review the diff.
@@ -22,7 +22,7 @@ const SHARED: &str = ".i 4\n.o 2\n11-- 11\n--1- 10\n---1 01\n.e\n";
 
 fn trace_of(text: &str) -> Vec<bidecomp::trace::TraceEvent> {
     let pla: Pla = text.parse().expect("valid pla");
-    // Trace on, telemetry off: no cost attribution, so the DOT output is
+    // The DOT goldens below leave the measured costs out, so they are
     // byte-deterministic.
     let outcome = bidecomp::decompose_pla(&pla, &Options { trace: true, ..Options::default() });
     assert!(outcome.verified);
@@ -85,32 +85,49 @@ fn tree_reconstruction_round_trips_real_traces() {
     for text in [FIG3, SHARED] {
         let trace = trace_of(text);
         let tree = DecompTree::from_trace(&trace);
-        assert_eq!(tree.len(), trace.len());
-        // Flattening the tree in preorder reproduces the trace exactly
-        // (depths, steps and cost slots).
-        assert_eq!(tree.flatten(), trace);
-        // Parent/child depths are consistent.
+        // The nodes are the trace's events, in the trace's order.
+        let events: Vec<_> = tree.nodes().iter().map(|n| n.event.clone()).collect();
+        assert_eq!(events, trace);
+        // Parent/child depths are consistent, and every node but the
+        // roots is some node's child.
+        let mut children = 0;
         for node in tree.nodes() {
-            if let Some(parent) = node.parent {
-                assert_eq!(tree.nodes()[parent].event.depth + 1, node.event.depth);
+            for &child in &node.children {
+                assert_eq!(tree.nodes()[child].event.depth, node.event.depth + 1);
+                children += 1;
             }
         }
+        assert_eq!(children + tree.roots().len(), trace.len());
+    }
+}
+
+#[test]
+fn stats_depth_matches_the_trace_tree_on_the_small_suite() {
+    for b in benchmarks::small() {
+        let outcome =
+            bidecomp::decompose_pla(&b.pla, &Options { trace: true, ..Options::default() });
+        assert!(outcome.verified, "{}", b.name);
+        let tree = DecompTree::from_trace(&outcome.trace);
+        assert_eq!(outcome.stats.max_depth, tree.max_depth(), "{}", b.name);
+        // The statistics do not depend on the trace.
+        let untraced = bidecomp::decompose_pla(&b.pla, &Options::default());
+        assert_eq!(untraced.stats, outcome.stats, "{}", b.name);
     }
 }
 
 #[test]
 fn cost_attributed_traces_roll_up_in_real_runs() {
     let pla: Pla = SHARED.parse().expect("valid pla");
-    let options = Options { trace: true, telemetry: true, ..Options::default() };
-    let outcome = bidecomp::decompose_pla(&pla, &options);
-    assert!(outcome.trace.iter().all(|e| e.cost.is_some()), "telemetry attributes every call");
+    let outcome = bidecomp::decompose_pla(&pla, &Options { trace: true, ..Options::default() });
+    assert!(outcome.trace.iter().all(|e| e.cost.elapsed_ns > 0), "every call is measured");
     let tree = DecompTree::from_trace(&outcome.trace);
-    let total = tree.total_inclusive();
-    assert!(total.elapsed_ns > 0);
+    let total: u64 = tree.roots().iter().map(|&r| tree.nodes()[r].inclusive.elapsed_ns).sum();
     // Exclusive costs partition the inclusive total.
     let excl_sum: u64 = tree.nodes().iter().map(|n| n.exclusive.elapsed_ns).sum();
-    assert!(excl_sum <= total.elapsed_ns);
-    // The costliest call by exclusive time is a real node.
-    let hottest = tree.hottest(1);
-    assert_eq!(hottest.len(), 1);
+    assert!(excl_sum > 0 && excl_sum <= total);
+    // Every allocated node is owned by exactly one call.
+    let allocated: u64 =
+        tree.roots().iter().map(|&r| tree.nodes()[r].inclusive.nodes_allocated).sum();
+    let owned: u64 = tree.nodes().iter().map(|n| n.exclusive.nodes_allocated).sum();
+    assert_eq!(owned, allocated);
 }
