@@ -10,7 +10,7 @@
 use std::borrow::Borrow;
 
 use crate::manager::{Bdd, Func};
-use crate::VarId;
+use crate::{VarId, MAX_VARS};
 
 /// A product term as a sorted list of literals (`(variable, polarity)`).
 pub type IsopCube = Vec<(VarId, bool)>;
@@ -85,105 +85,123 @@ impl Bdd {
     /// products. The empty list denotes 0 and the empty cube denotes 1; a
     /// cube holding both literals of a variable denotes 0.
     ///
-    /// Builds top-down by partitioning the cubes on the topmost variable
-    /// any of them constrains in the current order: the cubes with `¬v`,
-    /// without `v` and with `v` are built one level down as `f₀`, `f_d`
-    /// and `f₁`, and the result is `mk(v, f₀ + f_d, f₁ + f_d)`. No cube is
-    /// copied into two branches, so a cover that specifies every variable
-    /// runs no `apply` and allocates only nodes of its result. Each
-    /// partition (one per `mk`) counts as one apply step.
+    /// Packs each cube once into a key of two bits per level (level 0
+    /// most significant, no literal < `¬v` < `v`) and sorts the keys.
+    /// Built top-down from there, every group of cubes is a contiguous
+    /// run of keys that agree on every level already split on. The run's
+    /// first key is its smallest, so it alone can show a cube with no
+    /// literal left (the group is 1); its last key is its largest, so its
+    /// first remaining literal is the topmost level `v` any cube of the
+    /// group constrains. Two binary searches cut the run into the cubes
+    /// without `v`, with `¬v` and with `v`; built one level down as
+    /// `f_d`, `f₀` and `f₁`, they give `mk(v, f₀ + f_d, f₁ + f_d)`. No
+    /// cube is copied into two branches, so a cover that specifies every
+    /// variable runs no `apply` and allocates only nodes of its result.
+    /// Each split (one per `mk`) counts as one apply step. The result and
+    /// every counter are independent of the order of the cubes.
     pub fn cover_function<C>(&mut self, cubes: impl IntoIterator<Item = C>) -> Func
     where
         C: IntoIterator,
         C::Item: Borrow<(VarId, bool)>,
     {
-        // Each cube's literals, packed as `level << 1 | polarity`, sorted
-        // by level and closed by `DONE`, one run per cube.
-        let mut lits: Vec<u32> = Vec::new();
-        let mut group: Vec<Cursor> = Vec::new();
-        let mut run: Vec<u32> = Vec::new();
-        for cube in cubes {
-            run.clear();
-            run.extend(cube.into_iter().map(|lit| {
-                let &(v, pos) = lit.borrow();
-                self.level_of_var(v) << 1 | u32::from(pos)
-            }));
-            run.sort_unstable();
-            run.dedup();
-            // Sorted, `¬v` and `v` sit side by side: such a cube is 0.
-            if run.windows(2).any(|w| w[0] ^ w[1] == 1) {
-                continue;
-            }
-            let start = lits.len() as u32;
-            lits.extend_from_slice(&run);
-            lits.push(DONE);
-            group.push(Cursor { head: lits[start as usize], next: start + 1 });
+        const _: () = assert!(MAX_VARS <= 8 * LEVELS_PER_WORD);
+        match self.num_vars().div_ceil(LEVELS_PER_WORD) {
+            0 | 1 => self.cover_keys::<1, C>(cubes),
+            2 => self.cover_keys::<2, C>(cubes),
+            3 => self.cover_keys::<3, C>(cubes),
+            4 => self.cover_keys::<4, C>(cubes),
+            5 => self.cover_keys::<5, C>(cubes),
+            6 => self.cover_keys::<6, C>(cubes),
+            7 => self.cover_keys::<7, C>(cubes),
+            _ => self.cover_keys::<8, C>(cubes),
         }
-        self.cover_rec(&lits, &mut group)
     }
 
-    fn cover_rec(&mut self, lits: &[u32], group: &mut [Cursor]) -> Func {
-        if group.is_empty() {
+    /// [`Bdd::cover_function`] with keys of `W` words.
+    fn cover_keys<const W: usize, C>(&mut self, cubes: impl IntoIterator<Item = C>) -> Func
+    where
+        C: IntoIterator,
+        C::Item: Borrow<(VarId, bool)>,
+    {
+        let cubes = cubes.into_iter();
+        let mut keys: Vec<[u64; W]> = Vec::with_capacity(cubes.size_hint().0);
+        for cube in cubes {
+            let mut key = [0; W];
+            for lit in cube {
+                let &(v, pos) = lit.borrow();
+                let level = self.level_of_var(v) as usize;
+                let symbol = if pos { POS } else { NEG };
+                key[level / LEVELS_PER_WORD] |= symbol << shift(level);
+            }
+            // A level holding both `¬v` and `v` reads `0b11`: such a cube is 0.
+            if key.iter().all(|&w| w & (w >> 1) & LOW_BITS == 0) {
+                keys.push(key);
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        self.cover_rec(&keys, 0)
+    }
+
+    /// The function of the sorted `keys`, which agree on every level
+    /// above `from`.
+    fn cover_rec<const W: usize>(&mut self, keys: &[[u64; W]], from: usize) -> Func {
+        let (Some(first), Some(last)) = (keys.first(), keys.last()) else {
             return Func::ZERO;
+        };
+        if first_literal(first, from).is_none() {
+            return Func::ONE; // a cube with no literal left covers everything
         }
-        let mut top = u32::MAX;
-        for c in group.iter() {
-            if c.head == DONE {
-                return Func::ONE; // a cube with no literal left covers everything
-            }
-            top = top.min(c.head >> 1);
-        }
+        let top = first_literal(last, from).expect("the last key is at least the first");
         self.note_apply_step();
-        // Three-way partition into [¬v | no v | v], stepping the cubes that
-        // constrain v past their literal.
-        let (neg, pos) = (top << 1, top << 1 | 1);
-        let (mut lo, mut mid, mut hi) = (0, 0, group.len());
-        while mid < hi {
-            let head = group[mid].head;
-            if head == neg {
-                group[mid].advance(lits);
-                group.swap(lo, mid);
-                lo += 1;
-                mid += 1;
-            } else if head == pos {
-                group[mid].advance(lits);
-                hi -= 1;
-                group.swap(mid, hi);
-            } else {
-                mid += 1;
-            }
-        }
-        let (negs, rest) = group.split_at_mut(lo);
-        let (without, poss) = rest.split_at_mut(hi - lo);
-        let mut f0 = self.cover_rec(lits, negs);
-        let mut f1 = self.cover_rec(lits, poss);
-        let fd = self.cover_rec(lits, without);
+        let neg = keys.partition_point(|k| symbol(k, top) < NEG);
+        let pos = neg + keys[neg..].partition_point(|k| symbol(k, top) < POS);
+        let mut f0 = self.cover_rec(&keys[neg..pos], top + 1);
+        let mut f1 = self.cover_rec(&keys[pos..], top + 1);
+        let fd = self.cover_rec(&keys[..neg], top + 1);
         if !fd.is_zero() {
             f0 = self.or(f0, fd);
             f1 = self.or(f1, fd);
         }
-        let var = self.var_at_level(top);
+        let var = self.var_at_level(top as u32);
         self.mk(var, f0, f1)
     }
 }
 
-/// The end of a cube's literal run: [`Cursor::head`] of a cube with no
-/// literal left.
-const DONE: u32 = u32::MAX;
+/// Levels per word of a packed cube key, two bits each.
+const LEVELS_PER_WORD: usize = 32;
 
-/// A cube inside [`Bdd::cover_function`]: its first literal not yet split
-/// on, and the index of the next one in the packed literal list.
-#[derive(Clone, Copy)]
-struct Cursor {
-    head: u32,
-    next: u32,
+/// A level's two bits in a packed cube key holding `¬v` or `v`; `0b00`
+/// is no literal. The order no literal < `¬v` < `v` is the sort order of
+/// the keys.
+const NEG: u64 = 0b01;
+const POS: u64 = 0b10;
+
+/// The low bit of every level's two bits.
+const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+
+/// Where `level`'s two bits sit in its word: level 0 is the most
+/// significant pair.
+fn shift(level: usize) -> usize {
+    62 - 2 * (level % LEVELS_PER_WORD)
 }
 
-impl Cursor {
-    fn advance(&mut self, lits: &[u32]) {
-        self.head = lits[self.next as usize];
-        self.next += 1;
+/// The two bits of `level` in `key`.
+fn symbol<const W: usize>(key: &[u64; W], level: usize) -> u64 {
+    (key[level / LEVELS_PER_WORD] >> shift(level)) & 0b11
+}
+
+/// The topmost level at or below `from` at which `key` holds a literal.
+fn first_literal<const W: usize>(key: &[u64; W], from: usize) -> Option<usize> {
+    let mut mask = u64::MAX >> (2 * (from % LEVELS_PER_WORD));
+    for (w, &word) in key.iter().enumerate().skip(from / LEVELS_PER_WORD) {
+        let bits = word & mask;
+        if bits != 0 {
+            return Some(w * LEVELS_PER_WORD + bits.leading_zeros() as usize / 2);
+        }
+        mask = u64::MAX;
     }
+    None
 }
 
 #[cfg(test)]

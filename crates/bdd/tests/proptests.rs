@@ -358,6 +358,91 @@ fn cover_function_constants() {
 }
 
 #[test]
+fn cover_function_ignores_cube_order() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let cubes = random_cover(&mut rng);
+        let mut shuffled = cubes.clone();
+        rng.shuffle(&mut shuffled);
+        let mut order: Vec<u32> = (0..COVER_VARS as u32).collect();
+        rng.shuffle(&mut order);
+        let mut built = Vec::new();
+        for list in [&cubes, &shuffled] {
+            let mut mgr = Bdd::new(COVER_VARS);
+            mgr.set_order(&order);
+            let f = mgr.cover_function(list);
+            built.push((f, mgr.op_stats()));
+        }
+        assert_eq!(built[0], built[1], "seed {seed}: {cubes:?}");
+    }
+}
+
+#[test]
+fn cover_function_keys_span_word_boundaries() {
+    // Reversed order: variable `v` sits at level `69 - v`, so these
+    // cubes constrain levels 31, 32, 63, 64 and 69.
+    let mut mgr = Bdd::new(70);
+    let order: Vec<u32> = (0..70).rev().collect();
+    mgr.set_order(&order);
+    let at = |level: u32, pos: bool| (69 - level, pos);
+    let cubes = [
+        vec![at(31, true), at(32, false)],
+        vec![at(32, true), at(63, true), at(64, false)],
+        vec![at(63, false), at(69, true)],
+        vec![at(31, false), at(64, true), at(69, false)],
+        vec![at(64, true), at(31, true)],
+        vec![at(69, true)],
+    ];
+    for k in 1..=cubes.len() {
+        let f = mgr.cover_function(&cubes[..k]);
+        assert_eq!(f, fold_cover(&mut mgr, &cubes[..k]), "first {k} cubes");
+    }
+    // The last level of the widest manager.
+    let mut mgr = Bdd::new(256);
+    let cubes = [vec![(255, true)], vec![(0, false), (255, false)], vec![(127, true)]];
+    for k in 1..=cubes.len() {
+        let f = mgr.cover_function(&cubes[..k]);
+        assert_eq!(f, fold_cover(&mut mgr, &cubes[..k]), "first {k} cubes at level 255");
+    }
+}
+
+#[test]
+fn cover_function_with_the_empty_cube_allocates_nothing() {
+    for seed in 0..CASES {
+        let mut rng = SplitMix64::new(seed);
+        let mut cubes = random_cover(&mut rng);
+        let at = rng.gen_range(cubes.len() + 1);
+        cubes.insert(at, Vec::new());
+        let mut mgr = shuffled_manager(&mut rng);
+        let (nodes, stats) = (mgr.total_nodes(), mgr.op_stats());
+        let f = mgr.cover_function(&cubes);
+        assert_eq!(f, Func::ONE, "seed {seed}: {cubes:?}");
+        assert_eq!(mgr.total_nodes(), nodes, "seed {seed}: no node for a tautology");
+        assert_eq!(mgr.op_stats(), stats, "seed {seed}: no work either");
+    }
+}
+
+#[test]
+fn cover_function_handles_duplicate_and_contradictory_cubes() {
+    let mut mgr = Bdd::new(4);
+    let ab = vec![(0, true), (1, true)];
+    let c = vec![(2, false)];
+    let dd = vec![(3, true), (3, false)];
+    let want = mgr.cover_function([&ab, &c]);
+    for cubes in [
+        vec![ab.clone(), ab.clone(), c.clone()],
+        vec![c.clone(), ab.clone(), c.clone(), ab.clone()],
+        vec![dd.clone(), ab.clone(), c.clone()],
+        vec![ab.clone(), dd.clone(), c.clone(), dd.clone()],
+        vec![vec![(1, true), (0, true), (1, true)], c.clone()],
+    ] {
+        assert_eq!(mgr.cover_function(&cubes), want, "{cubes:?}");
+        assert_eq!(fold_cover(&mut mgr, &cubes), want, "{cubes:?}");
+    }
+    assert_eq!(mgr.cover_function([&dd, &dd]), Func::ZERO, "only x·¬x cubes");
+}
+
+#[test]
 fn full_minterm_covers_allocate_only_their_result() {
     for seed in 0..CASES {
         let mut rng = SplitMix64::new(seed);

@@ -1,5 +1,6 @@
 //! Microbenchmarks of the BDD substrate: the operators the decomposition
-//! formulas lean on (apply, quantification, derivation of component ISFs).
+//! formulas lean on (apply, quantification, derivation of component ISFs)
+//! and the cube-list build of the specification BDDs.
 
 use bdd::{Bdd, Func, VarSet};
 use obs::bench::Harness;
@@ -37,6 +38,21 @@ fn main() {
             let e = mgr.exists(black_box(f), cube);
             let a = mgr.forall(f, cube);
             black_box((e, a))
+        });
+    }
+
+    {
+        // The spec build of 16sym8: its 51,952 on-set minterms (ones-count
+        // polarity 0000111101111110), each a 16-literal cube, into a fresh
+        // manager.
+        let polarity = b"0000111101111110";
+        let minterms: Vec<Vec<(u32, bool)>> = (0..1u32 << 16)
+            .filter(|m| polarity.get(m.count_ones() as usize) == Some(&b'1'))
+            .map(|m| (0..16).map(|v| (v, m & (1 << v) != 0)).collect())
+            .collect();
+        h.bench("cover_sym16_minterms", || {
+            let mut mgr = Bdd::new(16);
+            black_box(mgr.cover_function(black_box(&minterms)))
         });
     }
 

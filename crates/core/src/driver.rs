@@ -71,9 +71,9 @@ pub struct DecompOutcome {
 /// Follows espresso semantics: the on-set comes from `1` entries, the
 /// don't-care set from `d` entries, and the off-set from `0` entries
 /// (`fr`/`fdr`) or the uncovered remainder (`f`/`fd`). Overlaps resolve in
-/// favor of the on-set, then the don't-care set. Each set is built
-/// straight from its cube list by [`Bdd::cover_function`], one output at a
-/// time, in output order.
+/// favor of the on-set, then the don't-care set. One pass over the cubes
+/// sorts their indices by output and entry; each set is then built
+/// straight from its bucket by [`Bdd::cover_function`], in output order.
 ///
 /// # Panics
 ///
@@ -84,20 +84,52 @@ pub fn isfs_from_pla(mgr: &mut Bdd, pla: &Pla) -> Vec<Isf> {
         "manager needs at least {} variables",
         pla.num_inputs()
     );
-    let cover = |mgr: &mut Bdd, out: usize, value: OutputValue| {
-        let cubes = pla.cubes().iter().filter(|c| c.outputs()[out] == value);
+    let rest_is_offset = pla.pla_type().rest_is_offset();
+    // The bucket of each output entry: three per output, on, don't-care
+    // and explicit off.
+    let bucket = |out: usize, value: OutputValue| match value {
+        OutputValue::One => Some(3 * out),
+        OutputValue::DontCare => Some(3 * out + 1),
+        OutputValue::Zero if !rest_is_offset => Some(3 * out + 2),
+        _ => None,
+    };
+    // Counting sort of the cube indices: bucket `b` is
+    // `members[start[b]..start[b + 1]]`, in cube order.
+    let mut start = vec![0; 3 * pla.num_outputs() + 1];
+    for cube in pla.cubes() {
+        for (out, &value) in cube.outputs().iter().enumerate() {
+            if let Some(b) = bucket(out, value) {
+                start[b + 1] += 1;
+            }
+        }
+    }
+    for b in 1..start.len() {
+        start[b] += start[b - 1];
+    }
+    let mut next = start.clone();
+    let mut members = vec![0; start[start.len() - 1]];
+    for (i, cube) in pla.cubes().iter().enumerate() {
+        for (out, &value) in cube.outputs().iter().enumerate() {
+            if let Some(b) = bucket(out, value) {
+                members[next[b]] = i;
+                next[b] += 1;
+            }
+        }
+    }
+    let cover = |mgr: &mut Bdd, b: usize| {
+        let cubes = members[start[b]..start[b + 1]].iter().map(|&i| &pla.cubes()[i]);
         mgr.cover_function(cubes.map(pla::Cube::literals))
     };
     (0..pla.num_outputs())
         .map(|out| {
-            let q = cover(mgr, out, OutputValue::One);
-            let dc = cover(mgr, out, OutputValue::DontCare);
+            let q = cover(mgr, 3 * out);
+            let dc = cover(mgr, 3 * out + 1);
             let covered = mgr.or(q, dc);
-            let r = if pla.pla_type().rest_is_offset() {
+            let r = if rest_is_offset {
                 mgr.not(covered)
             } else {
                 // On-set wins on overlap, then don't-care.
-                let off = cover(mgr, out, OutputValue::Zero);
+                let off = cover(mgr, 3 * out + 2);
                 mgr.diff(off, covered)
             };
             Isf::new(mgr, q, r)
@@ -256,6 +288,57 @@ mod tests {
         assert_eq!(nl.eval_all(&[true, false]), vec![false]);
         // With the don't-cares the whole thing reduces to the literal b.
         assert_eq!(nl.stats().gates, 0);
+    }
+
+    /// The per-output filter [`isfs_from_pla`] replaced: every output
+    /// rescans all cubes for each of its sets.
+    fn isfs_by_filter(mgr: &mut Bdd, pla: &Pla) -> Vec<Isf> {
+        let cover = |mgr: &mut Bdd, out: usize, value: OutputValue| {
+            let cubes = pla.cubes().iter().filter(|c| c.outputs()[out] == value);
+            mgr.cover_function(cubes.map(pla::Cube::literals))
+        };
+        (0..pla.num_outputs())
+            .map(|out| {
+                let q = cover(mgr, out, OutputValue::One);
+                let dc = cover(mgr, out, OutputValue::DontCare);
+                let covered = mgr.or(q, dc);
+                let r = if pla.pla_type().rest_is_offset() {
+                    mgr.not(covered)
+                } else {
+                    let off = cover(mgr, out, OutputValue::Zero);
+                    mgr.diff(off, covered)
+                };
+                Isf::new(mgr, q, r)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bucketed_spec_build_matches_the_per_output_filter() {
+        // Every output sees `1`, `d`, `0`, `-` and `~` entries, interleaved
+        // differently across the cubes, with overlaps between the sets.
+        let body = "\
+1-0- 1d0
+-11- d~1
+0--1 01-
+11-- -1d
+--00 1-0
+0-1- d01
+-1-1 ~d1
+1111 0-~
+00-- 1d0
+";
+        for ty in ["f", "fd", "fr", "fdr"] {
+            let pla: Pla = format!(".i 4\n.o 3\n.type {ty}\n{body}.e\n").parse().expect("valid");
+            let (mut fresh, mut reference) = (Bdd::new(4), Bdd::new(4));
+            let got = isfs_from_pla(&mut fresh, &pla);
+            let want = isfs_by_filter(&mut reference, &pla);
+            assert_eq!(got.len(), 3, ".type {ty}");
+            for (out, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!((g.q, g.r), (w.q, w.r), ".type {ty} output {out}");
+            }
+            assert_eq!(fresh.op_stats(), reference.op_stats(), ".type {ty}");
+        }
     }
 
     #[test]

@@ -42,6 +42,12 @@ enum Seed {
     PerClass,
 }
 
+/// Which component a step of [`propagate`] decided values of.
+enum Side {
+    A,
+    B,
+}
+
 /// The paper's `CheckExorBiDecomp` (Fig. 4): checks EXOR-decomposability
 /// of the ISF with arbitrary disjoint sets `(X_A, X_B)` and, on success,
 /// returns the component ISFs.
@@ -57,37 +63,72 @@ pub fn check_exor_bidecomp(
     xa: &VarSet,
     xb: &VarSet,
 ) -> Option<ExorComponents> {
-    propagate(mgr, isf, xa, xb, Seed::Cube)
+    let (ca, cb) = cubes(mgr, xa, xb);
+    // Accumulated component sets.
+    let (mut qa_all, mut ra_all) = (Func::ZERO, Func::ZERO);
+    let (mut qb_all, mut rb_all) = (Func::ZERO, Func::ZERO);
+    let r = propagate(mgr, isf, ca, cb, Seed::Cube, |mgr, side, q, r| match side {
+        Side::A => {
+            qa_all = mgr.or(qa_all, q);
+            ra_all = mgr.or(ra_all, r);
+        }
+        Side::B => {
+            qb_all = mgr.or(qb_all, q);
+            rb_all = mgr.or(rb_all, r);
+        }
+    })?;
+    // Leftover off-set components never touched a constraint with the
+    // on-set: force both components to 0 there (0 ⊕ 0 = 0).
+    if !r.is_zero() {
+        let pa = mgr.exists(r, cb);
+        ra_all = mgr.or(ra_all, pa);
+        let pb = mgr.exists(r, ca);
+        rb_all = mgr.or(rb_all, pb);
+    }
+    // Every round removed its decided regions from `q` and `r`, so no
+    // later round, nor the leftover, can decide them again.
+    debug_assert!(
+        mgr.disjoint(qa_all, ra_all) && mgr.disjoint(qb_all, rb_all),
+        "decided component values never conflict"
+    );
+    Some(ExorComponents {
+        a: Isf::new_unchecked(qa_all, ra_all),
+        b: Isf::new_unchecked(qb_all, rb_all),
+    })
 }
 
 /// Does an EXOR decomposition with these sets exist?
 ///
 /// Same verdict as [`check_exor_bidecomp`], reached in fewer rounds: each
-/// round seeds every `X_C` class at once.
+/// round seeds every `X_C` class at once, and no component is built.
 pub fn exor_decomposable(mgr: &mut Bdd, isf: &Isf, xa: &VarSet, xb: &VarSet) -> bool {
-    propagate(mgr, isf, xa, xb, Seed::PerClass).is_some()
+    let (ca, cb) = cubes(mgr, xa, xb);
+    propagate(mgr, isf, ca, cb, Seed::PerClass, |_, _, _, _| {}).is_some()
 }
 
-/// The Fig. 4 propagation loop, parameterised by its seeding rule.
+/// The cubes of `X_A` and `X_B`, the quantifiers of the propagation.
+fn cubes(mgr: &mut Bdd, xa: &VarSet, xb: &VarSet) -> (Func, Func) {
+    debug_assert!(xa.is_disjoint(xb), "X_A and X_B must be disjoint");
+    (mgr.cube(xa), mgr.cube(xb))
+}
+
+/// The Fig. 4 propagation loop over the cubes `ca` of `X_A` and `cb` of
+/// `X_B`, parameterised by its seeding rule.
+///
+/// Hands each step's decided on- and off-set of component A or B (a
+/// function of `X_A ∪ X_C` or `X_B ∪ X_C`) to `decided`. Returns the
+/// off-set no step decided, or `None` on a conflict.
 fn propagate(
     mgr: &mut Bdd,
     isf: &Isf,
-    xa: &VarSet,
-    xb: &VarSet,
+    ca: Func,
+    cb: Func,
     seed: Seed,
-) -> Option<ExorComponents> {
-    debug_assert!(xa.is_disjoint(xb), "X_A and X_B must be disjoint");
-    let ca = mgr.cube(xa);
-    let cb = mgr.cube(xb);
-
+    mut decided: impl FnMut(&mut Bdd, Side, Func, Func),
+) -> Option<Func> {
     // Working constraint sets (minterms of the full space not yet decided).
     let mut q = isf.q;
     let mut r = isf.r;
-    // Accumulated component sets.
-    let mut qa_all = Func::ZERO;
-    let mut ra_all = Func::ZERO;
-    let mut qb_all = Func::ZERO;
-    let mut rb_all = Func::ZERO;
 
     while !q.is_zero() {
         // Seed new connected components with A = 1 (any polarity works
@@ -120,8 +161,7 @@ fn propagate(
             let decided_a = mgr.or(q_a, r_a);
             q = mgr.diff(q, decided_a);
             r = mgr.diff(r, decided_a);
-            qa_all = mgr.or(qa_all, q_a);
-            ra_all = mgr.or(ra_all, r_a);
+            decided(mgr, Side::A, q_a, r_a);
             // Propagate the fresh B-side decisions back to the A side.
             let t1 = mgr.and_exists(q, r_b, cb);
             let t2 = mgr.and_exists(r, q_b, cb);
@@ -135,25 +175,10 @@ fn propagate(
             let decided_b = mgr.or(q_b, r_b);
             q = mgr.diff(q, decided_b);
             r = mgr.diff(r, decided_b);
-            qb_all = mgr.or(qb_all, q_b);
-            rb_all = mgr.or(rb_all, r_b);
+            decided(mgr, Side::B, q_b, r_b);
         }
     }
-    // Leftover off-set components never touched a constraint with the
-    // on-set: force both components to 0 there (0 ⊕ 0 = 0).
-    if !r.is_zero() {
-        let pa = mgr.exists(r, cb);
-        ra_all = mgr.or(ra_all, pa);
-        let pb = mgr.exists(r, ca);
-        rb_all = mgr.or(rb_all, pb);
-    }
-    if !mgr.disjoint(qa_all, ra_all) || !mgr.disjoint(qb_all, rb_all) {
-        return None;
-    }
-    Some(ExorComponents {
-        a: Isf::new_unchecked(qa_all, ra_all),
-        b: Isf::new_unchecked(qb_all, rb_all),
-    })
+    Some(r)
 }
 
 #[cfg(test)]

@@ -156,11 +156,6 @@ impl Pla {
         self.cubes.iter().filter(move |c| c.outputs()[output] == OutputValue::One)
     }
 
-    /// Cubes contributing to the *don't-care set* of `output`.
-    pub fn dc_cubes(&self, output: usize) -> impl Iterator<Item = &Cube> {
-        self.cubes.iter().filter(move |c| c.outputs()[output] == OutputValue::DontCare)
-    }
-
     /// Evaluates output `output` on a complete input assignment, returning
     /// `Some(value)` if the point is in the on- or off-set and `None` if it
     /// is a don't-care.
