@@ -184,9 +184,12 @@ fn unreadable_or_malformed_pla_exits_1_without_a_panic() {
     let missing = scratch.path("no-such.pla");
     let malformed = scratch.path("malformed.pla");
     fs::write(&malformed, ".i 2\n.o 1\n1z 1\n.e\n").expect("write pla");
+    let reshaped = scratch.path("reshaped.pla");
+    fs::write(&reshaped, ".i 4\n.o 1\n1111 1\n.i 3\n.e\n").expect("write pla");
     for (path, expected) in [
         (&missing, format!("cannot read {}: ", missing.display())),
         (&malformed, format!("{}: ", malformed.display())),
+        (&reshaped, format!("{}: ", reshaped.display())),
     ] {
         let output = Command::new(env!("CARGO_BIN_EXE_stats"))
             .arg("--pla")

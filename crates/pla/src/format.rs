@@ -298,10 +298,18 @@ impl FromStr for Pla {
                 let mut parts = rest.split_whitespace();
                 let keyword = parts.next().unwrap_or("");
                 match keyword {
+                    // A second `.i`/`.o` would change the width of cubes
+                    // already read, so only one of each is allowed.
                     "i" => {
+                        if num_inputs.is_some() {
+                            return Err(ParsePlaError::new(lineno, "repeated .i declaration"));
+                        }
                         num_inputs = Some(parse_num(parts.next(), lineno, ".i")?);
                     }
                     "o" => {
+                        if num_outputs.is_some() {
+                            return Err(ParsePlaError::new(lineno, "repeated .o declaration"));
+                        }
                         num_outputs = Some(parse_num(parts.next(), lineno, ".o")?);
                     }
                     "p" => {
@@ -482,6 +490,18 @@ mod tests {
 
         let err = ".i 2\n.o 1\n.bogus\n".parse::<Pla>().unwrap_err();
         assert!(err.to_string().contains("unsupported directive"));
+
+        // A second `.i`/`.o` after the cubes must not re-size the PLA under
+        // cubes of the old width, whether it shrinks or grows it.
+        for (text, what) in [
+            (".i 4\n.o 1\n1111 1\n.i 3\n.e\n", ".i"),
+            (".i 3\n.o 1\n111 1\n.i 4\n.e\n", ".i"),
+            (".i 3\n.o 1\n111 1\n.o 2\n.e\n", ".o"),
+        ] {
+            let err = text.parse::<Pla>().expect_err(text);
+            assert_eq!(err.line(), 4, "{text:?}");
+            assert!(err.to_string().contains(&format!("repeated {what}")), "{err}");
+        }
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! | [`benchmarks`] | MCNC-style workloads |
 //! | [`bidecomp`] | the DAC 2001 algorithm |
 //! | [`baseline`] | SIS-like and BDS-like comparators |
-//! | [`mv`] | multi-valued MIN/MAX bi-decomposition (§9 future work) |
 //! | [`sat`] | DPLL solver + Tseitin miters (second verification engine) |
 //!
 //! The [`flow`] module implements the §9 "future work" integration: test
@@ -28,7 +27,6 @@ pub use bdd;
 pub use benchmarks;
 pub use bidecomp;
 pub use boolfn;
-pub use mv;
 pub use netlist;
 pub use pla;
 pub use sat;

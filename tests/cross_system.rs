@@ -1,74 +1,5 @@
-//! Cross-system differential tests: the Boolean decomposer, the
-//! multi-valued decomposer restricted to Boolean domains, and the SAT
-//! engine must all tell one consistent story.
-
-use boolfn::TruthTable;
-use mv::{decompose, MvIsf, MvTable};
-use pla::{Cube, OutputValue, Pla, Trit};
-
-fn boolean_mv_table(f: &TruthTable) -> MvTable {
-    let n = f.num_vars();
-    let domains = vec![2usize; n];
-    MvTable::from_fn(&domains, 2, |p| {
-        let m = p.iter().enumerate().fold(0u32, |acc, (i, &v)| acc | ((v as u32) << i));
-        usize::from(f.get(m))
-    })
-}
-
-fn pla_of(f: &TruthTable) -> Pla {
-    let n = f.num_vars();
-    let mut pla = Pla::new(n, 1);
-    for m in f.minterms() {
-        let inputs: Vec<Trit> =
-            (0..n).map(|k| if m & (1 << k) != 0 { Trit::One } else { Trit::Zero }).collect();
-        pla.push(Cube::new(inputs, vec![OutputValue::One]));
-    }
-    pla
-}
-
-#[test]
-fn boolean_and_mv_decomposers_realize_the_same_functions() {
-    for seed in 0..12u64 {
-        let f = TruthTable::random(5, 0.5, seed);
-        // Boolean path.
-        let outcome = bidecomp::decompose_pla(&pla_of(&f), &bidecomp::Options::default());
-        assert!(outcome.verified, "seed {seed}");
-        // MV path over Boolean domains.
-        let isf = MvIsf::from_table(&boolean_mv_table(&f));
-        let (mv_nl, root) = decompose(&isf);
-        for m in 0..1u32 << 5 {
-            let vals: Vec<bool> = (0..5).map(|k| m & (1 << k) != 0).collect();
-            let points: Vec<usize> = vals.iter().map(|&b| usize::from(b)).collect();
-            let expected = f.get(m);
-            assert_eq!(
-                outcome.netlist.eval_all(&vals)[0],
-                expected,
-                "seed {seed} boolean path m={m:b}"
-            );
-            assert_eq!(mv_nl.eval(root, &points) == 1, expected, "seed {seed} mv path m={m:b}");
-        }
-    }
-}
-
-#[test]
-fn mv_min_max_gate_counts_are_competitive_on_monotone_functions() {
-    // On a monotone AND/OR structure the MV decomposer (restricted to
-    // Boolean) should find the same optimal gate count as BI-DECOMP
-    // (which may also use EXOR but has no use for it here).
-    let f = TruthTable::from_fn(6, |m| {
-        let bit = |k: u32| m & (1 << k) != 0;
-        (bit(0) && bit(1)) || (bit(2) && bit(3)) || (bit(4) && bit(5))
-    });
-    let outcome = bidecomp::decompose_pla(&pla_of(&f), &bidecomp::Options::default());
-    let isf = MvIsf::from_table(&boolean_mv_table(&f));
-    let (mv_nl, root) = decompose(&isf);
-    for m in 0..64u32 {
-        let points: Vec<usize> = (0..6).map(|k| usize::from(m & (1 << k) != 0)).collect();
-        assert_eq!(mv_nl.eval(root, &points) == 1, f.get(m));
-    }
-    assert_eq!(outcome.netlist.stats().gates, 5);
-    assert_eq!(mv_nl.min_max_gates(), 5, "same optimal AND/OR tree");
-}
+//! Cross-system differential tests: the SAT engine must confirm what the
+//! BDD verifier accepts.
 
 #[test]
 fn sat_confirms_the_bdd_verifier_on_a_suite_slice() {
