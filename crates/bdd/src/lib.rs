@@ -35,14 +35,12 @@
 //!   plus a static ordering heuristic ([`reorder::order_by_frequency`]).
 //! * Post-run table and cache analytics ([`Bdd::analytics`]): probe-length
 //!   distribution and per-op cache hit rates.
-//! * Graphviz DOT export for debugging ([`Bdd::to_dot`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analytics;
 mod cofactor;
-mod dot;
 mod hash;
 mod isop;
 mod manager;

@@ -3,18 +3,18 @@
 //! across the benchmark suite.
 //!
 //! Usage: `stats [--trace-out FILE] [--chrome-trace FILE] [--doctor FILE]
-//! [--tree-dot FILE] [--small] [--pla FILE]`
+//! [--small] [--pla FILE]`
 //!
 //! * `--trace-out` writes every benchmark's decomposition trace to
 //!   `FILE` as JSON lines: one object per recursive call, each naming
-//!   its `benchmark`.
+//!   its `benchmark` and carrying its inclusive `cost` (`elapsed_ns`,
+//!   `nodes_allocated`, `theorem_checks`): sort the lines by a cost to
+//!   find the subtree that burned it.
 //! * `--chrome-trace` writes the run's spans as Chrome `trace_event`
 //!   JSON — load it in `chrome://tracing` or Perfetto.
 //! * `--doctor` runs the doctor over every benchmark and writes one
 //!   `bidecomp-doctor/v2` document: the schema tag once, then a
 //!   `{name, findings}` entry per benchmark.
-//! * `--tree-dot` writes every benchmark's cost-annotated decomposition
-//!   tree as Graphviz DOT (one cluster per benchmark).
 //! * `--small` runs the quick subset (`benchmarks::small()`).
 //! * `--pla` runs a single PLA file instead of the built-in suite.
 //!
@@ -26,7 +26,6 @@ use std::io::{BufWriter, Write};
 
 use bench::exit_cannot_write;
 use bidecomp::doctor::{diagnose, Finding, DOCTOR_SCHEMA};
-use bidecomp::trace::tree::{render_dot_clusters, DecompTree};
 use bidecomp::{Options, Stats};
 use obs::json::Json;
 use obs::profile::{Profile, ProfileSink};
@@ -39,15 +38,14 @@ struct Args {
     trace_out: Option<String>,
     chrome_trace: Option<String>,
     doctor: Option<String>,
-    tree_dot: Option<String>,
     small: bool,
     pla: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: stats [--trace-out FILE] [--chrome-trace FILE] [--doctor FILE] \
-         [--tree-dot FILE] [--small] [--pla FILE]"
+        "usage: stats [--trace-out FILE] [--chrome-trace FILE] [--doctor FILE] [--small] \
+         [--pla FILE]"
     );
     std::process::exit(2);
 }
@@ -60,7 +58,6 @@ fn parse_args() -> Args {
             "--trace-out" => &mut args.trace_out,
             "--chrome-trace" => &mut args.chrome_trace,
             "--doctor" => &mut args.doctor,
-            "--tree-dot" => &mut args.tree_dot,
             "--small" => {
                 args.small = true;
                 continue;
@@ -93,11 +90,7 @@ fn main() {
         let file = File::create(path).unwrap_or_else(|e| exit_cannot_write(path, e));
         (path, BufWriter::new(file))
     });
-    // The cost-annotated tree is built from the trace.
-    let options = Options {
-        trace: args.trace_out.is_some() || args.tree_dot.is_some(),
-        ..Options::default()
-    };
+    let options = Options { trace: args.trace_out.is_some(), ..Options::default() };
 
     // One recorder serves the whole run: each benchmark contributes one
     // `decompose_pla` span and the spans nested in it.
@@ -139,7 +132,6 @@ fn main() {
     let mut merged = Stats::default();
     let mut doctor_records: Vec<Json> = Vec::new();
     let mut unverified = 0usize;
-    let mut trees: Vec<(String, DecompTree)> = Vec::new();
     for (name, pla) in &suite {
         let outcome = bidecomp::decompose_pla_with_recorder(pla, &options, recorder.clone());
         let s = outcome.stats;
@@ -173,9 +165,6 @@ fn main() {
                 Json::obj().field("name", name.as_str()).field("findings", Json::Arr(findings)),
             );
         }
-        if args.tree_dot.is_some() {
-            trees.push((name.clone(), DecompTree::from_trace(&outcome.trace)));
-        }
     }
     if let Some((path, mut out)) = trace_out {
         out.flush().unwrap_or_else(|e| exit_cannot_write(path, e));
@@ -189,9 +178,6 @@ fn main() {
             .field("schema", DOCTOR_SCHEMA)
             .field("benchmarks", Json::Arr(doctor_records));
         write_file(path, &document.render());
-    }
-    if let Some(path) = &args.tree_dot {
-        write_file(path, &render_dot_clusters(&trees, true));
     }
     println!();
     println!("Suite totals:\n{merged}");

@@ -146,29 +146,6 @@ pub fn exor_bidecomposable(q: &TruthTable, r: &TruthTable, xa: u32, xb: u32) -> 
     true
 }
 
-/// Is the *weak* OR-bi-decomposition with set `X_A` useful for `(Q, R)` —
-/// does it strictly enlarge the don't-care set of component A?
-///
-/// Weak decomposition always *exists* (put `A = F`); it is useful iff
-/// `Q · ∃X_A R ≠ Q`, i.e. some on-set minterm moves into A's don't-cares.
-///
-/// # Panics
-///
-/// As [`or_bidecomposable`] (with `X_B = ∅`).
-pub fn weak_or_useful(q: &TruthTable, r: &TruthTable, xa: u32) -> bool {
-    validate(q, r, xa, 0);
-    &q.and(&r.exists(xa)) != q
-}
-
-/// Dual of [`weak_or_useful`] for weak AND-bi-decomposition.
-///
-/// # Panics
-///
-/// As [`or_bidecomposable`] (with `X_B = ∅`).
-pub fn weak_and_useful(q: &TruthTable, r: &TruthTable, xa: u32) -> bool {
-    weak_or_useful(r, q, xa)
-}
-
 /// Exhaustive referee for the referees: decides OR-bi-decomposability by
 /// enumerating *every* pair of candidate components `(A, B)` and testing
 /// the definition `Q ≤ A + B ≤ ¬R` directly. Doubly exponential; intended
@@ -319,21 +296,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn weak_usefulness() {
-        // For parity, quantifying any variable kills the whole care set:
-        // ∃xa R = 1 so Q·∃xa R = Q — weak OR is useless.
-        let q = builders::parity(3);
-        let r = q.complement();
-        assert!(!weak_or_useful(&q, &r, 0b001));
-        // For a·b + c: choosing X_A = {c} is useful (rows with c=1 have
-        // no off-set point).
-        let f = TruthTable::from_fn(3, |m| m & 0b011 == 0b011 || m & 0b100 != 0);
-        let fr = f.complement();
-        assert!(weak_or_useful(&f, &fr, 0b100));
-        assert!(weak_and_useful(&fr, &f, 0b100));
     }
 
     #[test]

@@ -14,11 +14,11 @@ use crate::Isf;
 
 thread_local! {
     /// This thread's count of theorem checks evaluated (Theorem 1 and its
-    /// AND dual, Theorem 2 pairs, weak-usefulness tests). A Theorem 2 pair
-    /// counts one check when it is answered, also when a blocked set built
-    /// earlier answers it with no BDD work; a grouping search that the
-    /// bound of `grouping::best_grouping` stops counts nothing for the
-    /// candidates it never tests. Monotonic; cost attribution reads
+    /// AND dual, Theorem 2 pairs). A Theorem 2 pair counts one check when
+    /// it is answered, also when a blocked set built earlier answers it
+    /// with no BDD work; a grouping search that the bound of
+    /// `grouping::best_grouping` stops counts nothing for the candidates
+    /// it never tests. Monotonic; cost attribution reads
     /// *deltas* around each recursive call. Per thread, so a decomposition
     /// running on another thread never moves this thread's deltas. A
     /// counter rather than a decomposer field because the check functions
@@ -165,22 +165,6 @@ pub(crate) fn care_derivative(mgr: &mut Bdd, isf: &Isf, care: Func, v: VarId) ->
     let cared = mgr.forall(care, cube);
     let rd = mgr.diff(cared, qd);
     (qd, rd)
-}
-
-/// Is a *weak* OR-bi-decomposition with dedicated set `X_A` useful — does
-/// it strictly increase the don't-cares of component A?
-///
-/// Condition (Table 1): `Q · ∃X_A R ≠ Q`, i.e. `Q ≰ ∃X_A R`.
-pub fn weak_or_useful(mgr: &mut Bdd, isf: &Isf, xa: &VarSet) -> bool {
-    note_check();
-    let ca = mgr.cube(xa);
-    let er = mgr.exists(isf.r, ca);
-    !mgr.implies(isf.q, er)
-}
-
-/// Dual: is a weak AND-bi-decomposition with dedicated set `X_A` useful?
-pub fn weak_and_useful(mgr: &mut Bdd, isf: &Isf, xa: &VarSet) -> bool {
-    weak_or_useful(mgr, &isf.complement(), xa)
 }
 
 #[cfg(test)]
@@ -363,29 +347,6 @@ mod tests {
             }
         }
         assert!(passing >= 50 && failing >= 50, "{passing} passing, {failing} failing pairs");
-    }
-
-    #[test]
-    fn weak_usefulness_conditions() {
-        let mut mgr = Bdd::new(3);
-        let a = mgr.var(0);
-        let b = mgr.var(1);
-        let c = mgr.var(2);
-        let ab = mgr.and(a, b);
-        let f = mgr.or(ab, c);
-        let isf = Isf::from_csf(&mut mgr, f);
-        // Quantifying X_A = {c}: rows with c=1 are pure on-set rows.
-        assert!(weak_or_useful(&mut mgr, &isf, &VarSet::singleton(2)));
-        // For parity nothing is useful.
-        let p = {
-            let t = mgr.xor(a, b);
-            mgr.xor(t, c)
-        };
-        let pisf = Isf::from_csf(&mut mgr, p);
-        for v in 0..3 {
-            assert!(!weak_or_useful(&mut mgr, &pisf, &VarSet::singleton(v)));
-            assert!(!weak_and_useful(&mut mgr, &pisf, &VarSet::singleton(v)));
-        }
     }
 
     #[test]

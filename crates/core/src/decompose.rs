@@ -7,7 +7,7 @@ use bdd::{Bdd, Func, VarId, VarSet};
 use netlist::{Gate2, Netlist, SignalId};
 
 use crate::grouping::{self, Grouping};
-use crate::trace::{Step, TraceEvent};
+use crate::trace::{Leaf, Step, TraceEvent};
 use crate::{derive, exor, GateChoice, Isf, Options, Stats};
 
 /// A decomposed component: the completely specified function it realizes
@@ -283,9 +283,7 @@ impl Decomposer {
         if support.len() <= 2 {
             if let Some((comp, leaf)) = self.find_gate(&isf, &support) {
                 self.stats.terminal_cases += 1;
-                if self.trace.is_some() {
-                    self.record(Step::Terminal { desc: leaf.describe() });
-                }
+                self.record(Step::Terminal { leaf });
                 self.cache_insert(comp);
                 return comp;
             }
@@ -397,22 +395,28 @@ impl Decomposer {
     }
 
     fn cache_lookup(&mut self, isf: &Isf, support: &VarSet) -> Option<Component> {
-        let candidates = self.cache.get(support)?.clone();
-        for comp in candidates {
-            if isf.contains(&mut self.mgr, comp.func) {
-                self.stats.cache_hits += 1;
-                self.record(Step::CacheHit { complemented: false });
-                return Some(comp);
+        // Borrow the bucket and the manager as disjoint fields: no copy of
+        // the bucket per lookup.
+        let mgr = &mut self.mgr;
+        let (comp, complemented) = self.cache.get(support)?.iter().find_map(|&comp| {
+            if isf.contains(mgr, comp.func) {
+                Some((comp, false))
+            } else if isf.contains_complement(mgr, comp.func) {
+                Some((comp, true))
+            } else {
+                None
             }
-            if isf.contains_complement(&mut self.mgr, comp.func) {
-                self.stats.cache_hits_complement += 1;
-                self.record(Step::CacheHit { complemented: true });
-                let func = self.mgr.not(comp.func);
-                let signal = self.netlist.add_not(comp.signal);
-                return Some(Component { func, signal });
-            }
+        })?;
+        self.record(Step::CacheHit { complemented });
+        if complemented {
+            self.stats.cache_hits_complement += 1;
+            let func = self.mgr.not(comp.func);
+            let signal = self.netlist.add_not(comp.signal);
+            Some(Component { func, signal })
+        } else {
+            self.stats.cache_hits += 1;
+            Some(comp)
         }
-        None
     }
 
     fn cache_insert(&mut self, comp: Component) {
@@ -428,8 +432,7 @@ impl Decomposer {
 
     /// Terminal case (`FindGate` of Fig. 7): picks the cheapest constant,
     /// literal or single two-input gate compatible with an ISF of at most
-    /// two support variables. Returns the chosen leaf with the component,
-    /// so the caller formats its description only when tracing.
+    /// two support variables. Returns the chosen leaf with the component.
     ///
     /// Returns `None` only when [`Options::use_exor`] is off and the
     /// interval contains nothing but the two EXOR-family functions.
@@ -465,27 +468,9 @@ impl Decomposer {
     }
 }
 
-/// A terminal-case candidate.
-#[derive(Clone, Copy, Debug)]
-enum Leaf {
-    Const(bool),
-    Lit(VarId, bool),
-    Gate(Gate2, (VarId, bool), (VarId, bool)),
-}
-
+/// The decomposer's helpers on a terminal-case candidate.
 impl Leaf {
-    fn describe(&self) -> String {
-        let lit = |v: VarId, pos: bool| if pos { format!("x{v}") } else { format!("¬x{v}") };
-        match *self {
-            Leaf::Const(v) => format!("const {}", u8::from(v)),
-            Leaf::Lit(v, pos) => lit(v, pos),
-            Leaf::Gate(op, (x, px), (y, py)) => {
-                format!("{}({}, {})", op.name(), lit(x, px), lit(y, py))
-            }
-        }
-    }
-
-    fn func(self, mgr: &mut Bdd) -> Func {
+    pub(crate) fn func(self, mgr: &mut Bdd) -> Func {
         match self {
             Leaf::Const(v) => mgr.constant(v),
             Leaf::Lit(v, pos) => mgr.literal(v, pos),
@@ -504,7 +489,7 @@ impl Leaf {
         }
     }
 
-    fn signal(self, nl: &mut Netlist, inputs: &[SignalId]) -> SignalId {
+    pub(crate) fn signal(self, nl: &mut Netlist, inputs: &[SignalId]) -> SignalId {
         let lit = |nl: &mut Netlist, v: VarId, pos: bool| {
             let s = inputs[v as usize];
             if pos {

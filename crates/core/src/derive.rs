@@ -188,7 +188,10 @@ mod tests {
         let f = mgr.or(ab, c);
         let isf = Isf::from_csf(&mut mgr, f);
         let xa = VarSet::singleton(2);
-        assert!(check::weak_or_useful(&mut mgr, &isf, &xa));
+        // Weak OR is useful: Q·∃X_A R ≠ Q.
+        let ca = mgr.cube(&xa);
+        let er = mgr.exists(isf.r, ca);
+        assert!(!mgr.implies(isf.q, er));
         let isf_a = weak_or_component_a(&mut mgr, &isf, &xa);
         let dc_before = isf.dont_care(&mut mgr);
         let dc_after = isf_a.dont_care(&mut mgr);
@@ -214,7 +217,10 @@ mod tests {
         let f = mgr.and(aorb, nc);
         let isf = Isf::from_csf(&mut mgr, f);
         let xa = VarSet::singleton(2);
-        assert!(check::weak_and_useful(&mut mgr, &isf, &xa));
+        // Weak AND is useful: R·∃X_A Q ≠ R.
+        let ca = mgr.cube(&xa);
+        let eq = mgr.exists(isf.q, ca);
+        assert!(!mgr.implies(isf.r, eq));
         let isf_a = weak_and_component_a(&mut mgr, &isf, &xa);
         let fa = {
             let ndc = isf_a.dont_care(&mut mgr);

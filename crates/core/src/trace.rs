@@ -4,20 +4,58 @@
 //!
 //! Each [`TraceEvent`] carries a [`CallCost`]: per-call wall time, BDD
 //! nodes allocated and theorem checks, captured as deltas on the
-//! manager's counters whenever `Options::trace` is on. The [`tree`]
-//! submodule reconstructs the decomposition tree from the flat event
-//! stream and rolls those costs up inclusively/exclusively.
+//! manager's counters whenever `Options::trace` is on. A trace has two
+//! renderings, both from the one [`Step`] vocabulary: indented text for
+//! people ([`render_trace`]) and JSON lines for tools
+//! ([`TraceEvent::to_json`]). The [`tree`] submodule reconstructs the
+//! decomposition tree from the flat event stream and rolls those costs up
+//! inclusively/exclusively.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use bdd::{VarId, VarSet};
+use netlist::Gate2;
 use obs::json::Json;
 
 use crate::GateChoice;
 
 pub mod tree;
 
-/// What one recursive `BiDecompose` call did.
+/// A terminal-case leaf (`FindGate` of Fig. 7): a constant, a literal or
+/// one two-input gate over two literals. A literal is a variable and its
+/// polarity (`true` = positive). Displays as `const 0`, `¬x1` or
+/// `and(x0, ¬x1)`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Leaf {
+    /// A constant function.
+    Const(bool),
+    /// A single literal.
+    Lit(VarId, bool),
+    /// One gate over two literals.
+    Gate(Gate2, (VarId, bool), (VarId, bool)),
+}
+
+impl fmt::Display for Leaf {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn lit(f: &mut fmt::Formatter<'_>, v: VarId, pos: bool) -> fmt::Result {
+            write!(f, "{}x{v}", if pos { "" } else { "¬" })
+        }
+        match *self {
+            Leaf::Const(v) => write!(f, "const {}", u8::from(v)),
+            Leaf::Lit(v, pos) => lit(f, v, pos),
+            Leaf::Gate(op, (x, px), (y, py)) => {
+                write!(f, "{}(", op.name())?;
+                lit(f, x, px)?;
+                f.write_str(", ")?;
+                lit(f, y, py)?;
+                f.write_str(")")
+            }
+        }
+    }
+}
+
+/// What one recursive `BiDecompose` call did. Displays as one line of
+/// [`render_trace`] (without the indentation).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Step {
     /// Resolved from the component cache (§6).
@@ -27,8 +65,8 @@ pub enum Step {
     },
     /// Terminal case: a constant, literal or single gate (`FindGate`).
     Terminal {
-        /// Human-readable description of the leaf (e.g. `and(x0, ¬x1)`).
-        desc: String,
+        /// The chosen leaf.
+        leaf: Leaf,
     },
     /// Strong bi-decomposition with the given gate and dedicated sets.
     Strong {
@@ -54,6 +92,20 @@ pub enum Step {
     },
 }
 
+impl fmt::Display for Step {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Step::CacheHit { complemented } => {
+                write!(f, "cache hit{}", if *complemented { " (complemented)" } else { "" })
+            }
+            Step::Terminal { leaf } => write!(f, "leaf {leaf}"),
+            Step::Strong { gate, xa, xb } => write!(f, "{gate:<3} XA={xa} XB={xb}"),
+            Step::Weak { gate, xa } => write!(f, "weak {gate} XA={xa}"),
+            Step::Shannon { var } => write!(f, "shannon x{var}"),
+        }
+    }
+}
+
 /// Measured cost of one recursive `BiDecompose` call, captured as deltas
 /// on the manager's counters around the call. All figures are
 /// *inclusive* (they cover the whole subtree rooted at the call); use
@@ -64,7 +116,7 @@ pub struct CallCost {
     pub elapsed_ns: u64,
     /// BDD nodes constructed (fresh unique-table insertions).
     pub nodes_allocated: u64,
-    /// Theorem checks evaluated (Theorems 1/2 and weak-usefulness).
+    /// Theorem checks evaluated (Theorems 1/2 and their duals).
     pub theorem_checks: u64,
 }
 
@@ -114,7 +166,9 @@ impl TraceEvent {
             Step::CacheHit { complemented } => {
                 base.field("step", "cache_hit").field("complemented", *complemented)
             }
-            Step::Terminal { desc } => base.field("step", "terminal").field("leaf", desc.as_str()),
+            Step::Terminal { leaf } => {
+                base.field("step", "terminal").field("leaf", leaf.to_string())
+            }
             Step::Strong { gate, xa, xb } => base
                 .field("step", "strong")
                 .field("gate", gate.name())
@@ -132,9 +186,10 @@ impl TraceEvent {
 /// Renders a trace as an indented tree, one line per recursive call.
 ///
 /// ```
-/// use bidecomp::trace::{render_trace, Step, TraceEvent};
+/// use bidecomp::trace::{render_trace, Leaf, Step, TraceEvent};
 /// use bidecomp::GateChoice;
 /// use bdd::VarSet;
+/// use netlist::Gate2;
 ///
 /// let trace = vec![
 ///     TraceEvent::new(0, Step::Strong {
@@ -142,39 +197,17 @@ impl TraceEvent {
 ///         xa: VarSet::from_iter([2u32, 3]),
 ///         xb: VarSet::from_iter([0u32, 1]),
 ///     }),
-///     TraceEvent::new(1, Step::Terminal { desc: "and(x2, x3)".into() }),
-///     TraceEvent::new(1, Step::Terminal { desc: "and(x0, x1)".into() }),
+///     TraceEvent::new(1, Step::Terminal { leaf: Leaf::Gate(Gate2::And, (2, true), (3, true)) }),
+///     TraceEvent::new(1, Step::Terminal { leaf: Leaf::Gate(Gate2::And, (0, true), (1, true)) }),
 /// ];
 /// let text = render_trace(&trace);
 /// assert!(text.contains("or  XA={x2,x3} XB={x0,x1}"));
+/// assert!(text.contains("\n  leaf and(x2, x3)\n"));
 /// ```
 pub fn render_trace(trace: &[TraceEvent]) -> String {
     let mut out = String::new();
     for event in trace {
-        for _ in 0..event.depth {
-            out.push_str("  ");
-        }
-        match &event.step {
-            Step::CacheHit { complemented } => {
-                let _ = writeln!(
-                    out,
-                    "cache hit{}",
-                    if *complemented { " (complemented)" } else { "" }
-                );
-            }
-            Step::Terminal { desc } => {
-                let _ = writeln!(out, "leaf {desc}");
-            }
-            Step::Strong { gate, xa, xb } => {
-                let _ = writeln!(out, "{gate:<3} XA={xa} XB={xb}");
-            }
-            Step::Weak { gate, xa } => {
-                let _ = writeln!(out, "weak {gate} XA={xa}");
-            }
-            Step::Shannon { var } => {
-                let _ = writeln!(out, "shannon x{var}");
-            }
-        }
+        let _ = writeln!(out, "{:indent$}{}", "", event.step, indent = 2 * event.depth);
     }
     out
 }
@@ -194,7 +227,7 @@ mod tests {
                     xb: VarSet::singleton(1),
                 },
             ),
-            TraceEvent::new(1, Step::Terminal { desc: "x0".into() }),
+            TraceEvent::new(1, Step::Terminal { leaf: Leaf::Lit(0, true) }),
             TraceEvent::new(1, Step::CacheHit { complemented: true }),
         ];
         let text = render_trace(&trace);
@@ -241,7 +274,10 @@ mod tests {
                     xb: VarSet::singleton(0),
                 },
             ),
-            TraceEvent::new(1, Step::Terminal { desc: "and(x0, ¬x1)".into() }),
+            TraceEvent::new(
+                1,
+                Step::Terminal { leaf: Leaf::Gate(Gate2::And, (0, true), (1, false)) },
+            ),
             TraceEvent::new(1, Step::CacheHit { complemented: true }),
             TraceEvent::new(2, Step::Shannon { var: 3 }),
         ];

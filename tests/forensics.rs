@@ -1,4 +1,4 @@
-//! Forensics golden tests: the decomposition-tree DOT export and the
+//! Forensics golden tests: the rendered decomposition trace and the
 //! doctor findings JSON must stay byte-stable on fixed inputs, the doctor
 //! must stay silent on healthy runs, and the tree reconstruction must
 //! agree with real traces and with the run's own statistics.
@@ -7,7 +7,8 @@
 //! after an intentional format change, and review the diff.
 
 use bidecomp::doctor::{diagnose, DOCTOR_SCHEMA};
-use bidecomp::trace::tree::{render_dot_clusters, DecompTree};
+use bidecomp::trace::render_trace;
+use bidecomp::trace::tree::DecompTree;
 use bidecomp::Options;
 use obs::json::Json;
 use pla::Pla;
@@ -22,8 +23,8 @@ const SHARED: &str = ".i 4\n.o 2\n11-- 11\n--1- 10\n---1 01\n.e\n";
 
 fn trace_of(text: &str) -> Vec<bidecomp::trace::TraceEvent> {
     let pla: Pla = text.parse().expect("valid pla");
-    // The DOT goldens below leave the measured costs out, so they are
-    // byte-deterministic.
+    // The text rendering leaves the measured costs out, so the golden
+    // below is byte-deterministic.
     let outcome = bidecomp::decompose_pla(&pla, &Options { trace: true, ..Options::default() });
     assert!(outcome.verified);
     outcome.trace
@@ -43,12 +44,12 @@ fn check_golden(name: &str, actual: &str) {
 }
 
 #[test]
-fn decomposition_tree_dot_is_golden() {
-    let trees = vec![
-        ("fig3".to_owned(), DecompTree::from_trace(&trace_of(FIG3))),
-        ("shared".to_owned(), DecompTree::from_trace(&trace_of(SHARED))),
-    ];
-    check_golden("forensics_tree.dot", &render_dot_clusters(&trees, false));
+fn decomposition_trace_text_is_golden() {
+    // One labelled block per PLA; depth in the tree is the indentation.
+    let text = [("fig3", FIG3), ("shared", SHARED)]
+        .map(|(name, pla)| format!("{name}:\n{}", render_trace(&trace_of(pla))))
+        .join("\n");
+    check_golden("forensics_trace.txt", &text);
 }
 
 #[test]

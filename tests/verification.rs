@@ -108,14 +108,3 @@ fn blif_roundtrip_preserves_benchmark_netlists() {
         assert_eq!(outcome.netlist.simulate(&patterns), back.simulate(&patterns), "{}", b.name);
     }
 }
-
-#[test]
-fn dot_export_of_a_decomposed_component() {
-    let b = benchmarks::by_name("rd73").expect("known");
-    let mut dec = bidecomp::Decomposer::new(7, None);
-    let isfs = isfs_from_pla(dec.manager(), &b.pla);
-    let comp = dec.decompose(isfs[0]);
-    let dot = dec.manager().to_dot(&[("out0", comp.func)]);
-    assert!(dot.contains("digraph bdd"));
-    assert!(dot.matches("shape=circle").count() >= 7, "rd73 bit 0 is parity of 7 vars");
-}
