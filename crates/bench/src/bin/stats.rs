@@ -106,13 +106,6 @@ fn main() {
             let text = std::fs::read_to_string(path)
                 .unwrap_or_else(|e| exit_with(&format!("cannot read {path}: {e}")));
             let pla: Pla = text.parse().unwrap_or_else(|e| exit_with(&format!("{path}: {e}")));
-            if pla.num_inputs() > bdd::MAX_VARS {
-                exit_with(&format!(
-                    "{path}: {} inputs; the BDD kernel supports at most {}",
-                    pla.num_inputs(),
-                    bdd::MAX_VARS
-                ));
-            }
             let name = std::path::Path::new(path)
                 .file_stem()
                 .map_or_else(|| path.clone(), |s| s.to_string_lossy().into_owned());

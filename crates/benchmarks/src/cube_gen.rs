@@ -46,7 +46,8 @@ pub fn structured_pla(spec: &SynthSpec) -> Pla {
     for out in 0..spec.num_outputs {
         let window_start = rng.gen_range(spec.num_inputs);
         let emit = |rng: &mut SplitMix64, pla: &mut Pla, value: OutputValue| {
-            let mut inputs = vec![Trit::Dc; spec.num_inputs];
+            let mut cube = Cube::tautology(spec.num_inputs, spec.num_outputs, out);
+            cube.set_output(out, value);
             // Choose distinct positions within the (wrapping) window.
             let mut chosen = Vec::with_capacity(spec.literals);
             while chosen.len() < spec.literals {
@@ -56,11 +57,9 @@ pub fn structured_pla(spec: &SynthSpec) -> Pla {
                 }
             }
             for &pos in &chosen {
-                inputs[pos] = if rng.gen_bool(0.5) { Trit::One } else { Trit::Zero };
+                cube.set_input(pos, if rng.gen_bool(0.5) { Trit::One } else { Trit::Zero });
             }
-            let mut outputs = vec![OutputValue::NotUsed; spec.num_outputs];
-            outputs[out] = value;
-            pla.push(Cube::new(inputs, outputs));
+            pla.push(cube);
         };
         for _ in 0..spec.cubes_per_output {
             emit(&mut rng, &mut pla, OutputValue::One);

@@ -27,7 +27,7 @@ pub fn pla_from_fn(num_inputs: usize, num_outputs: usize, mut f: impl FnMut(u32)
         let outputs: Vec<OutputValue> = (0..num_outputs)
             .map(|k| if out & (1 << k) != 0 { OutputValue::One } else { OutputValue::NotUsed })
             .collect();
-        pla.push(Cube::new(inputs, outputs));
+        pla.push(Cube::new(&inputs, &outputs));
     }
     pla
 }

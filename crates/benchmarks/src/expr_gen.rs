@@ -114,13 +114,12 @@ pub fn expression_pla(spec: &ExprSpec) -> Pla {
             } else {
                 continue;
             };
-            let mut inputs = vec![Trit::Dc; spec.num_inputs];
+            let mut cube = Cube::tautology(spec.num_inputs, spec.num_outputs, out);
+            cube.set_output(out, value);
             for (k, &pos) in positions.iter().enumerate() {
-                inputs[pos] = if bits & (1 << k) != 0 { Trit::One } else { Trit::Zero };
+                cube.set_input(pos, if bits & (1 << k) != 0 { Trit::One } else { Trit::Zero });
             }
-            let mut outputs = vec![OutputValue::NotUsed; spec.num_outputs];
-            outputs[out] = value;
-            pla.push(Cube::new(inputs, outputs));
+            pla.push(cube);
         }
     }
     pla
@@ -173,8 +172,8 @@ mod tests {
     #[test]
     fn dc_fraction_emits_dont_care_rows() {
         let with_dc = expression_pla(&ExprSpec { dc_fraction: 0.4, ..spec() });
-        let dc_entries = with_dc.cubes().iter().flat_map(|c| c.outputs());
-        let total_dc = dc_entries.filter(|&&v| v == OutputValue::DontCare).count();
+        let dc_entries = with_dc.cubes().iter().flat_map(|c| c.used_outputs());
+        let total_dc = dc_entries.filter(|&(_, v)| v == OutputValue::DontCare).count();
         assert!(total_dc > 0, "dc rows must appear");
     }
 

@@ -71,8 +71,9 @@ pub struct DecompOutcome {
 /// Follows espresso semantics: the on-set comes from `1` entries, the
 /// don't-care set from `d` entries, and the off-set from `0` entries
 /// (`fr`/`fdr`) or the uncovered remainder (`f`/`fd`). Overlaps resolve in
-/// favor of the on-set, then the don't-care set. One pass over the cubes
-/// sorts their indices by output and entry; each set is then built
+/// favor of the on-set, then the don't-care set. A counting sort over the
+/// cubes' entries that are not `-` ([`pla::Cube::used_outputs`]) sorts
+/// their indices by output and entry; each set is then built
 /// straight from its bucket by [`Bdd::cover_function`], in output order.
 ///
 /// # Panics
@@ -97,7 +98,7 @@ pub fn isfs_from_pla(mgr: &mut Bdd, pla: &Pla) -> Vec<Isf> {
     // `members[start[b]..start[b + 1]]`, in cube order.
     let mut start = vec![0; 3 * pla.num_outputs() + 1];
     for cube in pla.cubes() {
-        for (out, &value) in cube.outputs().iter().enumerate() {
+        for (out, value) in cube.used_outputs() {
             if let Some(b) = bucket(out, value) {
                 start[b + 1] += 1;
             }
@@ -109,7 +110,7 @@ pub fn isfs_from_pla(mgr: &mut Bdd, pla: &Pla) -> Vec<Isf> {
     let mut next = start.clone();
     let mut members = vec![0; start[start.len() - 1]];
     for (i, cube) in pla.cubes().iter().enumerate() {
-        for (out, &value) in cube.outputs().iter().enumerate() {
+        for (out, value) in cube.used_outputs() {
             if let Some(b) = bucket(out, value) {
                 members[next[b]] = i;
                 next[b] += 1;
@@ -288,6 +289,11 @@ mod tests {
         assert_eq!(nl.eval_all(&[true, false]), vec![false]);
         // With the don't-cares the whole thing reduces to the literal b.
         assert_eq!(nl.stats().gates, 0);
+    }
+
+    #[test]
+    fn pla_input_limit_is_the_kernel_variable_limit() {
+        assert_eq!(pla::MAX_INPUTS, bdd::MAX_VARS);
     }
 
     /// The per-output filter [`isfs_from_pla`] replaced: every output

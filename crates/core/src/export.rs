@@ -6,7 +6,7 @@
 
 use bdd::Bdd;
 use netlist::Netlist;
-use pla::{Cube, OutputValue, Pla, Trit};
+use pla::{Cube, Pla, Trit};
 
 /// Re-expresses a netlist as a PLA whose cover is an irredundant SOP per
 /// output (computed over the netlist's exact functions; no don't-cares).
@@ -30,13 +30,11 @@ pub fn pla_from_netlist(netlist: &Netlist) -> Pla {
     for (out, &f) in bdds.iter().enumerate() {
         let (_, cubes) = mgr.isop(f, f);
         for cube in cubes {
-            let mut inputs = vec![Trit::Dc; num_inputs];
+            let mut row = Cube::tautology(num_inputs, num_outputs, out);
             for (v, pos) in cube {
-                inputs[v as usize] = if pos { Trit::One } else { Trit::Zero };
+                row.set_input(v as usize, if pos { Trit::One } else { Trit::Zero });
             }
-            let mut outputs = vec![OutputValue::NotUsed; num_outputs];
-            outputs[out] = OutputValue::One;
-            pla.push(Cube::new(inputs, outputs));
+            pla.push(row);
         }
     }
     pla

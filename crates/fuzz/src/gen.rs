@@ -77,7 +77,7 @@ fn random_cube(
     ty: PlaType,
     dc_literal_prob: f64,
 ) -> Cube {
-    let inputs = (0..num_inputs)
+    let inputs: Vec<Trit> = (0..num_inputs)
         .map(|_| {
             if rng.gen_bool(dc_literal_prob) {
                 Trit::Dc
@@ -89,8 +89,9 @@ fn random_cube(
         })
         .collect();
     let palette = output_palette(ty);
-    let outputs = (0..num_outputs).map(|_| palette[rng.gen_range(palette.len())]).collect();
-    Cube::new(inputs, outputs)
+    let outputs: Vec<OutputValue> =
+        (0..num_outputs).map(|_| palette[rng.gen_range(palette.len())]).collect();
+    Cube::new(&inputs, &outputs)
 }
 
 /// Uniform random cube lists over every PLA type.
@@ -155,18 +156,14 @@ fn mutation_case(rng: &mut SplitMix64, pool: &[Pla]) -> Option<Pla> {
             0 => {
                 let c = rng.gen_range(cubes.len());
                 let pos = rng.gen_range(n);
-                let mut inputs = cubes[c].inputs().to_vec();
-                inputs[pos] = [Trit::Zero, Trit::One, Trit::Dc][rng.gen_range(3)];
-                cubes[c] = Cube::new(inputs, cubes[c].outputs().to_vec());
+                cubes[c].set_input(pos, [Trit::Zero, Trit::One, Trit::Dc][rng.gen_range(3)]);
             }
             // Re-roll one output value (within the type's palette).
             1 => {
                 let c = rng.gen_range(cubes.len());
                 let o = rng.gen_range(outs);
                 let palette = output_palette(ty);
-                let mut outputs = cubes[c].outputs().to_vec();
-                outputs[o] = palette[rng.gen_range(palette.len())];
-                cubes[c] = Cube::new(cubes[c].inputs().to_vec(), outputs);
+                cubes[c].set_output(o, palette[rng.gen_range(palette.len())]);
             }
             // Drop a cube.
             2 if cubes.len() > 1 => {
@@ -177,9 +174,8 @@ fn mutation_case(rng: &mut SplitMix64, pool: &[Pla]) -> Option<Pla> {
             3 => {
                 let c = rng.gen_range(cubes.len());
                 let pos = rng.gen_range(n);
-                let mut inputs = cubes[c].inputs().to_vec();
-                inputs[pos] = [Trit::Zero, Trit::One, Trit::Dc][rng.gen_range(3)];
-                let dup = Cube::new(inputs, cubes[c].outputs().to_vec());
+                let mut dup = cubes[c].clone();
+                dup.set_input(pos, [Trit::Zero, Trit::One, Trit::Dc][rng.gen_range(3)]);
                 cubes.push(dup);
             }
             // Insert a fresh random cube.
@@ -237,7 +233,7 @@ mod tests {
             let pla = cube_case(&mut rng);
             let palette = output_palette(pla.pla_type());
             for cube in pla.cubes() {
-                for value in cube.outputs() {
+                for value in cube.outputs().iter() {
                     assert!(palette.contains(value), "{value:?} invalid for {:?}", pla.pla_type());
                 }
             }

@@ -102,7 +102,7 @@ fn shrink_outputs(best: &mut Pla, s: &mut Shrinker<'_>) -> bool {
             .cubes()
             .iter()
             .filter(|c| output_used(c, o, best.pla_type()))
-            .map(|c| Cube::new(c.inputs().to_vec(), vec![c.outputs()[o]]))
+            .map(|c| Cube::new(&c.inputs().to_vec(), &[c.outputs()[o]]))
             .collect();
         if cubes.is_empty() {
             continue;
@@ -128,7 +128,7 @@ fn shrink_inputs(best: &mut Pla, s: &mut Shrinker<'_>) -> bool {
             .map(|c| {
                 let mut inputs = c.inputs().to_vec();
                 inputs.remove(v);
-                Cube::new(inputs, c.outputs().to_vec())
+                Cube::new(&inputs, &c.outputs().to_vec())
             })
             .collect();
         let candidate = rebuild(best, best.num_inputs() - 1, best.num_outputs(), cubes);
@@ -151,9 +151,7 @@ fn shrink_entries(best: &mut Pla, s: &mut Shrinker<'_>) -> bool {
                 continue;
             }
             let mut cubes = best.cubes().to_vec();
-            let mut inputs = cubes[i].inputs().to_vec();
-            inputs[pos] = Trit::Dc;
-            cubes[i] = Cube::new(inputs, cubes[i].outputs().to_vec());
+            cubes[i].set_input(pos, Trit::Dc);
             let candidate = rebuild(best, best.num_inputs(), best.num_outputs(), cubes);
             if s.fails(&candidate) {
                 *best = candidate;
@@ -173,9 +171,7 @@ fn shrink_entries(best: &mut Pla, s: &mut Shrinker<'_>) -> bool {
             }
             for replacement in replacements {
                 let mut cubes = best.cubes().to_vec();
-                let mut outputs = cubes[i].outputs().to_vec();
-                outputs[o] = replacement;
-                cubes[i] = Cube::new(cubes[i].inputs().to_vec(), outputs);
+                cubes[i].set_output(o, replacement);
                 let candidate = rebuild(best, best.num_inputs(), best.num_outputs(), cubes);
                 if s.fails(&candidate) {
                     *best = candidate;
@@ -223,9 +219,9 @@ mod tests {
     /// A synthetic "bug": the case fails iff some cube asserts output 0
     /// with input 0 fixed to 1.
     fn has_poison(pla: &Pla) -> bool {
-        pla.cubes()
-            .iter()
-            .any(|c| c.inputs().first() == Some(&Trit::One) && c.outputs()[0] == OutputValue::One)
+        pla.cubes().iter().any(|c| {
+            c.inputs().iter().next() == Some(&Trit::One) && c.outputs()[0] == OutputValue::One
+        })
     }
 
     fn noisy_case(seed: u64) -> Pla {
@@ -241,12 +237,12 @@ mod tests {
                         [rng.gen_range(3)]
                 })
                 .collect::<Vec<_>>();
-            pla.push(Cube::new(inputs, outputs));
+            pla.push(Cube::new(&inputs, &outputs));
         }
         // Plant the poison cube.
         pla.push(Cube::new(
-            vec![Trit::One, Trit::Zero, Trit::One, Trit::Zero, Trit::One],
-            vec![OutputValue::One, OutputValue::One],
+            &[Trit::One, Trit::Zero, Trit::One, Trit::Zero, Trit::One],
+            &[OutputValue::One, OutputValue::One],
         ));
         pla
     }

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use crate::cube::{Cube, OutputValue, Trit};
+use crate::cube::{Cube, OutputValue, MAX_INPUTS, MAX_OUTPUTS};
 
 /// PLA logical type: which sets the cubes describe (espresso `.type`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -67,7 +67,17 @@ pub struct Pla {
 impl Pla {
     /// Creates an empty PLA with the given dimensions and default type
     /// (`fd`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_inputs` is above [`MAX_INPUTS`] or `num_outputs`
+    /// above `u32::MAX`.
     pub fn new(num_inputs: usize, num_outputs: usize) -> Self {
+        assert!(num_inputs <= MAX_INPUTS, "{num_inputs} inputs; at most {MAX_INPUTS} supported");
+        assert!(
+            num_outputs <= MAX_OUTPUTS,
+            "{num_outputs} outputs; at most {MAX_OUTPUTS} supported"
+        );
         Pla { num_inputs, num_outputs, ..Default::default() }
     }
 
@@ -147,7 +157,9 @@ impl Pla {
     ///
     /// Panics on malformed characters or arity mismatch.
     pub fn push_str(&mut self, inputs: &str, outputs: &str) {
-        let cube = parse_cube(inputs, outputs, 0).expect("malformed cube literal");
+        let chars = inputs.chars().chain(outputs.chars());
+        let cube =
+            Cube::parse(chars, inputs.len(), outputs.len(), 0).expect("malformed cube literal");
         self.push(cube);
     }
 
@@ -192,10 +204,8 @@ impl Pla {
     pub fn literal_frequencies(&self) -> Vec<f64> {
         let mut freq = vec![0f64; self.num_inputs];
         for cube in &self.cubes {
-            for (k, &t) in cube.inputs().iter().enumerate() {
-                if t != Trit::Dc {
-                    freq[k] += 1.0;
-                }
+            for (k, _) in cube.literals() {
+                freq[k as usize] += 1.0;
             }
         }
         freq
@@ -215,8 +225,12 @@ impl fmt::Display for Pla {
         }
         writeln!(f, ".type {}", self.pla_type.as_str())?;
         writeln!(f, ".p {}", self.cubes.len())?;
+        let mut line = String::new();
         for cube in &self.cubes {
-            writeln!(f, "{cube}")?;
+            line.clear();
+            cube.write_line(&mut line);
+            line.push('\n');
+            f.write_str(&line)?;
         }
         writeln!(f, ".e")
     }
@@ -230,7 +244,7 @@ pub struct ParsePlaError {
 }
 
 impl ParsePlaError {
-    fn new(line: usize, message: impl Into<String>) -> Self {
+    pub(crate) fn new(line: usize, message: impl Into<String>) -> Self {
         ParsePlaError { line, message: message.into() }
     }
 
@@ -247,33 +261,6 @@ impl fmt::Display for ParsePlaError {
 }
 
 impl std::error::Error for ParsePlaError {}
-
-fn parse_cube(inputs: &str, outputs: &str, line: usize) -> Result<Cube, ParsePlaError> {
-    let mut ins = Vec::with_capacity(inputs.len());
-    for c in inputs.chars() {
-        ins.push(match c {
-            '0' => Trit::Zero,
-            '1' => Trit::One,
-            '-' | '2' | 'x' | 'X' => Trit::Dc,
-            other => {
-                return Err(ParsePlaError::new(line, format!("bad input character {other:?}")))
-            }
-        });
-    }
-    let mut outs = Vec::with_capacity(outputs.len());
-    for c in outputs.chars() {
-        outs.push(match c {
-            '1' | '4' => OutputValue::One,
-            '0' => OutputValue::Zero,
-            '-' | '~' | '3' => OutputValue::NotUsed,
-            'd' | '2' => OutputValue::DontCare,
-            other => {
-                return Err(ParsePlaError::new(line, format!("bad output character {other:?}")))
-            }
-        });
-    }
-    Ok(Cube::new(ins, outs))
-}
 
 impl FromStr for Pla {
     type Err = ParsePlaError;
@@ -304,13 +291,15 @@ impl FromStr for Pla {
                         if num_inputs.is_some() {
                             return Err(ParsePlaError::new(lineno, "repeated .i declaration"));
                         }
-                        num_inputs = Some(parse_num(parts.next(), lineno, ".i")?);
+                        num_inputs =
+                            Some(parse_width(parts.next(), lineno, ".i", MAX_INPUTS, "inputs")?);
                     }
                     "o" => {
                         if num_outputs.is_some() {
                             return Err(ParsePlaError::new(lineno, "repeated .o declaration"));
                         }
-                        num_outputs = Some(parse_num(parts.next(), lineno, ".o")?);
+                        num_outputs =
+                            Some(parse_width(parts.next(), lineno, ".o", MAX_OUTPUTS, "outputs")?);
                     }
                     "p" => {
                         declared_cubes = Some(parse_num(parts.next(), lineno, ".p")?);
@@ -350,23 +339,12 @@ impl FromStr for Pla {
                     return Err(ParsePlaError::new(lineno, "cube before .i/.o declarations"));
                 }
             };
-            let width = ni.checked_add(no).ok_or_else(|| {
-                ParsePlaError::new(lineno, format!(".i {ni} plus .o {no} overflows a cube width"))
-            })?;
-            let compact: String =
-                line.chars().filter(|c| !c.is_whitespace() && *c != '|').collect();
-            if compact.len() != width {
-                return Err(ParsePlaError::new(
-                    lineno,
-                    format!("cube has {} positions, expected {width}", compact.len()),
-                ));
-            }
-            // Lengths count bytes, so a non-ASCII character can straddle the
-            // split; any other character is rejected by `parse_cube`.
-            let (ins, outs) = compact.split_at_checked(ni).ok_or_else(|| {
-                ParsePlaError::new(lineno, "non-ASCII character in a cube position")
-            })?;
-            let cube = parse_cube(ins, outs, lineno)?;
+            // An ASCII line is scanned byte by byte, without decoding.
+            let cube = if line.is_ascii() {
+                cube_line(line.bytes().map(char::from).filter(is_position), ni, no, lineno)?
+            } else {
+                cube_line(line.chars().filter(is_position), ni, no, lineno)?
+            };
             cubes.push(cube);
         }
 
@@ -396,10 +374,65 @@ impl FromStr for Pla {
     }
 }
 
+/// Is `c` a cube position? Whitespace and `|` separate the positions.
+fn is_position(c: &char) -> bool {
+    !c.is_whitespace() && *c != '|'
+}
+
+/// The cube of one PLA line from its `positions`: `ni` inputs, then `no`
+/// outputs.
+fn cube_line(
+    positions: impl Iterator<Item = char> + Clone,
+    ni: usize,
+    no: usize,
+    line: usize,
+) -> Result<Cube, ParsePlaError> {
+    let width = ni.checked_add(no).ok_or_else(|| {
+        ParsePlaError::new(line, format!(".i {ni} plus .o {no} overflows a cube width"))
+    })?;
+    // Positions are counted in bytes, so a non-ASCII character can
+    // straddle the split between the parts; any other character is
+    // rejected by `Cube::parse`.
+    let (mut len, mut straddles) = (0, false);
+    for c in positions.clone() {
+        straddles |= len < ni && len + c.len_utf8() > ni;
+        len += c.len_utf8();
+    }
+    if len != width {
+        return Err(ParsePlaError::new(
+            line,
+            format!("cube has {len} positions, expected {width}"),
+        ));
+    }
+    if straddles {
+        return Err(ParsePlaError::new(line, "non-ASCII character in a cube position"));
+    }
+    Cube::parse(positions, ni, no, line)
+}
+
 fn parse_num(token: Option<&str>, line: usize, what: &str) -> Result<usize, ParsePlaError> {
     token
         .and_then(|t| t.parse().ok())
         .ok_or_else(|| ParsePlaError::new(line, format!("{what} needs a number")))
+}
+
+/// The count of a `.i` or `.o` declaration, which a cube must be able to
+/// hold: at most `max` `unit`s.
+fn parse_width(
+    token: Option<&str>,
+    line: usize,
+    directive: &str,
+    max: usize,
+    unit: &str,
+) -> Result<usize, ParsePlaError> {
+    let n = parse_num(token, line, directive)?;
+    if n > max {
+        return Err(ParsePlaError::new(
+            line,
+            format!("{directive} {n} exceeds the limit of {max} {unit}"),
+        ));
+    }
+    Ok(n)
 }
 
 #[cfg(test)]
@@ -491,6 +524,14 @@ mod tests {
         let err = ".i 2\n.o 1\n.bogus\n".parse::<Pla>().unwrap_err();
         assert!(err.to_string().contains("unsupported directive"));
 
+        // The BDD kernel takes at most 256 variables; a header-only PLA
+        // above that is refused before any cube is read.
+        for width in ["300", "4294967296"] {
+            let err = format!(".i {width}\n.o 1\n.e\n").parse::<Pla>().unwrap_err();
+            assert_eq!(err.line(), 1);
+            assert!(err.to_string().contains(&format!(".i {width} exceeds the limit of 256")));
+        }
+
         // A second `.i`/`.o` after the cubes must not re-size the PLA under
         // cubes of the old width, whether it shrinks or grows it.
         for (text, what) in [
@@ -505,13 +546,14 @@ mod tests {
     }
 
     #[test]
-    fn declared_widths_that_overflow_are_a_parse_error() {
+    fn declared_widths_beyond_the_cube_header_are_a_parse_error() {
         let max = usize::MAX;
-        for text in [format!(".i {max}\n.o 1\n0 1\n.e\n"), format!(".i 2\n.o {max}\n0 1\n.e\n")] {
+        for (text, line) in
+            [(format!(".i {max}\n.o 1\n0 1\n.e\n"), 1), (format!(".i 2\n.o {max}\n0 1\n.e\n"), 2)]
+        {
             let err = text.parse::<Pla>().expect_err("no cube is that wide");
-            assert_eq!(err.line(), 3);
-            assert!(err.to_string().contains(&format!("{max}")), "{err}");
-            assert!(err.to_string().contains("overflows"), "{err}");
+            assert_eq!(err.line(), line);
+            assert!(err.to_string().contains(&format!("{max} exceeds the limit")), "{err}");
         }
     }
 

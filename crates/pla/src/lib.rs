@@ -4,7 +4,8 @@
 //! programs used the PLA input files", §8); this crate supplies that input
 //! path: a faithful reader/writer for the espresso PLA dialect (`.i`,
 //! `.o`, `.p`, `.ilb`, `.ob`, `.type f|fd|fr|fdr`) and the cube-list data
-//! model the rest of the workspace consumes.
+//! model the rest of the workspace consumes. Each cube is one fixed-size
+//! packed value (see [`Cube`]).
 //!
 //! ```
 //! use pla::Pla;
@@ -29,5 +30,5 @@
 mod cube;
 mod format;
 
-pub use cube::{Cube, OutputValue, Trit};
+pub use cube::{Cube, Inputs, OutputValue, Outputs, Trit, MAX_INPUTS};
 pub use format::{ParsePlaError, Pla, PlaType};

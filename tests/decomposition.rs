@@ -19,8 +19,9 @@ fn pla_from_tables(q: &TruthTable, r: &TruthTable) -> Pla {
 }
 
 fn minterm_cube(n: usize, m: u32, value: OutputValue) -> Cube {
-    let inputs = (0..n).map(|k| if m & (1 << k) != 0 { Trit::One } else { Trit::Zero }).collect();
-    Cube::new(inputs, vec![value])
+    let inputs: Vec<Trit> =
+        (0..n).map(|k| if m & (1 << k) != 0 { Trit::One } else { Trit::Zero }).collect();
+    Cube::new(&inputs, &[value])
 }
 
 #[test]
@@ -127,7 +128,7 @@ fn weak_vs_strong_netlist_quality() {
         let mut inputs = vec![Trit::Dc; 8];
         inputs[2 * k] = Trit::One;
         inputs[2 * k + 1] = Trit::One;
-        pla.push(Cube::new(inputs, vec![OutputValue::One]));
+        pla.push(Cube::new(&inputs, &[OutputValue::One]));
     }
     let strong = decompose_pla(&pla, &Options::default());
     let weak = decompose_pla(&pla, &Options::weak_only());

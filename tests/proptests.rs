@@ -70,7 +70,7 @@ fn materialize(spec: &RandomSpec) -> Materialized {
         }
         let inputs: Vec<Trit> =
             (0..n).map(|k| if m & (1 << k) != 0 { Trit::One } else { Trit::Zero }).collect();
-        pla.push(Cube::new(inputs, outs));
+        pla.push(Cube::new(&inputs, &outs));
     }
     Materialized { pla, qs, rs }
 }
