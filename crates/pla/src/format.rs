@@ -339,13 +339,7 @@ impl FromStr for Pla {
                     return Err(ParsePlaError::new(lineno, "cube before .i/.o declarations"));
                 }
             };
-            // An ASCII line is scanned byte by byte, without decoding.
-            let cube = if line.is_ascii() {
-                cube_line(line.bytes().map(char::from).filter(is_position), ni, no, lineno)?
-            } else {
-                cube_line(line.chars().filter(is_position), ni, no, lineno)?
-            };
-            cubes.push(cube);
+            cubes.push(cube_line(line.chars().filter(is_position), ni, no, lineno)?);
         }
 
         let num_inputs =
@@ -387,9 +381,9 @@ fn cube_line(
     no: usize,
     line: usize,
 ) -> Result<Cube, ParsePlaError> {
-    let width = ni.checked_add(no).ok_or_else(|| {
-        ParsePlaError::new(line, format!(".i {ni} plus .o {no} overflows a cube width"))
-    })?;
+    // The header bounds `.i` by 256 and `.o` by `u32::MAX`, so the width
+    // fits a `u64` on every target.
+    let width = ni as u64 + no as u64;
     // Positions are counted in bytes, so a non-ASCII character can
     // straddle the split between the parts; any other character is
     // rejected by `Cube::parse`.
@@ -398,7 +392,7 @@ fn cube_line(
         straddles |= len < ni && len + c.len_utf8() > ni;
         len += c.len_utf8();
     }
-    if len != width {
+    if len as u64 != width {
         return Err(ParsePlaError::new(
             line,
             format!("cube has {len} positions, expected {width}"),
